@@ -23,8 +23,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, cho_solve
 
-from .control import SigmaSchedule, approximate_shift, sigma_at
-from .oracle import OracleResult, hierarchical_shift
+from .control import SigmaSchedule, approximate_shift, hierarchical_shift, sigma_at
 from .problem import (
     HierarchicalShift,
     ProblemData,
@@ -313,18 +312,15 @@ def solve_subproblem(
     return _solve_system(H, rhs, eps)
 
 
-def iterate(
-    p: ProblemData, cfg: SolverConfig, oracle: OracleResult | None = None
-) -> Iterator[IterationState]:
+def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
     """Run the outer loop step by step, yielding full state after each iteration.
 
     The generator never stops on its own; callers apply their stopping rule
-    (see :func:`solve`). ``oracle`` avoids recomputing the exact shift when the
-    caller already has it; it is only used for the r1/r2 trace columns.
+    (see :func:`solve`). The exact shift is only used for the r1/r2 trace
+    columns.
     """
-    if oracle is None:
-        oracle = hierarchical_shift(p)
-    s1_star, s2_star = oracle.shift.s1, oracle.shift.s2
+    exact = hierarchical_shift(p).shift
+    s1_star, s2_star = exact.s1, exact.s2
     gram = p.A1.T @ p.A1 + p.A2.T @ p.A2
 
     lambda1_hat = np.zeros(p.m1)
@@ -334,7 +330,7 @@ def iterate(
     k = 0
     while True:
         if cfg.mode is Mode.INFEASIBILITY_CONTROL:
-            _, shift = approximate_shift(p, sigma_at(cfg.sigma_schedule, k))
+            shift = approximate_shift(p, sigma_at(cfg.sigma_schedule, k))
         else:
             shift = HierarchicalShift.zero(p.m1, p.m2)
         H, rhs = _subproblem_system(p, gram, lambda1_hat, lambda2_hat, rho, shift)

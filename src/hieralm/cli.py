@@ -33,9 +33,8 @@ from .alm import (
     Status,
     solve,
 )
-from .control import SigmaSchedule, approximate_shift, sigma_at
+from .control import SigmaSchedule, approximate_shift, hierarchical_shift, sigma_at
 from .netflow import GridSpec, build_instance
-from .oracle import hierarchical_shift
 from .problem import (
     ProblemData,
     ProblemFormatError,
@@ -305,7 +304,7 @@ def cmd_shift_sweep(run: RunSpec, count: int) -> int:
     schedule = run.config.sigma_schedule
     for k in range(count):
         sigma = sigma_at(schedule, k)
-        _, shift = approximate_shift(p, sigma)
+        shift = approximate_shift(p, sigma)
         rows.append(
             [str(k)]
             + [

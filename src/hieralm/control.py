@@ -1,13 +1,21 @@
-"""Sigma-weighted approximate shifts and the weight schedule that drives them.
+"""Hierarchical shifts from the left null space of the stacked constraints.
 
-Instead of the exact two-stage shift, each outer iteration solves one weighted
-least-squares problem
+A shift is a residual pair s = b - A x, so it lies in b + range(A). With N an
+orthonormal basis of null(A') (:attr:`ProblemData.left_null`, split N = [N1; N2]
+by block) every such s satisfies N'(b - s) = 0, and both shifts below are closed
+forms in the k = m - rank(A) coordinates of N, the weighting method of Van Loan
+(SIAM J. Numer. Anal. 22(5), 1985):
 
-    minimize  sigma1/2 ||b1 - A1 x||^2 + sigma2/2 ||b2 - A2 x||^2
+- the weighted shift, the residual of
 
-whose residual pair approaches the exact hierarchical shift as the weight ratio
-eta = sigma1/sigma2 grows. The schedule drives eta up geometrically while capping
-the absolute weight scale and the ratio to keep the stacked system well posed.
+      minimize  sigma1/2 ||b1 - A1 x||^2 + sigma2/2 ||b2 - A2 x||^2,
+
+  which each outer iteration uses, and
+- the exact hierarchical shift, its limit as eta = sigma1/sigma2 grows: first
+  minimize ||s1||, then ||s2|| among the shifts achieving that minimum.
+
+The schedule drives eta up geometrically while capping the absolute weight scale
+and the ratio.
 """
 
 from __future__ import annotations
@@ -17,14 +25,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .problem import HierarchicalShift, ProblemData, ShiftKind
 
 __all__ = [
+    "OracleResult",
     "SigmaPair",
     "SigmaSchedule",
     "approximate_shift",
     "approximate_shift_sequence",
+    "hierarchical_shift",
     "sigma_at",
 ]
 
@@ -32,6 +43,27 @@ logger = logging.getLogger(__name__)
 
 # joint downscale bound on sigma1; rescaling both weights preserves eta
 _SIGMA1_CAP = 1e12
+
+# N has orthonormal columns, so the singular values of N2 lie in [0, 1]; the ones
+# that stand for exact zeros carry the error of N, about eps * cond(A)
+_NULL_TOL = math.sqrt(np.finfo(float).eps)
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    """Exact shift plus diagnostics.
+
+    Attributes:
+        shift: The hierarchically optimal shift pair (kind OracleExact).
+        rank1: Numerical rank of A1.
+        stage1_value: 0.5 ||s1||^2 at the optimum.
+        stage2_value: 0.5 ||s2||^2 at the optimum.
+    """
+
+    shift: HierarchicalShift
+    rank1: int
+    stage1_value: float
+    stage2_value: float
 
 
 @dataclass(frozen=True)
@@ -60,7 +92,7 @@ class SigmaSchedule:
     The high-priority factor must outgrow the low-priority one so eta increases.
     sigma1 is capped at 1e12 by rescaling both weights jointly (the ratio is all
     that matters for the shift), and eta itself is capped at ``eta_cap`` by
-    raising sigma2, with a logged warning once the cap binds.
+    raising sigma2, with a logged warning at the first k where the cap binds.
     """
 
     sigma1_0: float = 1.0
@@ -90,62 +122,77 @@ def _power(base: float, scale: float, k: int) -> float:
         return math.inf
 
 
-def sigma_at(schedule: SigmaSchedule, k: int) -> SigmaPair:
-    """Weights at outer iteration k, after the scale and ratio caps."""
-    if k < 0:
-        raise ValueError(f"iteration index must be nonnegative, got {k}")
+def _scaled_weights(schedule: SigmaSchedule, k: int) -> tuple[float, float]:
+    """Weights at k after the scale cap, before the ratio cap."""
     sigma1 = _power(schedule.sigma1_factor, schedule.sigma1_0, k)
     if sigma1 <= _SIGMA1_CAP:
-        sigma2 = _power(schedule.sigma2_factor, schedule.sigma2_0, k)
-    else:
-        # past the cap the ratio is all that matters; downscale jointly in log
-        # space so huge k cannot overflow
-        excess = (
-            math.log(schedule.sigma1_0)
-            + k * math.log(schedule.sigma1_factor)
-            - math.log(_SIGMA1_CAP)
-        )
-        sigma1 = _SIGMA1_CAP
-        sigma2 = math.exp(
-            math.log(schedule.sigma2_0) + k * math.log(schedule.sigma2_factor) - excess
-        )
-    if sigma2 * schedule.eta_cap < sigma1:
-        logger.warning(
-            "eta cap %.3g binding at k=%d; raising sigma2 from %.3g", schedule.eta_cap, k, sigma2
-        )
+        return sigma1, _power(schedule.sigma2_factor, schedule.sigma2_0, k)
+    # past the cap the ratio is all that matters; downscale jointly in log space
+    # so huge k cannot overflow
+    excess = (
+        math.log(schedule.sigma1_0)
+        + k * math.log(schedule.sigma1_factor)
+        - math.log(_SIGMA1_CAP)
+    )
+    sigma2 = math.exp(
+        math.log(schedule.sigma2_0) + k * math.log(schedule.sigma2_factor) - excess
+    )
+    return _SIGMA1_CAP, sigma2
+
+
+def _eta_cap_binds(schedule: SigmaSchedule, k: int) -> bool:
+    sigma1, sigma2 = _scaled_weights(schedule, k)
+    return sigma2 * schedule.eta_cap < sigma1
+
+
+def sigma_at(schedule: SigmaSchedule, k: int) -> SigmaPair:
+    """Weights at outer iteration k, after the scale and ratio caps.
+
+    eta grows with k, so once the ratio cap binds it binds for every later k; the
+    warning is logged only at the first binding k.
+    """
+    if k < 0:
+        raise ValueError(f"iteration index must be nonnegative, got {k}")
+    sigma1, sigma2 = _scaled_weights(schedule, k)
+    if _eta_cap_binds(schedule, k):
+        if k == 0 or not _eta_cap_binds(schedule, k - 1):
+            logger.warning(
+                "eta cap %.3g binding at k=%d; raising sigma2 from %.3g",
+                schedule.eta_cap,
+                k,
+                sigma2,
+            )
         sigma2 = sigma1 / schedule.eta_cap
     return SigmaPair(sigma1, sigma2)
 
 
-def approximate_shift(p: ProblemData, sigma: SigmaPair) -> tuple[np.ndarray, HierarchicalShift]:
-    """Solve the weighted relaxation for one weight pair.
+def approximate_shift(p: ProblemData, sigma: SigmaPair) -> HierarchicalShift:
+    """Residual pair of the weighted relaxation for one weight pair.
 
-    Stacks the row-scaled blocks [sqrt(sigma1) A1; sqrt(sigma2) A2] and takes the
-    minimum-norm least-squares solution x_bar; the returned shift is the residual
-    pair (b1 - A1 x_bar, b2 - A2 x_bar), which is unique regardless of which
-    minimizer the factorization picks.
+    The residual r = b - A x_bar of the weighted least squares satisfies
+    A'W r = 0 and N'(b - r) = 0 with W = diag(sigma1 I, sigma2 I), so
+    r = W^-1 N c with (N'W^-1 N) c = N'b. Writing w = W^(-1/2) and
+    diag(w) N = QR, this is r = w * (Q R^-T N'b). The residual is unique even
+    when x_bar is not.
 
     Returns:
-        (x_bar, shift) with shift.kind SigmaApproximate.
+        The shift, kind SigmaApproximate.
     """
     for name in ("A1", "b1", "A2", "b2"):
         if not np.isfinite(getattr(p, name)).all():
             raise ValueError(f"{name} has non-finite entries")
-    w1 = math.sqrt(sigma.sigma1)
-    w2 = math.sqrt(sigma.sigma2)
-    if p.m == 0:
-        x_bar = np.zeros(p.n)
-    else:
-        stacked = np.vstack([w1 * p.A1, w2 * p.A2])
-        target = np.concatenate([w1 * p.b1, w2 * p.b2])
-        x_bar, *_ = np.linalg.lstsq(stacked, target, rcond=None)
-    shift = HierarchicalShift(
-        p.b1 - p.A1 @ x_bar,
-        p.b2 - p.A2 @ x_bar,
+    N = p.left_null
+    w = np.concatenate(
+        [np.full(p.m1, sigma.sigma1**-0.5), np.full(p.m2, sigma.sigma2**-0.5)]
+    )
+    Q, R = np.linalg.qr(w[:, None] * N)
+    r = w * (Q @ solve_triangular(R, N.T @ p.b, trans="T"))
+    return HierarchicalShift(
+        r[: p.m1],
+        r[p.m1 :],
         ShiftKind.SIGMA_APPROXIMATE,
         sigma=(sigma.sigma1, sigma.sigma2),
     )
-    return x_bar, shift
 
 
 def approximate_shift_sequence(
@@ -154,4 +201,30 @@ def approximate_shift_sequence(
     """Shifts for k = 0 .. count-1 along the schedule."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return [approximate_shift(p, sigma_at(schedule, k))[1] for k in range(count)]
+    return [approximate_shift(p, sigma_at(schedule, k)) for k in range(count)]
+
+
+def hierarchical_shift(p: ProblemData) -> OracleResult:
+    """The exact hierarchically optimal shift, the eta -> infinity limit.
+
+    The shifts (u, 0) with A1'u = 0 are the N c with c in null(N2). With V a
+    basis of null(N2), N1 V is an orthonormal basis of null(A1'), so the least
+    high-priority shift is the projection s1 = (N1 V)(N1 V)' b1 and
+    rank(A1) = m1 - dim V. The low-priority shift is then the least s2 with
+    N'(b - s) = 0, that is s2 = (N2')^+ (N'b - N1's1). V is empty unless A1
+    has dependent rows, the only case in which its block alone can be inconsistent.
+    """
+    N = p.left_null
+    N1, N2 = N[: p.m1], N[p.m1 :]
+    k = N.shape[1]
+    U2, theta, V2t = np.linalg.svd(N2, full_matrices=p.m2 < k)
+    r2 = int(np.count_nonzero(theta > _NULL_TOL))
+    B = N1 @ V2t[r2:].T
+    s1 = B @ (B.T @ p.b1)
+    s2 = U2[:, :r2] @ ((V2t[:r2] @ (N.T @ p.b - N1.T @ s1)) / theta[:r2])
+    return OracleResult(
+        shift=HierarchicalShift(s1, s2, ShiftKind.ORACLE_EXACT),
+        rank1=p.m1 - (k - r2),
+        stage1_value=0.5 * float(s1 @ s1),
+        stage2_value=0.5 * float(s2 @ s2),
+    )

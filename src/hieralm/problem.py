@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,22 @@ class ProblemData:
     @property
     def b(self) -> np.ndarray:
         return np.concatenate([self.b1, self.b2])
+
+    @cached_property
+    def left_null(self) -> np.ndarray:
+        """Orthonormal basis N of null(A'), shape (m, k) with k = m - rank(A).
+
+        Rows split like the blocks: N[:m1] belongs to A1, N[m1:] to A2. The rank
+        follows lstsq's rule, singular values above max(m, n) * eps * s_max. The
+        cache cannot go stale because the arrays are read-only.
+        """
+        A = self.A
+        m, n = A.shape
+        U, s, _ = np.linalg.svd(A, full_matrices=m > n)
+        tol = max(m, n) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+        N = U[:, int(np.count_nonzero(s > tol)):].copy()
+        N.flags.writeable = False
+        return N
 
 
 class Severity(enum.Enum):

@@ -135,7 +135,7 @@ def test_weighted_shift_matches_oracle(shift_battery):
     with criterion(4, "weighted shift agreement"):
         for p in random_instances:
             exact = hierarchical_shift(p).shift
-            _, approx = approximate_shift(p, sigma)
+            approx = approximate_shift(p, sigma)
             err = np.linalg.norm(
                 np.concatenate([approx.s1 - exact.s1, approx.s2 - exact.s2])
             )

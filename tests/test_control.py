@@ -7,7 +7,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import make_problem, random_problem
+from conftest import make_problem, random_problem, stacked_weighted_shift
 from hieralm import (
     ShiftKind,
     SigmaPair,
@@ -70,6 +70,15 @@ class TestSigmaAt:
             pair = sigma_at(SigmaSchedule(), 13)
         assert pair == SigmaPair(1e12, 1.0)
         assert any("eta cap" in rec.message for rec in caplog.records)
+        # only the first binding k warns
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hieralm.control"):
+            assert sigma_at(SigmaSchedule(), 14) == SigmaPair(1e12, 1.0)
+        assert not caplog.records
+        p = make_problem(Q=np.eye(1), c=[0.0], A1=[[1.0]], b1=[1.0], A2=[[1.0]], b2=[0.0])
+        with caplog.at_level(logging.WARNING, logger="hieralm.control"):
+            approximate_shift_sequence(p, SigmaSchedule(), 26)
+        assert ["eta cap" in rec.message for rec in caplog.records] == [True]
 
     def test_huge_index_does_not_overflow(self):
         assert sigma_at(SigmaSchedule(), 5000) == SigmaPair(1e12, 1.0)
@@ -90,15 +99,14 @@ class TestApproximateShift:
         )
 
     def test_balanced_weights_split_the_difference(self):
-        x_bar, shift = approximate_shift(self.conflict_problem(), SigmaPair(1.0, 1.0))
-        assert x_bar[0] == pytest.approx(0.5, abs=1e-12)
+        shift = approximate_shift(self.conflict_problem(), SigmaPair(1.0, 1.0))
         assert shift.s1[0] == pytest.approx(0.5, abs=1e-12)
         assert shift.s2[0] == pytest.approx(-0.5, abs=1e-12)
         assert shift.kind is ShiftKind.SIGMA_APPROXIMATE
         assert shift.sigma == (1.0, 1.0)
 
     def test_large_ratio_approaches_exact_shift(self):
-        _, shift = approximate_shift(self.conflict_problem(), SigmaPair(1e6, 1.0))
+        shift = approximate_shift(self.conflict_problem(), SigmaPair(1e6, 1.0))
         assert abs(shift.s1[0]) <= 2e-6
         assert shift.s2[0] == pytest.approx(-1.0, abs=2e-6)
 
@@ -106,7 +114,7 @@ class TestApproximateShift:
         rng = np.random.default_rng(41)
         for _ in range(10):
             p = random_problem(rng, feasible=True, allow_empty=False)
-            _, shift = approximate_shift(p, SigmaPair(1000.0, 1.0))
+            shift = approximate_shift(p, SigmaPair(1000.0, 1.0))
             norm = np.linalg.norm(np.concatenate([shift.s1, shift.s2]))
             assert norm <= 1e-8 * (1.0 + np.linalg.norm(p.b))
 
@@ -115,7 +123,7 @@ class TestApproximateShift:
         sigma = SigmaPair(100.0, 1.21)
         for _ in range(20):
             p = random_problem(rng, allow_empty=False)
-            _, shift = approximate_shift(p, sigma)
+            shift = approximate_shift(p, sigma)
             H = (
                 sigma.sigma1 * p.A1.T @ p.A1
                 + sigma.sigma2 * p.A2.T @ p.A2
@@ -126,15 +134,28 @@ class TestApproximateShift:
             assert np.abs(p.b1 - p.A1 @ x_ref - shift.s1).max() <= 1e-6
             assert np.abs(p.b2 - p.A2 @ x_ref - shift.s2).max() <= 1e-6
 
+    def test_matches_stacked_lstsq_along_schedule(self):
+        # the criterion-4 battery of the acceptance suite, at every default weight
+        rng = np.random.default_rng(3)
+        pairs = [sigma_at(SigmaSchedule(), k) for k in range(26)]
+        for _ in range(200):
+            p = random_problem(rng, definite=False)
+            tol = 1e-8 * (1.0 + np.linalg.norm(p.b))
+            for sigma in pairs:
+                shift = approximate_shift(p, sigma)
+                s1, s2 = stacked_weighted_shift(p, sigma)
+                assert np.abs(shift.s1 - s1).max(initial=0.0) <= tol
+                assert np.abs(shift.s2 - s2).max(initial=0.0) <= tol
+
     def test_unconstrained_problem(self):
         p = make_problem(Q=np.eye(2), c=[1.0, 1.0])
-        x_bar, shift = approximate_shift(p, SigmaPair(1.0, 1.0))
-        assert np.array_equal(x_bar, np.zeros(2))
+        shift = approximate_shift(p, SigmaPair(1.0, 1.0))
         assert shift.s1.shape == (0,)
+        assert shift.s2.shape == (0,)
 
     def test_single_block_only(self):
         p = make_problem(Q=np.eye(1), c=[0.0], A2=[[2.0]], b2=[3.0])
-        _, shift = approximate_shift(p, SigmaPair(10.0, 1.0))
+        shift = approximate_shift(p, SigmaPair(10.0, 1.0))
         assert shift.s1.shape == (0,)
         assert abs(shift.s2[0]) <= 1e-12
 
@@ -158,7 +179,7 @@ class TestShiftSequence:
         shifts = approximate_shift_sequence(p, sched, 5)
         assert len(shifts) == 5
         for k, shift in enumerate(shifts):
-            _, ref = approximate_shift(p, sigma_at(sched, k))
+            ref = approximate_shift(p, sigma_at(sched, k))
             assert np.array_equal(shift.s1, ref.s1)
             assert np.array_equal(shift.s2, ref.s2)
 

@@ -1,62 +1,65 @@
-"""Two-stage shift oracle: hand-checked cases, structure, and search-based checks."""
+"""Exact hierarchical shift: hand-checked cases, structure, and reference checks."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.linalg import null_space
 
 from conftest import (
     boxed_oracle_problem,
     exhaustive_stage_values,
     make_problem,
     random_problem,
+    two_stage_reference,
 )
-from hieralm import ShiftKind, hierarchical_shift, stage1_shift, stage2_shift
+from hieralm import ShiftKind, hierarchical_shift
 
 
 class TestStage1:
+    """The high-priority shift s1 and the rank of A1."""
+
     def test_consistent_system_has_zero_shift(self):
         p = make_problem(Q=np.eye(2), c=[0.0, 0.0], A1=np.eye(2), b1=[1.0, 2.0])
-        s1, x_dag, rank1 = stage1_shift(p)
-        assert np.allclose(s1, 0.0, atol=1e-12)
-        assert np.allclose(x_dag, [1.0, 2.0], atol=1e-12)
-        assert rank1 == 2
+        res = hierarchical_shift(p)
+        assert np.allclose(res.shift.s1, 0.0, atol=1e-12)
+        assert res.shift.s2.shape == (0,)
+        assert res.rank1 == 2
 
     def test_conflicting_rows_average(self):
         # two copies of the same scalar equation with targets 1 and 2
         p = make_problem(Q=np.eye(1), c=[0.0], A1=[[1.0], [1.0]], b1=[1.0, 2.0])
-        s1, x_dag, rank1 = stage1_shift(p)
-        assert x_dag[0] == pytest.approx(1.5, abs=1e-12)
-        assert s1 == pytest.approx([-0.5, 0.5], abs=1e-12)
-        assert rank1 == 1
+        res = hierarchical_shift(p)
+        assert res.shift.s1 == pytest.approx([-0.5, 0.5], abs=1e-12)
+        assert res.rank1 == 1
 
     def test_empty_block(self):
         p = make_problem(Q=np.eye(3), c=[0.0, 0.0, 0.0])
-        s1, x_dag, rank1 = stage1_shift(p)
-        assert s1.shape == (0,)
-        assert np.array_equal(x_dag, np.zeros(3))
-        assert rank1 == 0
+        res = hierarchical_shift(p)
+        assert res.shift.s1.shape == (0,)
+        assert res.shift.s2.shape == (0,)
+        assert res.rank1 == 0
 
     def test_duplicated_row_rank(self):
         p = make_problem(
             Q=np.eye(2), c=[0.0, 0.0], A1=[[1.0, 0.0], [2.0, 0.0]], b1=[1.0, 2.0]
         )
-        assert stage1_shift(p)[2] == 1
+        assert hierarchical_shift(p).rank1 == 1
 
-    def test_minimizer_is_minimum_norm(self):
+    def test_shift_is_orthogonal_to_range(self):
+        # stage-1 optimality: s1 is the component of b1 outside range(A1)
         rng = np.random.default_rng(31)
         for _ in range(20):
-            n = int(rng.integers(2, 6))
-            m1 = int(rng.integers(1, n))  # wide, so the null space is nontrivial
-            p = random_problem(rng, n=n, m1=m1, m2=1)
-            _, x_dag, _ = stage1_shift(p)
-            Z = null_space(p.A1)
-            if Z.shape[1]:
-                assert np.abs(Z.T @ x_dag).max() <= 1e-10 * (1.0 + np.linalg.norm(x_dag))
+            p = random_problem(rng, m1=int(rng.integers(1, 6)), m2=1)
+            s1 = hierarchical_shift(p).shift.s1
+            scale = 1.0 + np.linalg.norm(p.b1)
+            assert np.abs(p.A1.T @ s1).max() <= 1e-10 * scale
+            x, *_ = np.linalg.lstsq(p.A1, p.b1 - s1, rcond=None)
+            assert np.linalg.norm(p.A1 @ x - (p.b1 - s1)) <= 1e-10 * scale
 
 
 class TestStage2:
+    """The low-priority shift s2 over the stage-1 optimal set."""
+
     def test_optimizes_over_stage1_set(self):
         # stage 1 pins x[0] = 0, stage 2 averages the two targets for x[1]
         p = make_problem(
@@ -67,18 +70,13 @@ class TestStage2:
             A2=[[0.0, 1.0], [0.0, 1.0]],
             b2=[1.0, 3.0],
         )
-        s1, x_dag, rank1 = stage1_shift(p)
-        s2, x_ddag = stage2_shift(p, x_dag, rank1)
-        assert np.allclose(x_ddag, [0.0, 2.0], atol=1e-12)
-        assert s2 == pytest.approx([-1.0, 1.0], abs=1e-12)
-        assert np.linalg.norm(p.A1 @ x_ddag - p.b1) <= 1e-12
+        res = hierarchical_shift(p)
+        assert res.shift.s1 == pytest.approx([0.0], abs=1e-12)
+        assert res.shift.s2 == pytest.approx([-1.0, 1.0], abs=1e-12)
 
     def test_empty_low_block(self):
         p = make_problem(Q=np.eye(2), c=[0.0, 0.0], A1=np.eye(2), b1=[1.0, 2.0])
-        s1, x_dag, rank1 = stage1_shift(p)
-        s2, x_ddag = stage2_shift(p, x_dag, rank1)
-        assert s2.shape == (0,)
-        assert np.array_equal(x_ddag, x_dag)
+        assert hierarchical_shift(p).shift.s2.shape == (0,)
 
     def test_full_rank_stage1_leaves_no_freedom(self):
         p = make_problem(
@@ -89,27 +87,37 @@ class TestStage2:
             A2=[[1.0, 1.0]],
             b2=[0.0],
         )
-        s1, x_dag, rank1 = stage1_shift(p)
-        s2, x_ddag = stage2_shift(p, x_dag, rank1)
-        assert np.array_equal(x_ddag, x_dag)
-        assert s2[0] == pytest.approx(-3.0, abs=1e-12)
+        res = hierarchical_shift(p)
+        assert res.shift.s1 == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert res.shift.s2[0] == pytest.approx(-3.0, abs=1e-12)
 
     def test_never_degrades_stage1(self):
+        # some x attains both shifts at once: A x = b - s
         rng = np.random.default_rng(32)
         for _ in range(30):
             p = random_problem(rng, allow_empty=False)
-            res = hierarchical_shift(p)
-            lvl1_at_ddag = np.linalg.norm(p.b1 - p.A1 @ res.x_ddag)
-            lvl1_best = np.linalg.norm(res.shift.s1)
-            assert lvl1_at_ddag <= lvl1_best + 1e-10 * (1.0 + np.linalg.norm(p.b1))
+            shift = hierarchical_shift(p).shift
+            target = p.b - np.concatenate([shift.s1, shift.s2])
+            x, *_ = np.linalg.lstsq(p.A, target, rcond=None)
+            assert np.linalg.norm(p.A @ x - target) <= 1e-10 * (1.0 + np.linalg.norm(p.b))
 
     def test_at_least_as_good_as_stage1_point(self):
         rng = np.random.default_rng(33)
         for _ in range(30):
             p = random_problem(rng, allow_empty=False)
-            res = hierarchical_shift(p)
-            at_dag = np.linalg.norm(p.b2 - p.A2 @ res.x_dag)
-            assert np.linalg.norm(res.shift.s2) <= at_dag + 1e-10 * (1.0 + at_dag)
+            s2 = hierarchical_shift(p).shift.s2
+            at_dag = np.linalg.norm(p.b2 - p.A2 @ two_stage_reference(p).x_dag)
+            assert np.linalg.norm(s2) <= at_dag + 1e-10 * (1.0 + at_dag)
+
+
+def _assert_matches_reference(p):
+    res = hierarchical_shift(p)
+    ref = two_stage_reference(p)
+    tol = 1e-10 * (1.0 + np.linalg.norm(p.b))
+    assert res.shift.s1.shape == (p.m1,) and res.shift.s2.shape == (p.m2,)
+    assert np.abs(res.shift.s1 - ref.s1).max(initial=0.0) <= tol
+    assert np.abs(res.shift.s2 - ref.s2).max(initial=0.0) <= tol
+    assert res.rank1 == ref.rank1
 
 
 class TestHierarchicalShift:
@@ -124,7 +132,6 @@ class TestHierarchicalShift:
         assert res.shift.s2 == pytest.approx([-1.0], abs=1e-12)
         assert res.stage1_value == pytest.approx(0.0, abs=1e-12)
         assert res.stage2_value == pytest.approx(0.5, abs=1e-12)
-        assert res.x_ddag[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_values_match_shift_norms(self):
         p = random_problem(np.random.default_rng(34), allow_empty=False)
@@ -145,18 +152,6 @@ class TestHierarchicalShift:
             assert np.abs(a.s1[perm1] - b.s1).max() <= 1e-8
             assert np.abs(a.s2[perm2] - b.s2).max() <= 1e-8
 
-    def test_stage2_point_is_minimum_norm(self):
-        rng = np.random.default_rng(36)
-        for _ in range(20):
-            n = int(rng.integers(3, 6))
-            p = random_problem(rng, n=n, m1=1, m2=1)
-            res = hierarchical_shift(p)
-            Z = null_space(np.vstack([p.A1, p.A2]))
-            if Z.shape[1]:
-                assert np.abs(Z.T @ res.x_ddag).max() <= 1e-10 * (
-                    1.0 + np.linalg.norm(res.x_ddag)
-                )
-
     def test_matches_exhaustive_search(self):
         rng = np.random.default_rng(7)
         for _ in range(3):
@@ -165,3 +160,52 @@ class TestHierarchicalShift:
             best1, best2 = exhaustive_stage_values(p)
             assert best1 >= np.linalg.norm(res.shift.s1) - 1e-6
             assert best2 >= np.linalg.norm(res.shift.s2) - 1e-3
+
+    def test_matches_two_stage_reference(self):
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            _assert_matches_reference(random_problem(rng, definite=False))
+
+    def test_high_priority_block_inconsistent_alone(self):
+        # null(A1') is nontrivial, so N2 is rank-deficient and s1 != 0: a tall A1,
+        # and a repeated row with m2 >= k so the SVD of N2 reports the zero
+        rng = np.random.default_rng(38)
+        for _ in range(30):
+            n = int(rng.integers(1, 4))
+            m1, m2 = int(rng.integers(n + 1, 7)), int(rng.integers(1, 4))
+            p = random_problem(rng, n=n, m1=m1, m2=m2)
+            rows = rng.uniform(-2.0, 2.0, (2, 3))
+            q = make_problem(
+                Q=np.eye(3),
+                c=np.zeros(3),
+                A1=np.vstack([rows, 1.5 * rows[:1]]),
+                b1=rng.uniform(-2.0, 2.0, 3),
+                A2=rng.uniform(-2.0, 2.0, (4, 3)),
+                b2=rng.uniform(-2.0, 2.0, 4),
+            )
+            for case in (p, q):
+                _assert_matches_reference(case)
+                assert np.linalg.norm(hierarchical_shift(case).shift.s1) > 1e-6
+
+    @pytest.mark.parametrize("m1, m2", [(0, 3), (3, 0), (0, 0)])
+    def test_single_or_no_block(self, m1, m2):
+        rng = np.random.default_rng(39)
+        for _ in range(20):
+            _assert_matches_reference(random_problem(rng, n=2, m1=m1, m2=m2))
+
+    def test_full_row_rank_has_no_inconsistency(self):
+        # k = m - rank(A) = 0: every b is attainable, so both shifts vanish
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            p = random_problem(rng, n=6, m1=int(rng.integers(1, 4)), m2=int(rng.integers(1, 4)))
+            assert p.left_null.shape == (p.m, 0)
+            _assert_matches_reference(p)
+            res = hierarchical_shift(p)
+            assert not res.shift.s1.any() and not res.shift.s2.any()
+
+    def test_rank1_matches_matrix_rank(self):
+        # the criterion-4 battery of the acceptance suite
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            p = random_problem(rng, definite=False)
+            assert hierarchical_shift(p).rank1 == np.linalg.matrix_rank(p.A1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -57,6 +58,21 @@ class TestProblemData:
         assert p.A2.shape == (0, 2)
         assert p.m == 0
         assert p.A.shape == (0, 2)
+
+    def test_left_null_basis(self):
+        # tall A of rank 2: k = 4 - 2 columns, orthonormal, spanning null(A')
+        rng = np.random.default_rng(5)
+        A = rng.uniform(-2.0, 2.0, (4, 2))
+        p = make_problem(
+            Q=np.eye(2), c=[0.0, 0.0], A1=A[:3], b1=np.zeros(3), A2=A[3:], b2=[0.0]
+        )
+        N = p.left_null
+        assert N.shape == (4, 2) and N.flags.c_contiguous and not N.flags.writeable
+        assert np.allclose(N.T @ N, np.eye(2), atol=1e-12)
+        assert np.abs(A.T @ N).max() <= 1e-12
+        assert p.left_null is N
+        assert "left_null" not in {f.name for f in dataclasses.fields(p)}
+        assert make_problem(Q=np.eye(2), c=[0.0, 0.0]).left_null.shape == (0, 0)
 
     def test_rejects_wrong_rank_arrays(self):
         with pytest.raises(ValueError, match="Q must be 2-D"):
