@@ -96,10 +96,8 @@ class SolverConfig:
     """Outer-loop parameters.
 
     The multiplier box is the safeguard interval for the projected multiplier
-    estimates; bounds may be scalars or per-row vectors. ``eps0`` and
-    ``eps_factor`` describe the inner tolerance sequence eps(k) = eps0 *
-    eps_factor**k; the default eps0 = 0 requests direct solves, whose achieved
-    gradient norm is recorded per iteration.
+    estimates; bounds may be scalars or per-row vectors. Each subproblem is
+    solved directly, and its achieved gradient norm is recorded per iteration.
     """
 
     tau: float = 0.1
@@ -111,8 +109,6 @@ class SolverConfig:
     rho0: float = 1.0
     u0: float = 1e3
     sigma_schedule: SigmaSchedule = field(default_factory=SigmaSchedule)
-    eps0: float = 0.0
-    eps_factor: float = 0.5
     kkt_tol: float = 1e-6
     max_iter: int = 50
     rho_cap: float = 1e14
@@ -128,12 +124,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.eps0 < 0:
-            raise ValueError(f"eps0 must be >= 0, got {self.eps0}")
-        if not 0.0 < self.eps_factor <= 1.0:
-            raise ValueError(f"eps_factor must be in (0, 1], got {self.eps_factor}")
-        if self.eps0 > 0 and self.eps_factor == 1.0:
-            raise ValueError("eps_factor must be < 1 for a nonzero eps0 so eps(k) -> 0")
         for lo, hi, name in (
             (self.box1_lo, self.box1_hi, "box1"),
             (self.box2_lo, self.box2_hi, "box2"),
@@ -142,10 +132,6 @@ class SolverConfig:
                 raise ValueError(f"{name} is empty (lo > hi)")
         if not isinstance(self.mode, Mode):
             raise ValueError(f"mode must be a Mode, got {self.mode!r}")
-
-    def eps_at(self, k: int) -> float:
-        """Inner tolerance at outer iteration k."""
-        return self.eps0 * self.eps_factor**k
 
 
 @dataclass(frozen=True)
@@ -241,26 +227,34 @@ def kkt_residual(
     return float(np.linalg.norm(grad) + np.linalg.norm(r1) + np.linalg.norm(r2))
 
 
-def _subproblem_system(
+def solve_subproblem(
     p: ProblemData,
-    gram: np.ndarray,
     lambda1_hat: np.ndarray,
     lambda2_hat: np.ndarray,
     rho: float,
     shift: HierarchicalShift,
-) -> tuple[np.ndarray, np.ndarray]:
-    H = p.Q + rho * gram
+) -> tuple[np.ndarray, float]:
+    """Minimize the shifted augmented Lagrangian in x.
+
+    The minimizer solves (Q + rho A1'A1 + rho A2'A2) x = rhs; a Cholesky
+    factorization with one refinement pass handles the definite case and a
+    minimum-norm least-squares solve the singular-but-consistent one.
+
+    Returns:
+        (x, grad_norm) with grad_norm = ||H x - rhs|| <= 1e-10 * (1 + ||rhs||).
+
+    Raises:
+        SubproblemUnboundedError: If the system is inconsistent, i.e. the
+            subproblem has no finite minimum.
+    """
+    H = p.Q + rho * p.gram
     rhs = (
         -p.c
         - p.A1.T @ lambda1_hat
         - p.A2.T @ lambda2_hat
         + rho * (p.A1.T @ (p.b1 - shift.s1) + p.A2.T @ (p.b2 - shift.s2))
     )
-    return H, rhs
-
-
-def _solve_system(H: np.ndarray, rhs: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
-    bound = max(eps, 1e-10 * (1.0 + float(np.linalg.norm(rhs))))
+    bound = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
     try:
         factor = cho_factor(H, lower=True, check_finite=False)
         x = cho_solve(factor, rhs, check_finite=False)
@@ -282,46 +276,29 @@ def _solve_system(H: np.ndarray, rhs: np.ndarray, eps: float) -> tuple[np.ndarra
     return x, grad_norm
 
 
-def solve_subproblem(
-    p: ProblemData,
-    lambda1_hat: np.ndarray,
-    lambda2_hat: np.ndarray,
-    rho: float,
-    shift: HierarchicalShift,
-    eps: float = 0.0,
-) -> tuple[np.ndarray, float]:
-    """Minimize the shifted augmented Lagrangian in x.
-
-    The minimizer solves (Q + rho A1'A1 + rho A2'A2) x = rhs; a Cholesky
-    factorization with one refinement pass handles the definite case and a
-    minimum-norm least-squares solve the singular-but-consistent one.
-
-    Args:
-        eps: Acceptable gradient norm at the returned point. The direct solve
-            lands far below any reasonable eps; the achieved norm is returned.
-
-    Returns:
-        (x, grad_norm) with grad_norm <= max(eps, 1e-10 * (1 + ||rhs||)).
-
-    Raises:
-        SubproblemUnboundedError: If the system is inconsistent, i.e. the
-            subproblem has no finite minimum.
-    """
-    gram = p.A1.T @ p.A1 + p.A2.T @ p.A2
-    H, rhs = _subproblem_system(p, gram, lambda1_hat, lambda2_hat, rho, shift)
-    return _solve_system(H, rhs, eps)
-
-
 def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
     """Run the outer loop step by step, yielding full state after each iteration.
 
     The generator never stops on its own; callers apply their stopping rule
     (see :func:`solve`). The exact shift is only used for the r1/r2 trace
     columns.
+
+    Raises:
+        ValueError: On the first ``next()``, if validate_problem reports errors
+            or the box shapes do not match the constraint blocks.
+        SubproblemUnboundedError: From the inner solve, with the iteration
+            index attached.
     """
+    report = validate_problem(p)
+    if not report.ok:
+        raise ValueError("invalid problem: " + "; ".join(report.messages(Severity.ERROR)))
+    for msg in report.messages(Severity.WARNING):
+        logger.warning("%s", msg)
+    _check_box(cfg.box1_lo, cfg.box1_hi, p.m1, "box1")
+    _check_box(cfg.box2_lo, cfg.box2_hi, p.m2, "box2")
+
     exact = hierarchical_shift(p).shift
     s1_star, s2_star = exact.s1, exact.s2
-    gram = p.A1.T @ p.A1 + p.A2.T @ p.A2
 
     lambda1_hat = np.zeros(p.m1)
     lambda2_hat = np.zeros(p.m2)
@@ -333,9 +310,8 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
             shift = approximate_shift(p, sigma_at(cfg.sigma_schedule, k))
         else:
             shift = HierarchicalShift.zero(p.m1, p.m2)
-        H, rhs = _subproblem_system(p, gram, lambda1_hat, lambda2_hat, rho, shift)
         try:
-            x, grad_norm = _solve_system(H, rhs, cfg.eps_at(k))
+            x, grad_norm = solve_subproblem(p, lambda1_hat, lambda2_hat, rho, shift)
         except SubproblemUnboundedError as exc:
             raise SubproblemUnboundedError(f"iteration {k + 1}: {exc}", iteration=k + 1) from exc
 
@@ -393,21 +369,10 @@ def solve(p: ProblemData, cfg: SolverConfig | None = None) -> SolveReport:
     infeasible problem under a zero shift), and with MaxIter otherwise.
 
     Raises:
-        ValueError: If validate_problem reports errors or box shapes do not
-            match the constraint blocks.
-        SubproblemUnboundedError: Propagated from the inner solve with the
-            iteration index attached.
+        ValueError, SubproblemUnboundedError: Propagated from :func:`iterate`.
     """
     if cfg is None:
         cfg = SolverConfig()
-    report = validate_problem(p)
-    if not report.ok:
-        raise ValueError("invalid problem: " + "; ".join(report.messages(Severity.ERROR)))
-    for msg in report.messages(Severity.WARNING):
-        logger.warning("%s", msg)
-    _check_box(cfg.box1_lo, cfg.box1_hi, p.m1, "box1")
-    _check_box(cfg.box2_lo, cfg.box2_hi, p.m2, "box2")
-
     records: list[IterationRecord] = []
     status = Status.MAX_ITER
     last: IterationState | None = None

@@ -19,7 +19,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,29 +60,10 @@ _LOG_LEVELS = {
     "debug": logging.DEBUG,
 }
 
-_CONFIG_SOLVER_KEYS = (
-    "tau",
-    "gamma",
-    "rho0",
-    "u0",
-    "eps0",
-    "eps_factor",
-    "kkt_tol",
-    "max_iter",
-    "rho_cap",
-    "box1_lo",
-    "box1_hi",
-    "box2_lo",
-    "box2_hi",
-    "mode",
+_CONFIG_SOLVER_KEYS = tuple(
+    f.name for f in fields(SolverConfig) if f.name != "sigma_schedule"
 )
-_CONFIG_SCHEDULE_KEYS = (
-    "sigma1_0",
-    "sigma1_factor",
-    "sigma2_0",
-    "sigma2_factor",
-    "eta_cap",
-)
+_CONFIG_SCHEDULE_KEYS = tuple(f.name for f in fields(SigmaSchedule))
 
 
 class CliError(Exception):
@@ -143,16 +124,8 @@ def _build_config(args: argparse.Namespace) -> SolverConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(_read_config_file(args.config))
-    for flag, key in (
-        ("tau", "tau"),
-        ("gamma", "gamma"),
-        ("rho0", "rho0"),
-        ("u0", "u0"),
-        ("kkt_tol", "kkt_tol"),
-        ("max_iter", "max_iter"),
-        ("mode", "mode"),
-    ):
-        v = getattr(args, flag, None)
+    for key in ("tau", "gamma", "rho0", "u0", "kkt_tol", "max_iter", "mode"):
+        v = getattr(args, key, None)
         if v is not None:
             values[key] = v
     schedule_values = {k: values.pop(k) for k in _CONFIG_SCHEDULE_KEYS if k in values}

@@ -178,9 +178,6 @@ def approximate_shift(p: ProblemData, sigma: SigmaPair) -> HierarchicalShift:
     Returns:
         The shift, kind SigmaApproximate.
     """
-    for name in ("A1", "b1", "A2", "b2"):
-        if not np.isfinite(getattr(p, name)).all():
-            raise ValueError(f"{name} has non-finite entries")
     N = p.left_null
     w = np.concatenate(
         [np.full(p.m1, sigma.sigma1**-0.5), np.full(p.m2, sigma.sigma2**-0.5)]

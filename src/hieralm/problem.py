@@ -150,7 +150,14 @@ class ProblemData:
         Rows split like the blocks: N[:m1] belongs to A1, N[m1:] to A2. The rank
         follows lstsq's rule, singular values above max(m, n) * eps * s_max. The
         cache cannot go stale because the arrays are read-only.
+
+        Raises:
+            ValueError: If A1, b1, A2 or b2 has non-finite entries; no shift
+                exists then, and both shift functions read this basis first.
         """
+        for name in ("A1", "b1", "A2", "b2"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} has non-finite entries")
         A = self.A
         m, n = A.shape
         U, s, _ = np.linalg.svd(A, full_matrices=m > n)
@@ -158,6 +165,13 @@ class ProblemData:
         N = U[:, int(np.count_nonzero(s > tol)):].copy()
         N.flags.writeable = False
         return N
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Constraint Gram matrix A1'A1 + A2'A2, shape (n, n), read-only."""
+        G = self.A1.T @ self.A1 + self.A2.T @ self.A2
+        G.flags.writeable = False
+        return G
 
 
 class Severity(enum.Enum):

@@ -41,14 +41,7 @@ class TestSolverConfig:
         assert (cfg.box1_lo, cfg.box1_hi) == (-1e6, 1e6)
         assert (cfg.box2_lo, cfg.box2_hi) == (-1e6, 1e6)
         assert (cfg.kkt_tol, cfg.max_iter, cfg.rho_cap) == (1e-6, 50, 1e14)
-        assert (cfg.eps0, cfg.eps_factor) == (0.0, 0.5)
         assert cfg.mode is Mode.INFEASIBILITY_CONTROL
-
-    def test_eps_sequence(self):
-        cfg = SolverConfig(eps0=1e-2, eps_factor=0.5)
-        assert cfg.eps_at(0) == 1e-2
-        assert cfg.eps_at(3) == 1e-2 * 0.125
-        assert SolverConfig().eps_at(5) == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -60,10 +53,10 @@ class TestSolverConfig:
             {"u0": -1.0},
             {"kkt_tol": 0.0},
             {"max_iter": 0},
-            {"eps0": -1e-3},
-            {"eps_factor": 0.0},
-            {"eps_factor": 1.5},
-            {"eps0": 1e-3, "eps_factor": 1.0},
+            {"rho_cap": 0.0},
+            {"tau": float("nan")},
+            {"box2_lo": 2.0, "box2_hi": 1.0},
+            {"box1_lo": np.array([0.0, 2.0]), "box1_hi": np.array([1.0, 1.0])},
             {"box1_lo": 2.0, "box1_hi": 1.0},
             {"mode": "infeasibility-control"},
         ],
@@ -245,15 +238,35 @@ class TestIterateAndSolve:
         assert report.status is Status.DIVERGENCE_SUSPECTED
         assert report.trace[-1].rho > 1e6
 
+    @staticmethod
+    def _entry_points(p, cfg):
+        # both must reject bad input, iterate on its first next()
+        return (lambda: solve(p, cfg), lambda: next(iterate(p, cfg)))
+
     def test_validation_gate(self):
-        p = make_problem(Q=[[1.0, 2.0], [0.0, 1.0]], c=[0.0, 0.0])
-        with pytest.raises(ValueError, match="invalid problem"):
-            solve(p)
+        A1 = [[1.0, 1.0]]
+        problems = [
+            make_problem(Q=[[1.0, 2.0], [0.0, 1.0]], c=[0.0, 0.0]),
+            make_problem(Q=np.diag([1.0, -1.0]), c=[0.0, 0.0], A1=A1, b1=[1.0]),
+            make_problem(Q=np.eye(2), c=[np.nan, 0.0], A1=A1, b1=[1.0]),
+        ]
+        for p in problems:
+            for run in self._entry_points(p, SolverConfig()):
+                with pytest.raises(ValueError, match="invalid problem"):
+                    run()
 
     def test_box_shape_gate(self):
         p = make_problem(Q=np.eye(2), c=[0.0, 0.0], A1=[[1.0, 0.0]], b1=[1.0])
-        with pytest.raises(ValueError, match="box1_lo"):
-            solve(p, SolverConfig(box1_lo=np.array([-1.0, -1.0]), box1_hi=1.0))
+        cfg = SolverConfig(box1_lo=np.array([-1.0, -1.0]), box1_hi=1.0)
+        for run in self._entry_points(p, cfg):
+            with pytest.raises(ValueError, match="box1_lo"):
+                run()
+        # a length-1 box against m1 = 3 would broadcast silently
+        p = make_problem(Q=np.eye(2), c=[0.0, 0.0], A1=np.eye(3, 2), b1=np.ones(3))
+        cfg = SolverConfig(box1_lo=np.array([-1.0]), box1_hi=np.array([1.0]))
+        for run in self._entry_points(p, cfg):
+            with pytest.raises(ValueError, match="box1_lo must be a scalar or length-3"):
+                run()
 
     def test_vector_boxes_accepted_and_saturate(self):
         p = make_problem(Q=np.eye(1), c=[0.0], A1=[[1.0]], b1=[1.0], A2=[[1.0]], b2=[0.0])

@@ -185,10 +185,11 @@ class TestConfigFile:
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"maxiter": 2}))
-        code, _, err = run_cli(capsys, "solve", "--grid", "3x3", "--config", str(cfg_path))
-        assert code == 1
-        assert "unknown config keys: maxiter" in err
+        for key in ("maxiter", "eps0"):
+            cfg_path.write_text(json.dumps({key: 2}))
+            code, _, err = run_cli(capsys, "solve", "--grid", "3x3", "--config", str(cfg_path))
+            assert code == 1
+            assert f"unknown config keys: {key}" in err
 
     def test_invalid_value_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
