@@ -128,8 +128,8 @@ class SolverConfig:
             (self.box1_lo, self.box1_hi, "box1"),
             (self.box2_lo, self.box2_hi, "box2"),
         ):
-            if np.any(np.asarray(lo, dtype=float) > np.asarray(hi, dtype=float)):
-                raise ValueError(f"{name} is empty (lo > hi)")
+            if not np.all(np.asarray(lo, dtype=float) <= np.asarray(hi, dtype=float)):
+                raise ValueError(f"{name} is empty (lo > hi) or has a NaN bound")
         if not isinstance(self.mode, Mode):
             raise ValueError(f"mode must be a Mode, got {self.mode!r}")
 
@@ -247,33 +247,55 @@ def solve_subproblem(
         SubproblemUnboundedError: If the system is inconsistent, i.e. the
             subproblem has no finite minimum.
     """
-    H = p.Q + rho * p.gram
-    rhs = (
-        -p.c
-        - p.A1.T @ lambda1_hat
-        - p.A2.T @ lambda2_hat
-        + rho * (p.A1.T @ (p.b1 - shift.s1) + p.A2.T @ (p.b2 - shift.s2))
-    )
-    bound = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
-    try:
-        factor = cho_factor(H, lower=True, check_finite=False)
-        x = cho_solve(factor, rhs, check_finite=False)
-        # one refinement pass keeps the residual near the backward-stable floor
-        x = x + cho_solve(factor, rhs - H @ x, check_finite=False)
-        grad_norm = float(np.linalg.norm(H @ x - rhs))
-        if grad_norm <= bound:
-            return x, grad_norm
-    except LinAlgError:
-        pass
-    # singular (or numerically indefinite) system: minimum-norm solution if consistent
-    x, *_ = np.linalg.lstsq(H, rhs, rcond=None)
-    grad_norm = float(np.linalg.norm(H @ x - rhs))
-    if grad_norm > bound:
-        raise SubproblemUnboundedError(
-            "subproblem unbounded below: singular system is inconsistent "
-            f"(residual {grad_norm:.3e} > {bound:.3e})"
+    return _Subproblem(p).solve(lambda1_hat, lambda2_hat, rho, shift)
+
+
+class _Subproblem:
+    """H = Q + rho * gram and its Cholesky factor (None if H is not positive definite).
+
+    Both are rebuilt in place in two n x n buffers allocated once, and only when
+    rho changes: in iterate, where rho never decreases, once per distinct rho.
+    """
+
+    def __init__(self, p: ProblemData):
+        G = p.gram  # read first, so its temporaries are freed before the buffers exist
+        self.p, self.rho, self.factor = p, None, None
+        self.H, self.L = np.empty_like(G), np.empty_like(G, order="F")
+
+    def solve(self, lambda1_hat, lambda2_hat, rho, shift) -> tuple[np.ndarray, float]:
+        p, H = self.p, self.H
+        if rho != self.rho:
+            np.multiply(p.gram, rho, out=H)
+            H += p.Q
+            self.L[...] = H
+            try:
+                self.factor = cho_factor(self.L, lower=True, overwrite_a=True, check_finite=False)
+            except LinAlgError:
+                self.factor = None
+            self.rho = rho
+        rhs = (
+            -p.c
+            - p.A1.T @ lambda1_hat
+            - p.A2.T @ lambda2_hat
+            + rho * (p.A1.T @ (p.b1 - shift.s1) + p.A2.T @ (p.b2 - shift.s2))
         )
-    return x, grad_norm
+        bound = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
+        if self.factor is not None:
+            x = cho_solve(self.factor, rhs, check_finite=False)
+            # one refinement pass keeps the residual near the backward-stable floor
+            x = x + cho_solve(self.factor, rhs - H @ x, check_finite=False)
+            grad_norm = float(np.linalg.norm(H @ x - rhs))
+            if grad_norm <= bound:
+                return x, grad_norm
+        # singular (or numerically indefinite) system: minimum-norm solution if consistent
+        x, *_ = np.linalg.lstsq(H, rhs, rcond=None)
+        grad_norm = float(np.linalg.norm(H @ x - rhs))
+        if grad_norm > bound:
+            raise SubproblemUnboundedError(
+                "subproblem unbounded below: singular system is inconsistent "
+                f"(residual {grad_norm:.3e} > {bound:.3e})"
+            )
+        return x, grad_norm
 
 
 def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
@@ -299,6 +321,7 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
 
     exact = hierarchical_shift(p).shift
     s1_star, s2_star = exact.s1, exact.s2
+    system = _Subproblem(p)
 
     lambda1_hat = np.zeros(p.m1)
     lambda2_hat = np.zeros(p.m2)
@@ -311,7 +334,7 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
         else:
             shift = HierarchicalShift.zero(p.m1, p.m2)
         try:
-            x, grad_norm = solve_subproblem(p, lambda1_hat, lambda2_hat, rho, shift)
+            x, grad_norm = system.solve(lambda1_hat, lambda2_hat, rho, shift)
         except SubproblemUnboundedError as exc:
             raise SubproblemUnboundedError(f"iteration {k + 1}: {exc}", iteration=k + 1) from exc
 
@@ -359,6 +382,8 @@ def _check_box(lo, hi, m: int, name: str) -> None:
         arr = np.asarray(bound, dtype=float)
         if arr.ndim > 1 or (arr.ndim == 1 and arr.shape[0] != m):
             raise ValueError(f"{name}_{side} must be a scalar or length-{m} vector")
+        if np.isnan(arr).any():
+            raise ValueError(f"{name}_{side} has a NaN entry")
 
 
 def solve(p: ProblemData, cfg: SolverConfig | None = None) -> SolveReport:

@@ -26,6 +26,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from scipy.linalg import cholesky
 
 __all__ = [
     "Finding",
@@ -257,11 +259,17 @@ def validate_problem(p: ProblemData) -> ValidationReport:
         if asym > _SYMMETRY_TOL:
             err(f"Q is not symmetric (max |Q - Q'| = {asym:.3e})")
         scale = 1.0 + float(np.linalg.norm(p.Q, np.inf))
-        lam_min = float(np.linalg.eigvalsh(0.5 * (p.Q + p.Q.T)).min())
-        if lam_min < -1e-8 * scale:
-            err(f"Q is not positive semidefinite (min eigenvalue {lam_min:.3e})")
-        elif lam_min <= 1e-10 * scale:
-            warn(f"Q is singular (min eigenvalue {lam_min:.3e})")
+        # sym(Q) - 2e-10*scale*I has a Cholesky factor only if neither finding below applies
+        S = 0.5 * (p.Q + p.Q.T)
+        S.flat[:: n + 1] -= 2e-10 * scale
+        try:
+            cholesky(S.T, lower=True, overwrite_a=True, check_finite=False)
+        except LinAlgError:
+            lam_min = float(np.linalg.eigvalsh(0.5 * (p.Q + p.Q.T)).min())
+            if lam_min < -1e-8 * scale:
+                err(f"Q is not positive semidefinite (min eigenvalue {lam_min:.3e})")
+            elif lam_min <= 1e-10 * scale:
+                warn(f"Q is singular (min eigenvalue {lam_min:.3e})")
 
     return ValidationReport(tuple(findings))
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import hieralm.alm
+
 from conftest import (
     assert_exact_bookkeeping,
     kkt_minimizer,
@@ -31,6 +33,20 @@ from hieralm import (
     solve_subproblem,
     update_penalty,
 )
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Records each call the solver makes to hieralm.alm.cho_factor."""
+    calls = []
+    original = hieralm.alm.cho_factor
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hieralm.alm, "cho_factor", counting)
+    return calls
 
 
 class TestSolverConfig:
@@ -64,6 +80,21 @@ class TestSolverConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_rejects_nan_box_bounds(self):
+        nan = float("nan")
+        for name in ("box1_lo", "box1_hi", "box2_lo", "box2_hi"):
+            for bound in (nan, np.array([0.0, nan])):
+                with pytest.raises(ValueError, match="NaN"):
+                    SolverConfig(**{name: bound})
+        # infinite bounds stay legal
+        SolverConfig(box1_lo=-np.inf, box1_hi=np.inf, box2_lo=np.array([-np.inf, 0.0]))
+        # a vector bound mutated after construction is caught when the loop starts
+        p = make_problem(Q=np.eye(2), c=[0.0, 0.0], A1=[[1.0, 1.0]], b1=[1.0])
+        cfg = SolverConfig(box1_lo=np.array([-1.0]))
+        cfg.box1_lo[0] = nan
+        with pytest.raises(ValueError, match="box1_lo has a NaN"):
+            next(iterate(p, cfg))
 
 
 class TestUpdateRules:
@@ -284,6 +315,30 @@ class TestIterateAndSolve:
             for st in states
         )
         assert clipped
+
+    def test_one_factorization_per_distinct_penalty(self, factor_calls):
+        p, _ = build_instance(GridSpec(4, 4, kappa=0.5))
+        states = run_with_states(p, SolverConfig())
+        rhos = [st.rho_used for st in states]
+        assert len(set(rhos)) < len(rhos)  # the instance must repeat a penalty
+        assert len(factor_calls) == len(set(rhos))
+        # the cached factor gives the bits a fresh solve gives
+        l1, l2 = np.zeros(p.m1), np.zeros(p.m2)
+        for st in states:
+            x, grad = solve_subproblem(p, l1, l2, st.rho_used, st.shift)
+            assert x.tobytes() == st.x.tobytes()
+            assert grad == st.record.subproblem_grad_norm
+            l1, l2 = st.lambda1_hat, st.lambda2_hat
+
+    def test_singular_system_keeps_least_squares_path(self, factor_calls):
+        p = make_problem(Q=np.diag([1.0, 0.0]), c=[-1.0, 0.0])
+        gen = iterate(p, SolverConfig())
+        for _ in range(3):
+            st = next(gen)
+            assert np.allclose(st.x, [1.0, 0.0], atol=1e-10)
+            assert st.record.subproblem_grad_norm <= 1e-10
+        # the failed factorization is remembered, not retried
+        assert len(factor_calls) == 1
 
     def test_unbounded_subproblem_carries_iteration(self):
         p = make_problem(

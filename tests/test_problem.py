@@ -148,6 +148,43 @@ class TestValidateProblem:
         assert report.ok
         assert any("singular" in m for m in report.messages(Severity.WARNING))
 
+    def test_semidefiniteness_findings_match_eigenvalue_rule(self):
+        def eigenvalue_rule(Q):
+            # the definition: thresholds on the smallest eigenvalue of sym(Q)
+            scale = 1.0 + float(np.linalg.norm(Q, np.inf))
+            lam_min = float(np.linalg.eigvalsh(0.5 * (Q + Q.T)).min())
+            if lam_min < -1e-8 * scale:
+                return [f"Q is not positive semidefinite (min eigenvalue {lam_min:.3e})"], []
+            if lam_min <= 1e-10 * scale:
+                return [], [f"Q is singular (min eigenvalue {lam_min:.3e})"]
+            return [], []
+
+        rng = np.random.default_rng(58)
+        relative = (3e-10, 2.5e-10, 2e-10, 1.5e-10, 1e-10, 5e-11, 0.0, -5e-9, -1e-8, -2e-8)
+        flagged = 0
+        for n in (1, 2, 7, 40):
+            rest = rng.uniform(1.0, 2.0, n - 1)
+            V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            for rotate in (False, True):
+
+                def build(lam_min):
+                    d = np.concatenate([[lam_min], rest])
+                    if not rotate:
+                        return np.diag(d)
+                    Q = (V * d) @ V.T
+                    return 0.5 * (Q + Q.T)
+
+                # lam_min = t * scale, taking the scale of the lam_min = 0 matrix
+                scale = 1.0 + float(np.linalg.norm(build(0.0), np.inf))
+                for t in relative:
+                    Q = build(t * scale)
+                    report = validate_problem(make_problem(Q=Q, c=np.zeros(n)))
+                    errors, warnings = eigenvalue_rule(Q)
+                    assert report.messages(Severity.ERROR) == errors, (n, rotate, t)
+                    assert report.messages(Severity.WARNING) == warnings, (n, rotate, t)
+                    flagged += bool(errors or warnings)
+        assert 0 < flagged < 80
+
 
 class TestObjectiveAndResiduals:
     def test_frozen_value(self):
