@@ -27,7 +27,6 @@ from .control import SigmaSchedule, approximate_shift, hierarchical_shift, sigma
 from .problem import (
     HierarchicalShift,
     ProblemData,
-    Severity,
     constraint_residuals,
     objective_value,
     validate_problem,
@@ -117,9 +116,11 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must be > 1, got {self.gamma}")
-        for name in ("rho0", "u0", "kkt_tol", "rho_cap"):
+        if not 1.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and > 1, got {self.gamma}")
+        if not 0.0 < self.rho0 < np.inf:
+            raise ValueError(f"rho0 must be positive and finite, got {self.rho0}")
+        for name in ("u0", "kkt_tol", "rho_cap"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_iter < 1:
@@ -306,16 +307,12 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
     columns.
 
     Raises:
-        ValueError: On the first ``next()``, if validate_problem reports errors
-            or the box shapes do not match the constraint blocks.
+        ValueError: On the first ``next()``, if validate_problem rejects Q or
+            the box shapes do not match the constraint blocks.
         SubproblemUnboundedError: From the inner solve, with the iteration
             index attached.
     """
-    report = validate_problem(p)
-    if not report.ok:
-        raise ValueError("invalid problem: " + "; ".join(report.messages(Severity.ERROR)))
-    for msg in report.messages(Severity.WARNING):
-        logger.warning("%s", msg)
+    validate_problem(p)
     _check_box(cfg.box1_lo, cfg.box1_hi, p.m1, "box1")
     _check_box(cfg.box2_lo, cfg.box2_hi, p.m2, "box2")
 

@@ -37,10 +37,12 @@ class GridSpec:
             raise ValueError(f"rows must be >= 2 (supply and demand rows), got {self.rows}")
         if self.cols < 1:
             raise ValueError(f"cols must be >= 1, got {self.cols}")
-        if not self.kappa >= 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if not self.q_scale > 0:
-            raise ValueError(f"q_scale must be positive, got {self.q_scale}")
+        if not 0 <= self.kappa < np.inf:
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not 0 < self.q_scale < np.inf:
+            raise ValueError(f"q_scale must be positive and finite, got {self.q_scale}")
+        if not np.isfinite(self.c_scale):
+            raise ValueError(f"c_scale must be finite, got {self.c_scale}")
 
 
 def grid_incidence(rows: int, cols: int) -> tuple[np.ndarray, dict[tuple[int, int], int]]:

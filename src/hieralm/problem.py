@@ -15,13 +15,19 @@ Vectors are arrays of numbers. A matrix is either dense (an array of row arrays)
 sparse, written as ``{"coo": {"rows": [...], "cols": [...], "values": [...]}}`` with
 the shape implied by the declared dimensions. All reals use the shortest decimal
 representation that round-trips the double exactly; non-finite values are rejected.
+
+Validation happens in two places. :class:`ProblemData` rejects malformed arrays at
+construction: an empty decision vector, block shapes that do not match, and
+non-finite entries all raise ``ValueError``. :func:`validate_problem` checks Q
+itself: it raises for an asymmetric or indefinite Q and warns for a singular one.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -30,13 +36,10 @@ from numpy.linalg import LinAlgError
 from scipy.linalg import cholesky
 
 __all__ = [
-    "Finding",
     "HierarchicalShift",
     "ProblemData",
     "ProblemFormatError",
-    "Severity",
     "ShiftKind",
-    "ValidationReport",
     "constraint_residuals",
     "load_problem",
     "objective_value",
@@ -44,6 +47,8 @@ __all__ = [
     "save_problem",
     "validate_problem",
 ]
+
+logger = logging.getLogger(__name__)
 
 FORMAT_NAME = "hieralm-problem"
 FORMAT_VERSION = 1
@@ -93,12 +98,16 @@ class HierarchicalShift:
 
 @dataclass(frozen=True)
 class ProblemData:
-    """Immutable problem data. Arrays are copied and made read-only.
+    """Immutable, well-formed problem data. Arrays are copied and made read-only.
 
     The decision dimension ``n`` is taken from ``c``; block sizes come from the
-    constraint matrices. Shapes are not cross-checked here, that is the job of
-    :func:`validate_problem`, but matrices must be 2-D and vectors 1-D. A block
-    with zero rows is normalized to shape (0, n).
+    constraint matrices. A block with zero rows is normalized to shape (0, n).
+
+    Raises:
+        ValueError: If a matrix is not 2-D or a vector not 1-D; or, naming every
+            failed rule, if n = 0, Q is not (n, n), a nonempty block does not have
+            n columns, a right-hand side does not match its block's row count, or
+            an array has non-finite entries.
     """
 
     Q: np.ndarray
@@ -112,13 +121,31 @@ class ProblemData:
         object.__setattr__(self, "Q", _frozen_matrix(self.Q, "Q"))
         object.__setattr__(self, "c", _frozen_vector(self.c, "c"))
         n = self.c.shape[0]
+        errors = []
+        if n == 0:
+            errors.append("empty decision vector (n = 0)")
+        if self.Q.shape != (n, n):
+            errors.append(f"dimension mismatch: Q has shape {self.Q.shape}, expected ({n}, {n})")
         for mat, vec in (("A1", "b1"), ("A2", "b2")):
             a = _frozen_matrix(getattr(self, mat), mat)
             if a.shape[0] == 0:
                 a = np.zeros((0, n))
                 a.flags.writeable = False
+            elif a.shape[1] != n:
+                errors.append(f"dimension mismatch: {mat} has {a.shape[1]} columns, expected {n}")
+            b = _frozen_vector(getattr(self, vec), vec)
+            if b.shape[0] != a.shape[0]:
+                errors.append(
+                    f"dimension mismatch: {vec} has length {b.shape[0]}, "
+                    f"{mat} has {a.shape[0]} rows"
+                )
             object.__setattr__(self, mat, a)
-            object.__setattr__(self, vec, _frozen_vector(getattr(self, vec), vec))
+            object.__setattr__(self, vec, b)
+        for name in ("Q", "c", "A1", "b1", "A2", "b2"):
+            if not np.isfinite(getattr(self, name)).all():
+                errors.append(f"{name} has non-finite entries")
+        if errors:
+            raise ValueError("; ".join(errors))
 
     @property
     def n(self) -> int:
@@ -152,14 +179,7 @@ class ProblemData:
         Rows split like the blocks: N[:m1] belongs to A1, N[m1:] to A2. The rank
         follows lstsq's rule, singular values above max(m, n) * eps * s_max. The
         cache cannot go stale because the arrays are read-only.
-
-        Raises:
-            ValueError: If A1, b1, A2 or b2 has non-finite entries; no shift
-                exists then, and both shift functions read this basis first.
         """
-        for name in ("A1", "b1", "A2", "b2"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} has non-finite entries")
         A = self.A
         m, n = A.shape
         U, s, _ = np.linalg.svd(A, full_matrices=m > n)
@@ -174,31 +194,6 @@ class ProblemData:
         G = self.A1.T @ self.A1 + self.A2.T @ self.A2
         G.flags.writeable = False
         return G
-
-
-class Severity(enum.Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
-@dataclass(frozen=True)
-class Finding:
-    severity: Severity
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Validation findings; ``ok`` holds iff no finding is an error."""
-
-    findings: tuple[Finding, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return all(f.severity is not Severity.ERROR for f in self.findings)
-
-    def messages(self, severity: Severity | None = None) -> list[str]:
-        return [f.message for f in self.findings if severity in (None, f.severity)]
 
 
 class ProblemFormatError(ValueError):
@@ -221,57 +216,38 @@ def _frozen_vector(a, name: str) -> np.ndarray:
     return out
 
 
-def validate_problem(p: ProblemData) -> ValidationReport:
-    """Check dimensions, finiteness, symmetry, and positive semidefiniteness.
+def validate_problem(p: ProblemData) -> None:
+    """Check that Q is symmetric positive semidefinite.
 
-    Returns a report rather than raising: dimension mismatches and an indefinite
-    or asymmetric Q are errors, a singular (semidefinite but not definite) Q is a
-    warning since the solver may still handle it.
+    The arrays are well-formed by construction, so only Q's own properties are
+    left to check. A singular (semidefinite but not definite) Q is logged as a
+    warning rather than raised, since the solver may still handle it.
+
+    Raises:
+        ValueError: ``invalid problem: ...`` naming each failed rule, if Q is
+            asymmetric or indefinite.
     """
-    findings: list[Finding] = []
-
-    def err(msg: str) -> None:
-        findings.append(Finding(Severity.ERROR, msg))
-
-    def warn(msg: str) -> None:
-        findings.append(Finding(Severity.WARNING, msg))
-
-    n = p.n
-    if n == 0:
-        err("empty decision vector (n = 0)")
-    if p.Q.shape != (n, n):
-        err(f"dimension mismatch: Q has shape {p.Q.shape}, expected ({n}, {n})")
-    for name_m, name_v, mat, vec in (("A1", "b1", p.A1, p.b1), ("A2", "b2", p.A2, p.b2)):
-        if mat.shape[0] > 0 and mat.shape[1] != n:
-            err(f"dimension mismatch: {name_m} has {mat.shape[1]} columns, expected {n}")
-        if vec.shape[0] != mat.shape[0]:
-            err(
-                f"dimension mismatch: {name_v} has length {vec.shape[0]}, "
-                f"{name_m} has {mat.shape[0]} rows"
-            )
-    for name in ("Q", "c", "A1", "b1", "A2", "b2"):
-        if not np.isfinite(getattr(p, name)).all():
-            err(f"{name} has non-finite entries")
-
-    q_ok = p.Q.shape == (n, n) and n > 0 and np.isfinite(p.Q).all()
-    if q_ok:
-        asym = float(np.abs(p.Q - p.Q.T).max())
-        if asym > _SYMMETRY_TOL:
-            err(f"Q is not symmetric (max |Q - Q'| = {asym:.3e})")
-        scale = 1.0 + float(np.linalg.norm(p.Q, np.inf))
-        # sym(Q) - 2e-10*scale*I has a Cholesky factor only if neither finding below applies
-        S = 0.5 * (p.Q + p.Q.T)
-        S.flat[:: n + 1] -= 2e-10 * scale
-        try:
-            cholesky(S.T, lower=True, overwrite_a=True, check_finite=False)
-        except LinAlgError:
-            lam_min = float(np.linalg.eigvalsh(0.5 * (p.Q + p.Q.T)).min())
-            if lam_min < -1e-8 * scale:
-                err(f"Q is not positive semidefinite (min eigenvalue {lam_min:.3e})")
-            elif lam_min <= 1e-10 * scale:
-                warn(f"Q is singular (min eigenvalue {lam_min:.3e})")
-
-    return ValidationReport(tuple(findings))
+    errors = []
+    warning = None
+    asym = float(np.abs(p.Q - p.Q.T).max())
+    if asym > _SYMMETRY_TOL:
+        errors.append(f"Q is not symmetric (max |Q - Q'| = {asym:.3e})")
+    scale = 1.0 + float(np.linalg.norm(p.Q, np.inf))
+    # sym(Q) - 2e-10*scale*I has a Cholesky factor only if neither finding below applies
+    S = 0.5 * (p.Q + p.Q.T)
+    S.flat[:: p.n + 1] -= 2e-10 * scale
+    try:
+        cholesky(S.T, lower=True, overwrite_a=True, check_finite=False)
+    except LinAlgError:
+        lam_min = float(np.linalg.eigvalsh(0.5 * (p.Q + p.Q.T)).min())
+        if lam_min < -1e-8 * scale:
+            errors.append(f"Q is not positive semidefinite (min eigenvalue {lam_min:.3e})")
+        elif lam_min <= 1e-10 * scale:
+            warning = f"Q is singular (min eigenvalue {lam_min:.3e})"
+    if errors:
+        raise ValueError("invalid problem: " + "; ".join(errors))
+    if warning is not None:
+        logger.warning("%s", warning)
 
 
 def objective_value(p: ProblemData, x: np.ndarray) -> float:
@@ -325,10 +301,7 @@ def _encode_matrix(a: np.ndarray):
 
 
 def problem_document(p: ProblemData, meta: dict | None = None) -> dict:
-    """The JSON-ready document for an instance; raises ValueError on non-finite data."""
-    for name in ("Q", "c", "A1", "b1", "A2", "b2"):
-        if not np.isfinite(getattr(p, name)).all():
-            raise ValueError(f"cannot serialize non-finite entries in {name}")
+    """The JSON-ready document for an instance."""
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -435,7 +408,8 @@ def load_problem(path: str | Path) -> ProblemData:
 
     Raises ProblemFormatError with the offending location for malformed files:
     bad JSON, missing fields, wrong row or column counts against the declared
-    dimensions, non-numeric cells, non-finite values, duplicate sparse entries.
+    dimensions, non-numeric cells, non-finite values, duplicate sparse entries,
+    and data that :class:`ProblemData` rejects, such as ``n = 0``.
     """
 
     def _reject_constant(token: str):
@@ -462,11 +436,16 @@ def load_problem(path: str | Path) -> ProblemData:
     for key in ("Q", "c", "A1", "b1", "A2", "b2"):
         if key not in doc:
             raise ProblemFormatError(f"missing field '{key}'")
-    return ProblemData(
-        Q=_decode_matrix(doc["Q"], n, n, "Q"),
-        c=_decode_vector(doc["c"], n, "c"),
-        A1=_decode_matrix(doc["A1"], m1, n, "A1"),
-        b1=_decode_vector(doc["b1"], m1, "b1"),
-        A2=_decode_matrix(doc["A2"], m2, n, "A2"),
-        b2=_decode_vector(doc["b2"], m2, "b2"),
-    )
+    arrays = {
+        "Q": _decode_matrix(doc["Q"], n, n, "Q"),
+        "c": _decode_vector(doc["c"], n, "c"),
+        "A1": _decode_matrix(doc["A1"], m1, n, "A1"),
+        "b1": _decode_vector(doc["b1"], m1, "b1"),
+        "A2": _decode_matrix(doc["A2"], m2, n, "A2"),
+        "b2": _decode_vector(doc["b2"], m2, "b2"),
+    }
+    # the decoders raise ProblemFormatError, itself a ValueError, so construct apart
+    try:
+        return ProblemData(**arrays)
+    except ValueError as exc:
+        raise ProblemFormatError(f"{path}: {exc}") from exc

@@ -75,6 +75,9 @@ class TestSolverConfig:
             {"box1_lo": np.array([0.0, 2.0]), "box1_hi": np.array([1.0, 1.0])},
             {"box1_lo": 2.0, "box1_hi": 1.0},
             {"mode": "infeasibility-control"},
+            {"rho0": float("inf")},
+            {"gamma": float("inf")},
+            {"gamma": float("inf"), "rho_cap": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -279,12 +282,14 @@ class TestIterateAndSolve:
         problems = [
             make_problem(Q=[[1.0, 2.0], [0.0, 1.0]], c=[0.0, 0.0]),
             make_problem(Q=np.diag([1.0, -1.0]), c=[0.0, 0.0], A1=A1, b1=[1.0]),
-            make_problem(Q=np.eye(2), c=[np.nan, 0.0], A1=A1, b1=[1.0]),
         ]
         for p in problems:
             for run in self._entry_points(p, SolverConfig()):
                 with pytest.raises(ValueError, match="invalid problem"):
                     run()
+        # malformed arrays never reach the loop: the constructor rejects them
+        with pytest.raises(ValueError, match="c has non-finite entries"):
+            make_problem(Q=np.eye(2), c=[np.nan, 0.0], A1=A1, b1=[1.0])
 
     def test_box_shape_gate(self):
         p = make_problem(Q=np.eye(2), c=[0.0, 0.0], A1=[[1.0, 0.0]], b1=[1.0])

@@ -143,6 +143,11 @@ class TestSolveCommand:
         assert code == 1
         assert "ROWSxCOLS" in err
 
+    def test_non_finite_penalty_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--grid", "3x3", "--rho0", "inf")
+        assert code == 1
+        assert "rho0 must be positive and finite" in err
+
     def test_missing_problem_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "solve", "--problem", str(tmp_path / "no.json"))
         assert code == 1

@@ -26,6 +26,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
 
+    def test_rejects_non_finite_parameters(self):
+        # the error names the parameter, not the Q, c or b2 it would have made non-finite
+        cases = (("c_scale", np.nan), ("c_scale", np.inf), ("q_scale", np.inf), ("kappa", np.inf))
+        for name, value in cases:
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                GridSpec(3, 3, **{name: value})
+
 
 class TestGridIncidence:
     def test_small_grid_shape(self):

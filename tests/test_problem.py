@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from hieralm import (
     HierarchicalShift,
     ProblemData,
     ProblemFormatError,
-    Severity,
     ShiftKind,
     build_instance,
     constraint_residuals,
@@ -98,57 +98,71 @@ class TestProblemData:
         with pytest.raises(ValueError, match="c must be 1-D"):
             make_problem(Q=np.eye(2), c=np.eye(2))
 
+    def test_rejects_every_non_finite_array(self):
+        arrays = {
+            "Q": np.eye(2),
+            "c": np.zeros(2),
+            "A1": np.ones((1, 2)),
+            "b1": np.ones(1),
+            "A2": np.ones((2, 2)),
+            "b2": np.ones(2),
+        }
+        for name, clean in arrays.items():
+            for value in (np.nan, np.inf, -np.inf):
+                bad = clean.copy()
+                bad.flat[-1] = value
+                with pytest.raises(ValueError) as exc:
+                    ProblemData(**{**arrays, name: bad})
+                assert str(exc.value) == f"{name} has non-finite entries", (name, value)
+
 
 class TestValidateProblem:
-    def test_clean_instance(self):
-        report = validate_problem(random_problem(np.random.default_rng(0)))
-        assert report.ok
-        assert report.findings == ()
+    def test_clean_instance(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="hieralm.problem"):
+            assert validate_problem(random_problem(np.random.default_rng(0))) is None
+        assert not caplog.records
 
     def test_dimension_mismatches(self):
-        p = make_problem(
-            Q=np.eye(3),
-            c=[0.0, 0.0],
-            A1=[[1.0, 0.0], [0.0, 1.0]],
-            b1=[1.0],
-        )
-        report = validate_problem(p)
-        assert not report.ok
-        messages = " | ".join(report.messages(Severity.ERROR))
-        assert "Q has shape (3, 3)" in messages
-        assert "b1 has length 1" in messages
+        with pytest.raises(ValueError) as exc:
+            make_problem(
+                Q=np.eye(3),
+                c=[0.0, 0.0],
+                A1=[[1.0, 0.0], [0.0, 1.0]],
+                b1=[1.0],
+            )
+        assert "Q has shape (3, 3)" in str(exc.value)
+        assert "b1 has length 1" in str(exc.value)
 
     def test_wrong_column_count(self):
-        p = make_problem(Q=np.eye(2), c=[0.0, 0.0], A1=[[1.0, 2.0, 3.0]], b1=[1.0])
-        report = validate_problem(p)
-        assert any("A1 has 3 columns" in m for m in report.messages(Severity.ERROR))
+        with pytest.raises(ValueError, match="A1 has 3 columns, expected 2"):
+            make_problem(Q=np.eye(2), c=[0.0, 0.0], A1=[[1.0, 2.0, 3.0]], b1=[1.0])
 
     def test_empty_decision_vector(self):
-        p = make_problem(Q=np.zeros((0, 0)), c=[])
-        assert any("n = 0" in m for m in validate_problem(p).messages(Severity.ERROR))
+        with pytest.raises(ValueError, match=r"^empty decision vector \(n = 0\)$"):
+            make_problem(Q=np.zeros((0, 0)), c=[])
 
     def test_non_finite_entries(self):
-        p = make_problem(Q=np.eye(1), c=[np.nan])
-        assert any("c has non-finite" in m for m in validate_problem(p).messages())
+        with pytest.raises(ValueError, match="c has non-finite"):
+            make_problem(Q=np.eye(1), c=[np.nan])
 
     def test_asymmetric_q(self):
         p = make_problem(Q=[[1.0, 2.0], [0.0, 1.0]], c=[0.0, 0.0])
-        assert any("not symmetric" in m for m in validate_problem(p).messages(Severity.ERROR))
+        with pytest.raises(ValueError, match="invalid problem: Q is not symmetric"):
+            validate_problem(p)
 
     def test_indefinite_q(self):
         p = make_problem(Q=[[1.0, 0.0], [0.0, -1.0]], c=[0.0, 0.0])
-        assert any(
-            "not positive semidefinite" in m
-            for m in validate_problem(p).messages(Severity.ERROR)
-        )
+        with pytest.raises(ValueError, match="invalid problem: Q is not positive semidefinite"):
+            validate_problem(p)
 
-    def test_singular_q_is_only_a_warning(self):
+    def test_singular_q_is_only_a_warning(self, caplog):
         p = make_problem(Q=[[1.0, 0.0], [0.0, 0.0]], c=[0.0, 0.0])
-        report = validate_problem(p)
-        assert report.ok
-        assert any("singular" in m for m in report.messages(Severity.WARNING))
+        with caplog.at_level(logging.WARNING, logger="hieralm.problem"):
+            validate_problem(p)
+        assert [rec.levelno for rec in caplog.records] == [logging.WARNING]
+        assert "singular" in caplog.records[0].message
 
-    def test_semidefiniteness_findings_match_eigenvalue_rule(self):
+    def test_semidefiniteness_findings_match_eigenvalue_rule(self, caplog):
         def eigenvalue_rule(Q):
             # the definition: thresholds on the smallest eigenvalue of sym(Q)
             scale = 1.0 + float(np.linalg.norm(Q, np.inf))
@@ -178,10 +192,17 @@ class TestValidateProblem:
                 scale = 1.0 + float(np.linalg.norm(build(0.0), np.inf))
                 for t in relative:
                     Q = build(t * scale)
-                    report = validate_problem(make_problem(Q=Q, c=np.zeros(n)))
+                    p = make_problem(Q=Q, c=np.zeros(n))
                     errors, warnings = eigenvalue_rule(Q)
-                    assert report.messages(Severity.ERROR) == errors, (n, rotate, t)
-                    assert report.messages(Severity.WARNING) == warnings, (n, rotate, t)
+                    caplog.clear()
+                    with caplog.at_level(logging.WARNING, logger="hieralm.problem"):
+                        if errors:
+                            with pytest.raises(ValueError) as exc:
+                                validate_problem(p)
+                            assert str(exc.value) == "invalid problem: " + "; ".join(errors)
+                        else:
+                            validate_problem(p)
+                    assert [rec.message for rec in caplog.records] == warnings, (n, rotate, t)
                     flagged += bool(errors or warnings)
         assert 0 < flagged < 80
 
@@ -281,9 +302,9 @@ class TestFileRoundTrip:
         assert load_problem(path).b1[0] == 2.0
 
     def test_document_rejects_non_finite(self):
-        p = make_problem(Q=np.eye(1), c=[np.inf])
-        with pytest.raises(ValueError, match="non-finite"):
-            problem_document(p)
+        # no document can hold a non-finite value: no ProblemData holds one
+        with pytest.raises(ValueError, match="c has non-finite entries"):
+            make_problem(Q=np.eye(1), c=[np.inf])
 
     def test_zero_row_blocks_round_trip(self, tmp_path):
         p = make_problem(Q=np.eye(2), c=[1.0, 2.0])
@@ -345,6 +366,12 @@ class TestLoadErrors:
     def test_boolean_dimension(self, tmp_path):
         path = _write_doc(tmp_path, lambda d: d.update(m1=True))
         with pytest.raises(ProblemFormatError, match="nonnegative integer"):
+            load_problem(path)
+
+    def test_empty_decision_vector(self, tmp_path):
+        empty = {"n": 0, "m1": 0, "m2": 0, "Q": [], "c": [], "A1": [], "b1": [], "A2": [], "b2": []}
+        path = _write_doc(tmp_path, lambda d: d.update(empty))
+        with pytest.raises(ProblemFormatError, match=r"broken\.json: empty decision vector"):
             load_problem(path)
 
     def test_row_count_mismatch(self, tmp_path):
