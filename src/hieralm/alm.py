@@ -10,6 +10,11 @@ recomputed each iteration from a growing weight schedule so the iterates track
 the hierarchically optimal relaxation; in standard mode the shift is pinned to
 zero, which on an infeasible problem drives the penalty and multipliers to
 divergence (flagged via ``rho_cap``).
+
+The subproblem matrix H(rho) = Q + rho A'A depends on rho only through the
+rank-m term A'A, so each run factors Q + A'A once and takes one thin SVD
+(a range-space solve); every iteration then costs O(n^2 + nm) and forms no
+n x n matrix, whatever the penalty.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular, svd
 
 from .control import SigmaSchedule, approximate_shift, hierarchical_shift, sigma_at
 from .problem import (
@@ -237,43 +242,69 @@ def solve_subproblem(
 ) -> tuple[np.ndarray, float]:
     """Minimize the shifted augmented Lagrangian in x.
 
-    The minimizer solves (Q + rho A1'A1 + rho A2'A2) x = rhs; a Cholesky
-    factorization with one refinement pass handles the definite case and a
-    minimum-norm least-squares solve the singular-but-consistent one.
+    The minimizer solves H x = rhs with H = Q + rho (A1'A1 + A2'A2). A
+    range-space solve (see ``_RangeSpace``) with one refinement pass handles the
+    definite case and a minimum-norm least-squares solve on the formed H the
+    singular-but-consistent one. This call builds the rho-independent factors
+    for itself; :func:`iterate` builds them once per run.
 
     Returns:
-        (x, grad_norm) with grad_norm = ||H x - rhs|| <= 1e-10 * (1 + ||rhs||).
+        (x, grad_norm) with grad_norm = ||Q x + rho (A1'(A1 x) + A2'(A2 x)) - rhs||
+        <= 1e-10 * (1 + ||rhs||).
 
     Raises:
         SubproblemUnboundedError: If the system is inconsistent, i.e. the
             subproblem has no finite minimum.
     """
-    return _Subproblem(p).solve(lambda1_hat, lambda2_hat, rho, shift)
+    return _RangeSpace(p).solve(lambda1_hat, lambda2_hat, rho, shift)
 
 
-class _Subproblem:
-    """H = Q + rho * gram and its Cholesky factor (None if H is not positive definite).
+class _RangeSpace:
+    """The factors of H(rho) = Q + rho A'A that do not depend on rho.
 
-    Both are rebuilt in place in two n x n buffers allocated once, and only when
-    rho changes: in iterate, where rho never decreases, once per distinct rho.
+    With Q~ = Q + A'A = R'R and the thin SVD R^-T A' = W diag(sig) U',
+    H(rho) = R'(I + (rho - 1) W diag(sig^2) W') R, so with V = R^-1 W and
+    den = (1 - sig^2) + rho sig^2, positive for every rho > 0,
+
+        H(rho)^-1 = Q~^-1 + V diag((1 - rho) sig^2 / den) V',
+        H(rho)^-1 A'v = V (sig U'v / den).
+
+    The second form carries the rho-sized part of the right-hand side, so rho
+    cancels in it exactly. ``factor`` is None when Q~ is not positive definite,
+    that is when null(Q) and null(A) meet and every H(rho) is singular.
     """
 
     def __init__(self, p: ProblemData):
-        G = p.gram  # read first, so its temporaries are freed before the buffers exist
-        self.p, self.rho, self.factor = p, None, None
-        self.H, self.L = np.empty_like(G), np.empty_like(G, order="F")
+        self.p = p
+        A = p.A  # a fresh copy, which the triangular solve below overwrites with R^-T A'
+        G = A.T @ A
+        G += p.Q  # symmetric, so G.T is the F-ordered Q~ that cho_factor overwrites with R'
+        try:
+            self.factor = cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
+        except LinAlgError:
+            self.factor = None
+            return
+        L = self.factor[0]
+        Bt = solve_triangular(L, A.T, lower=True, overwrite_b=True, check_finite=False)
+        W, sig, self.Ut = svd(Bt, full_matrices=False, overwrite_a=True, check_finite=False)
+        # left_null's rank rule: a singular value at round-off level belongs to
+        # null(A'), and zeroing it keeps a large rho from amplifying the round-off
+        tol = max(p.n, p.m) * np.finfo(float).eps * (sig[0] if sig.size else 0.0)
+        sig[sig <= tol] = 0.0
+        self.sig, self.sig2 = sig, sig * sig
+        # 1 - sig^2 >= 0 in exact arithmetic when Q is semidefinite; round-off can flip its sign
+        self.one_minus_sig2 = np.maximum(1.0 - self.sig2, 0.0)
+        self.V = solve_triangular(L, W, lower=True, trans="T", overwrite_b=True, check_finite=False)
+        # the -c part of every right-hand side
+        self.x_c = cho_solve(self.factor, -p.c, check_finite=False)
+        self.h_c = self.V.T @ -p.c
+
+    def hess_times(self, x: np.ndarray, rho: float) -> np.ndarray:
+        p = self.p
+        return p.Q @ x + rho * (p.A1.T @ (p.A1 @ x) + p.A2.T @ (p.A2 @ x))
 
     def solve(self, lambda1_hat, lambda2_hat, rho, shift) -> tuple[np.ndarray, float]:
-        p, H = self.p, self.H
-        if rho != self.rho:
-            np.multiply(p.gram, rho, out=H)
-            H += p.Q
-            self.L[...] = H
-            try:
-                self.factor = cho_factor(self.L, lower=True, overwrite_a=True, check_finite=False)
-            except LinAlgError:
-                self.factor = None
-            self.rho = rho
+        p = self.p
         rhs = (
             -p.c
             - p.A1.T @ lambda1_hat
@@ -282,15 +313,30 @@ class _Subproblem:
         )
         bound = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
         if self.factor is not None:
-            x = cho_solve(self.factor, rhs, check_finite=False)
-            # one refinement pass keeps the residual near the backward-stable floor
-            x = x + cho_solve(self.factor, rhs - H @ x, check_finite=False)
-            grad_norm = float(np.linalg.norm(H @ x - rhs))
+            den = self.one_minus_sig2 + rho * self.sig2
+            shrink = (1.0 - rho) * self.sig2 / den
+            # rhs = -c + A'v; the A'v part goes through U coordinates, where rho cancels
+            v = np.concatenate(
+                (rho * (p.b1 - shift.s1) - lambda1_hat, rho * (p.b2 - shift.s2) - lambda2_hat)
+            )
+            x = self.x_c + self.V @ (shrink * self.h_c + self.sig * (self.Ut @ v) / den)
+            # one refinement pass keeps the residual near the backward-stable floor; the
+            # residual rhs - H x = (-c - Q x) + A'(v - rho A x) is split the same way,
+            # because Q~^-1 applied to a rho-sized residual cancels badly for huge rho
+            g = -p.c - p.Q @ x
+            w = v - rho * np.concatenate((p.A1 @ x, p.A2 @ x))
+            x = (
+                x
+                + cho_solve(self.factor, g, check_finite=False)
+                + self.V @ (shrink * (self.V.T @ g) + self.sig * (self.Ut @ w) / den)
+            )
+            grad_norm = float(np.linalg.norm(self.hess_times(x, rho) - rhs))
             if grad_norm <= bound:
                 return x, grad_norm
         # singular (or numerically indefinite) system: minimum-norm solution if consistent
+        H = p.Q + rho * (p.A1.T @ p.A1 + p.A2.T @ p.A2)
         x, *_ = np.linalg.lstsq(H, rhs, rcond=None)
-        grad_norm = float(np.linalg.norm(H @ x - rhs))
+        grad_norm = float(np.linalg.norm(self.hess_times(x, rho) - rhs))
         if grad_norm > bound:
             raise SubproblemUnboundedError(
                 "subproblem unbounded below: singular system is inconsistent "
@@ -311,6 +357,8 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
             the box shapes do not match the constraint blocks.
         SubproblemUnboundedError: From the inner solve, with the iteration
             index attached.
+        OverflowError: On the ``next()`` after a state whose updated penalty
+            overflowed to inf, naming the iteration it would have solved.
     """
     validate_problem(p)
     _check_box(cfg.box1_lo, cfg.box1_hi, p.m1, "box1")
@@ -318,7 +366,7 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
 
     exact = hierarchical_shift(p).shift
     s1_star, s2_star = exact.s1, exact.s2
-    system = _Subproblem(p)
+    system = _RangeSpace(p)
 
     lambda1_hat = np.zeros(p.m1)
     lambda2_hat = np.zeros(p.m2)
@@ -326,6 +374,8 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
     rho = cfg.rho0
     k = 0
     while True:
+        if not np.isfinite(rho):
+            raise OverflowError(f"iteration {k + 1}: penalty rho overflowed to {rho}")
         if cfg.mode is Mode.INFEASIBILITY_CONTROL:
             shift = approximate_shift(p, sigma_at(cfg.sigma_schedule, k))
         else:
@@ -387,8 +437,9 @@ def solve(p: ProblemData, cfg: SolverConfig | None = None) -> SolveReport:
     """Run the outer loop to one of the three terminal statuses.
 
     Stops with Converged once the KKT residual E falls to ``kkt_tol``, with
-    DivergenceSuspected once the penalty passes ``rho_cap`` (the signature of an
-    infeasible problem under a zero shift), and with MaxIter otherwise.
+    DivergenceSuspected once the penalty passes ``rho_cap`` or overflows to inf
+    (the signature of an infeasible problem under a zero shift), and with MaxIter
+    otherwise.
 
     Raises:
         ValueError, SubproblemUnboundedError: Propagated from :func:`iterate`.
@@ -407,7 +458,7 @@ def solve(p: ProblemData, cfg: SolverConfig | None = None) -> SolveReport:
         if state.record.E <= cfg.kkt_tol:
             status = Status.CONVERGED
             break
-        if state.rho > cfg.rho_cap:
+        if state.rho > cfg.rho_cap or not np.isfinite(state.rho):
             status = Status.DIVERGENCE_SUSPECTED
             break
         if state.record.k >= cfg.max_iter:

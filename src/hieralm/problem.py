@@ -188,13 +188,6 @@ class ProblemData:
         N.flags.writeable = False
         return N
 
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """Constraint Gram matrix A1'A1 + A2'A2, shape (n, n), read-only."""
-        G = self.A1.T @ self.A1 + self.A2.T @ self.A2
-        G.flags.writeable = False
-        return G
-
 
 class ProblemFormatError(ValueError):
     """Raised when an instance file cannot be parsed into a ProblemData."""

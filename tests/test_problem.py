@@ -74,17 +74,6 @@ class TestProblemData:
         assert "left_null" not in {f.name for f in dataclasses.fields(p)}
         assert make_problem(Q=np.eye(2), c=[0.0, 0.0]).left_null.shape == (0, 0)
 
-    def test_gram_matrix(self):
-        rng = np.random.default_rng(6)
-        A1, A2 = rng.uniform(-2.0, 2.0, (3, 4)), rng.uniform(-2.0, 2.0, (2, 4))
-        p = make_problem(Q=np.eye(4), c=np.zeros(4), A1=A1, b1=np.zeros(3), A2=A2, b2=np.zeros(2))
-        G = p.gram
-        assert not G.flags.writeable
-        assert p.gram is G
-        assert "gram" not in {f.name for f in dataclasses.fields(p)}
-        assert G.tobytes() == (p.A1.T @ p.A1 + p.A2.T @ p.A2).tobytes()
-        assert np.array_equal(make_problem(Q=np.eye(2), c=[0.0, 0.0]).gram, np.zeros((2, 2)))
-
     def test_rejects_wrong_rank_arrays(self):
         with pytest.raises(ValueError, match="Q must be 2-D"):
             ProblemData(
