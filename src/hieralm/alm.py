@@ -12,21 +12,26 @@ zero, which on an infeasible problem drives the penalty and multipliers to
 divergence (flagged via ``rho_cap``).
 
 The subproblem matrix H(rho) = Q + rho A'A depends on rho only through the
-rank-m term A'A, so each run factors Q + A'A once and takes one thin SVD
-(a range-space solve); every iteration then costs O(n^2 + nm) and forms no
-n x n matrix, whatever the penalty.
+rank-m term A'A, so Q + A'A is factored once and given one thin SVD (a
+range-space solve); every iteration then costs O(n^2 + nm) and forms no n x n
+matrix, whatever the penalty. Those factors and the check of Q depend on the
+instance alone, so they are built on the first solve of a ProblemData and
+reused by every later solve of it, in any mode or config, until the instance
+is garbage collected. The cache retains about n^2 + nm + m^2 doubles per live
+instance: about 25 MB at the 20x20 grid, 128 MB at 30x30.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, cho_solve, solve_triangular, svd
+from scipy.linalg import cho_factor, cho_solve, norm, solve_triangular, svd
 
 from .control import SigmaSchedule, approximate_shift, hierarchical_shift, sigma_at
 from .problem import (
@@ -56,6 +61,8 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+# validate_problem's logger; its singular-Q warning is repeated on cached solves
+_problem_logger = logging.getLogger("hieralm.problem")
 
 # trace table / CSV column order
 TRACE_FIELDS = (
@@ -245,18 +252,39 @@ def solve_subproblem(
     The minimizer solves H x = rhs with H = Q + rho (A1'A1 + A2'A2). A
     range-space solve (see ``_RangeSpace``) with one refinement pass handles the
     definite case and a minimum-norm least-squares solve on the formed H the
-    singular-but-consistent one. This call builds the rho-independent factors
-    for itself; :func:`iterate` builds them once per run.
+    singular-but-consistent one. The first call on an instance checks Q and
+    builds the rho-independent factors; later calls, and :func:`iterate`, reuse
+    them for as long as ``p`` lives.
 
     Returns:
         (x, grad_norm) with grad_norm = ||Q x + rho (A1'(A1 x) + A2'(A2 x)) - rhs||
-        <= 1e-10 * (1 + ||rhs||).
+        <= 1e-10 * (1 + ||rhs||), both norms computed without overflow.
 
     Raises:
+        ValueError: If validate_problem rejects Q.
         SubproblemUnboundedError: If the system is inconsistent, i.e. the
             subproblem has no finite minimum.
     """
-    return _RangeSpace(p).solve(lambda1_hat, lambda2_hat, rho, shift)
+    return _setup(p).solve(p, lambda1_hat, lambda2_hat, rho, shift)
+
+
+# one entry per live instance; a weak key drops the entry when the instance goes.
+# Two threads that miss at once each build an equal setup, and either may stay.
+_SETUP: weakref.WeakKeyDictionary[ProblemData, _RangeSpace] = weakref.WeakKeyDictionary()
+
+
+def _setup(p: ProblemData) -> _RangeSpace:
+    """The config-independent setup of ``p``: Q checked, factors built, once per instance."""
+    system = _SETUP.get(p)
+    if system is None:
+        system = _SETUP[p] = _RangeSpace(p, validate_problem(p))
+    elif system.q_warning is not None:
+        _problem_logger.warning("%s", system.q_warning)
+    return system
+
+
+def _hess_times(p: ProblemData, x: np.ndarray, rho: float) -> np.ndarray:
+    return p.Q @ x + rho * (p.A1.T @ (p.A1 @ x) + p.A2.T @ (p.A2 @ x))
 
 
 class _RangeSpace:
@@ -272,10 +300,13 @@ class _RangeSpace:
     The second form carries the rho-sized part of the right-hand side, so rho
     cancels in it exactly. ``factor`` is None when Q~ is not positive definite,
     that is when null(Q) and null(A) meet and every H(rho) is singular.
+    ``q_warning`` is validate_problem's verdict on Q. Nothing here refers to
+    the instance itself, so a cached entry never keeps its weak key alive;
+    :meth:`solve` takes the instance as an argument instead.
     """
 
-    def __init__(self, p: ProblemData):
-        self.p = p
+    def __init__(self, p: ProblemData, q_warning: str | None):
+        self.q_warning = q_warning
         A = p.A  # a fresh copy, which the triangular solve below overwrites with R^-T A'
         G = A.T @ A
         G += p.Q  # symmetric, so G.T is the F-ordered Q~ that cho_factor overwrites with R'
@@ -299,19 +330,15 @@ class _RangeSpace:
         self.x_c = cho_solve(self.factor, -p.c, check_finite=False)
         self.h_c = self.V.T @ -p.c
 
-    def hess_times(self, x: np.ndarray, rho: float) -> np.ndarray:
-        p = self.p
-        return p.Q @ x + rho * (p.A1.T @ (p.A1 @ x) + p.A2.T @ (p.A2 @ x))
-
-    def solve(self, lambda1_hat, lambda2_hat, rho, shift) -> tuple[np.ndarray, float]:
-        p = self.p
+    def solve(self, p, lambda1_hat, lambda2_hat, rho, shift) -> tuple[np.ndarray, float]:
         rhs = (
             -p.c
             - p.A1.T @ lambda1_hat
             - p.A2.T @ lambda2_hat
             + rho * (p.A1.T @ (p.b1 - shift.s1) + p.A2.T @ (p.b2 - shift.s2))
         )
-        bound = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
+        # BLAS nrm2 scales as it sums, so a rho-sized rhs cannot make the bound inf
+        bound = 1e-10 * (1.0 + float(norm(rhs, check_finite=False)))
         if self.factor is not None:
             den = self.one_minus_sig2 + rho * self.sig2
             shrink = (1.0 - rho) * self.sig2 / den
@@ -330,13 +357,13 @@ class _RangeSpace:
                 + cho_solve(self.factor, g, check_finite=False)
                 + self.V @ (shrink * (self.V.T @ g) + self.sig * (self.Ut @ w) / den)
             )
-            grad_norm = float(np.linalg.norm(self.hess_times(x, rho) - rhs))
+            grad_norm = float(norm(_hess_times(p, x, rho) - rhs, check_finite=False))
             if grad_norm <= bound:
                 return x, grad_norm
         # singular (or numerically indefinite) system: minimum-norm solution if consistent
         H = p.Q + rho * (p.A1.T @ p.A1 + p.A2.T @ p.A2)
         x, *_ = np.linalg.lstsq(H, rhs, rcond=None)
-        grad_norm = float(np.linalg.norm(self.hess_times(x, rho) - rhs))
+        grad_norm = float(norm(_hess_times(p, x, rho) - rhs, check_finite=False))
         if grad_norm > bound:
             raise SubproblemUnboundedError(
                 "subproblem unbounded below: singular system is inconsistent "
@@ -350,7 +377,9 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
 
     The generator never stops on its own; callers apply their stopping rule
     (see :func:`solve`). The exact shift is only used for the r1/r2 trace
-    columns.
+    columns. The check of Q and the subproblem factors are built on the first
+    ``next()`` of the first run on ``p`` and reused by every later run on it
+    (see the module docstring); a singular-Q warning is logged on every run.
 
     Raises:
         ValueError: On the first ``next()``, if validate_problem rejects Q or
@@ -360,13 +389,13 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
         OverflowError: On the ``next()`` after a state whose updated penalty
             overflowed to inf, naming the iteration it would have solved.
     """
-    validate_problem(p)
     _check_box(cfg.box1_lo, cfg.box1_hi, p.m1, "box1")
     _check_box(cfg.box2_lo, cfg.box2_hi, p.m2, "box2")
-
     exact = hierarchical_shift(p).shift
     s1_star, s2_star = exact.s1, exact.s2
-    system = _RangeSpace(p)
+    # after the oracle, so its first-call SVD temporaries are freed before the
+    # retained factors are built, not stacked on them
+    system = _setup(p)
 
     lambda1_hat = np.zeros(p.m1)
     lambda2_hat = np.zeros(p.m2)
@@ -381,7 +410,7 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
         else:
             shift = HierarchicalShift.zero(p.m1, p.m2)
         try:
-            x, grad_norm = system.solve(lambda1_hat, lambda2_hat, rho, shift)
+            x, grad_norm = system.solve(p, lambda1_hat, lambda2_hat, rho, shift)
         except SubproblemUnboundedError as exc:
             raise SubproblemUnboundedError(f"iteration {k + 1}: {exc}", iteration=k + 1) from exc
 

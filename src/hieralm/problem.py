@@ -96,12 +96,20 @@ class HierarchicalShift:
         return cls(np.zeros(m1), np.zeros(m2), ShiftKind.ORACLE_EXACT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemData:
     """Immutable, well-formed problem data. Arrays are copied and made read-only.
 
     The decision dimension ``n`` is taken from ``c``; block sizes come from the
     constraint matrices. A block with zero rows is normalized to shape (0, n).
+
+    An instance is its own identity: it hashes and compares by ``id``, so two
+    instances with equal arrays are different keys. Work derived from the data
+    is cached against the instance until it is garbage collected: ``left_null``
+    here, and in :mod:`hieralm.alm` the check of Q and the solver's factors
+    (about n^2 + nm + m^2 doubles, 25 MB at the 20x20 grid). That is sound only
+    because the arrays are read-only and never change after construction; code
+    that forces them writable breaks that contract.
 
     Raises:
         ValueError: If a matrix is not 2-D or a vector not 1-D; or, naming every
@@ -209,12 +217,15 @@ def _frozen_vector(a, name: str) -> np.ndarray:
     return out
 
 
-def validate_problem(p: ProblemData) -> None:
+def validate_problem(p: ProblemData) -> str | None:
     """Check that Q is symmetric positive semidefinite.
 
     The arrays are well-formed by construction, so only Q's own properties are
     left to check. A singular (semidefinite but not definite) Q is logged as a
     warning rather than raised, since the solver may still handle it.
+
+    Returns:
+        The warning message for a singular Q, or None.
 
     Raises:
         ValueError: ``invalid problem: ...`` naming each failed rule, if Q is
@@ -241,6 +252,7 @@ def validate_problem(p: ProblemData) -> None:
         raise ValueError("invalid problem: " + "; ".join(errors))
     if warning is not None:
         logger.warning("%s", warning)
+    return warning
 
 
 def objective_value(p: ProblemData, x: np.ndarray) -> float:

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import logging
+import weakref
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hieralm.alm
 
@@ -18,6 +23,7 @@ from hieralm import (
     GridSpec,
     HierarchicalShift,
     Mode,
+    ProblemData,
     ShiftKind,
     SolverConfig,
     Status,
@@ -206,9 +212,10 @@ class TestSolveSubproblem:
             )
             bound = 1e-10 * (1.0 + np.linalg.norm(rhs))
             assert grad <= bound
-            # the solver reports the matrix-free residual; the formed H meets the same bound
+            # the solver reports the matrix-free residual, in BLAS nrm2; the formed H
+            # meets the same bound
             Hx = p.Q @ x + rho * (p.A1.T @ (p.A1 @ x) + p.A2.T @ (p.A2 @ x))
-            assert np.linalg.norm(Hx - rhs) == grad
+            assert scipy.linalg.norm(Hx - rhs) == grad
             assert np.linalg.norm(H @ x - rhs) <= bound
 
     def test_singular_but_consistent_takes_minimum_norm(self):
@@ -286,8 +293,22 @@ class TestIterateAndSolve:
             assert report.trace[-1].rho == np.inf
             assert all(np.isfinite(rec.rho) for rec in report.trace[:-1])
             assert np.isfinite(report.x_final).all()
+            assert all(np.isfinite(rec.subproblem_grad_norm) for rec in report.trace)
             gen = iterate(p, cfg)
             states = [next(gen) for _ in report.trace]
+            # every solve meets a finite acceptance bound, so the residual check is not vacuous
+            l1, l2 = np.zeros(p.m1), np.zeros(p.m2)
+            for st in states:
+                rhs = (
+                    -p.c
+                    - p.A1.T @ l1
+                    - p.A2.T @ l2
+                    + st.rho_used * (p.A1.T @ (p.b1 - st.shift.s1) + p.A2.T @ (p.b2 - st.shift.s2))
+                )
+                bound = 1e-10 * (1.0 + scipy.linalg.norm(rhs))
+                assert np.isfinite(bound)
+                assert st.record.subproblem_grad_norm <= bound
+                l1, l2 = st.lambda1_hat, st.lambda2_hat
             # a huge penalty leaves the least-squares residual of the stacked constraints
             floor = float(np.linalg.norm(p.left_null.T @ p.b))
             for st in states:
@@ -348,18 +369,51 @@ class TestIterateAndSolve:
         )
         assert clipped
 
-    def test_one_factorization_per_iterate(self, factor_calls):
+    def test_one_factorization_per_instance(self, factor_calls):
         p, _ = build_instance(GridSpec(4, 4, kappa=0.5))
-        states = run_with_states(p, SolverConfig())
-        assert len({st.rho_used for st in states}) >= 3  # the factor must serve several penalties
+        runs = [run_with_states(p, SolverConfig(mode=mode)) for mode in Mode]
+        report = solve(p)
+        assert len({st.rho_used for st in runs[0]}) >= 3  # the factor must serve several penalties
         assert factor_calls == [(p.n, p.n)]
-        # the factors built once per run give the bits a fresh solve gives
-        l1, l2 = np.zeros(p.m1), np.zeros(p.m2)
-        for st in states:
-            x, grad = solve_subproblem(p, l1, l2, st.rho_used, st.shift)
-            assert x.tobytes() == st.x.tobytes()
-            assert grad == st.record.subproblem_grad_norm
-            l1, l2 = st.lambda1_hat, st.lambda2_hat
+        assert report.trace == tuple(st.record for st in runs[0])
+        # the cached factors give the bits that factors built for a fresh copy give
+        fresh = ProblemData(Q=p.Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
+        for states in runs:
+            l1, l2 = np.zeros(p.m1), np.zeros(p.m2)
+            for st in states:
+                x, grad = solve_subproblem(fresh, l1, l2, st.rho_used, st.shift)
+                assert x.tobytes() == st.x.tobytes()
+                assert grad == st.record.subproblem_grad_norm
+                l1, l2 = st.lambda1_hat, st.lambda2_hat
+        assert factor_calls == [(p.n, p.n)] * 2
+
+    def test_equal_instances_do_not_share_factors(self, factor_calls):
+        p, _ = build_instance(GridSpec(3, 3, kappa=0.5))
+        q = ProblemData(Q=p.Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
+        a, b = solve(p), solve(q)
+        assert len(factor_calls) == 2
+        assert a.trace == b.trace
+
+    def test_cache_does_not_keep_instance_alive(self):
+        p, _ = build_instance(GridSpec(3, 3, kappa=0.5))
+        solve(p)
+        ref, entry = weakref.ref(p), weakref.ref(hieralm.alm._SETUP[p])
+        del p
+        gc.collect()
+        assert ref() is None
+        assert entry() is None  # the factors go with the instance
+
+    def test_singular_q_warns_on_every_solve(self, caplog, factor_calls):
+        # Q + A'A is definite here, so the singular Q still takes the range-space path
+        p = make_problem(Q=np.diag([1.0, 0.0]), c=[-1.0, 0.0], A1=[[0.0, 1.0]], b1=[2.0])
+        with caplog.at_level(logging.WARNING, logger="hieralm.problem"):
+            for _ in range(2):
+                assert solve(p).status is Status.CONVERGED
+        warnings = [rec.message for rec in caplog.records if rec.name == "hieralm.problem"]
+        assert len(warnings) == 2
+        assert warnings[0] == warnings[1]
+        assert warnings[0].startswith("Q is singular")
+        assert len(factor_calls) == 1
 
     def test_singular_system_keeps_least_squares_path(self, factor_calls):
         p = make_problem(Q=np.diag([1.0, 0.0]), c=[-1.0, 0.0])

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+import hieralm.alm
 from hieralm import (
     TRACE_FIELDS,
     GridSpec,
@@ -277,6 +278,21 @@ class TestCompare:
         assert code == 0
         assert "Converged" in out
         assert "DivergenceSuspected" in out
+
+    def test_setup_runs_once_for_both_modes(self, capsys, monkeypatch):
+        calls = []
+        for name in ("cho_factor", "validate_problem"):
+            original = getattr(hieralm.alm, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(hieralm.alm, name, counting)
+        code, out, _ = run_cli(capsys, "compare", "--grid", "4x4", "--kappa", "0.5")
+        assert code == 0
+        assert "DivergenceSuspected" in out
+        assert sorted(calls) == ["cho_factor", "validate_problem"]
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "cmp.txt"

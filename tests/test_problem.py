@@ -52,6 +52,14 @@ class TestProblemData:
         with pytest.raises(ValueError):
             p.c[0] = 5.0
 
+    def test_instances_compare_by_identity(self):
+        p = random_problem(np.random.default_rng(59))
+        copy = ProblemData(Q=p.Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
+        assert hash(p) == hash(p)
+        assert (p == copy) is False
+        assert p == p
+        assert len({p, copy}) == 2
+
     def test_empty_blocks_get_column_count(self):
         p = make_problem(Q=np.eye(2), c=[0.0, 0.0])
         assert p.A1.shape == (0, 2)
