@@ -14,7 +14,12 @@ divergence (flagged via ``rho_cap``).
 The subproblem matrix H(rho) = Q + rho A'A depends on rho only through the
 rank-m term A'A, so Q + A'A is factored once and given one thin SVD (a
 range-space solve); every iteration then costs O(n^2 + nm) and forms no n x n
-matrix, whatever the penalty. Those factors and the check of Q depend on the
+matrix, whatever the penalty: one product with Q, five passes over A (two for
+the right-hand side, A x and A'(A x) for the residual check, A'lambda for E)
+and one over the SVD factor V. Q x and A x are formed once, at the accepted x,
+and shared between the residual check, the constraint residuals and E; a
+refinement pass (two triangular solves with the n x n factor) runs only when
+the first pass misses its bound. Those factors and the check of Q depend on the
 instance alone, so they are built on the first solve of a ProblemData and
 reused by every later solve of it, in any mode or config, until the instance
 is garbage collected. The cache retains about n^2 + nm + m^2 doubles per live
@@ -27,7 +32,7 @@ import enum
 import logging
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -234,10 +239,22 @@ def kkt_residual(
     lambda2: np.ndarray,
     shift: HierarchicalShift,
 ) -> float:
-    """Stationarity plus shifted feasibility, using the unprojected multipliers."""
-    grad = p.Q @ x + p.c + p.A1.T @ lambda1 + p.A2.T @ lambda2
+    """Stationarity plus shifted feasibility, using the unprojected multipliers.
+
+    Each norm is BLAS nrm2, which scales as it sums, so E overflows only when
+    one of its terms does.
+    """
     r1, r2 = constraint_residuals(p, x, shift)
-    return float(np.linalg.norm(grad) + np.linalg.norm(r1) + np.linalg.norm(r2))
+    return _kkt_value(p, p.Q @ x, lambda1, lambda2, r1, r2)
+
+
+def _kkt_value(p: ProblemData, qx, lambda1, lambda2, r1, r2) -> float:
+    grad = qx + p.c + p.A1.T @ lambda1 + p.A2.T @ lambda2
+    return _nrm2(grad) + _nrm2(r1) + _nrm2(r2)
+
+
+def _nrm2(v: np.ndarray) -> float:
+    return float(norm(v, check_finite=False))
 
 
 def solve_subproblem(
@@ -250,9 +267,10 @@ def solve_subproblem(
     """Minimize the shifted augmented Lagrangian in x.
 
     The minimizer solves H x = rhs with H = Q + rho (A1'A1 + A2'A2). A
-    range-space solve (see ``_RangeSpace``) with one refinement pass handles the
-    definite case and a minimum-norm least-squares solve on the formed H the
-    singular-but-consistent one. The first call on an instance checks Q and
+    range-space solve (see ``_RangeSpace``) handles the definite case: its x is
+    accepted if it meets the bound below, and refined once only if it does not.
+    A minimum-norm least-squares solve on the formed H handles what is still
+    left, the singular-but-consistent case. The first call on an instance checks Q and
     builds the rho-independent factors; later calls, and :func:`iterate`, reuse
     them for as long as ``p`` lives.
 
@@ -265,7 +283,8 @@ def solve_subproblem(
         SubproblemUnboundedError: If the system is inconsistent, i.e. the
             subproblem has no finite minimum.
     """
-    return _setup(p).solve(p, lambda1_hat, lambda2_hat, rho, shift)
+    x, grad_norm, _ = _setup(p).solve(p, lambda1_hat, lambda2_hat, rho, shift)
+    return x, grad_norm
 
 
 # one entry per live instance; a weak key drops the entry when the instance goes.
@@ -283,8 +302,18 @@ def _setup(p: ProblemData) -> _RangeSpace:
     return system
 
 
-def _hess_times(p: ProblemData, x: np.ndarray, rho: float) -> np.ndarray:
-    return p.Q @ x + rho * (p.A1.T @ (p.A1 @ x) + p.A2.T @ (p.A2 @ x))
+class _Products(NamedTuple):
+    """Q x, A1 x and A2 x at one x, formed once and shared by the residual check and iterate."""
+
+    qx: np.ndarray
+    a1x: np.ndarray
+    a2x: np.ndarray
+
+
+def _residual_norm(p: ProblemData, x, rho: float, rhs) -> tuple[float, _Products]:
+    """||Q x + rho (A1'(A1 x) + A2'(A2 x)) - rhs||, and the products it formed."""
+    prod = _Products(p.Q @ x, p.A1 @ x, p.A2 @ x)
+    return _nrm2(prod.qx + rho * (p.A1.T @ prod.a1x + p.A2.T @ prod.a2x) - rhs), prod
 
 
 class _RangeSpace:
@@ -330,7 +359,12 @@ class _RangeSpace:
         self.x_c = cho_solve(self.factor, -p.c, check_finite=False)
         self.h_c = self.V.T @ -p.c
 
-    def solve(self, p, lambda1_hat, lambda2_hat, rho, shift) -> tuple[np.ndarray, float]:
+    def solve(self, p, lambda1_hat, lambda2_hat, rho, shift) -> tuple[np.ndarray, float, _Products]:
+        """(x, grad_norm, products at x) from the first of three tries that meets the bound.
+
+        The tries are the range-space pass, that pass refined once, and lstsq on
+        the formed H; each runs only when the one before it misses.
+        """
         rhs = (
             -p.c
             - p.A1.T @ lambda1_hat
@@ -338,7 +372,7 @@ class _RangeSpace:
             + rho * (p.A1.T @ (p.b1 - shift.s1) + p.A2.T @ (p.b2 - shift.s2))
         )
         # BLAS nrm2 scales as it sums, so a rho-sized rhs cannot make the bound inf
-        bound = 1e-10 * (1.0 + float(norm(rhs, check_finite=False)))
+        bound = 1e-10 * (1.0 + _nrm2(rhs))
         if self.factor is not None:
             den = self.one_minus_sig2 + rho * self.sig2
             shrink = (1.0 - rho) * self.sig2 / den
@@ -347,29 +381,44 @@ class _RangeSpace:
                 (rho * (p.b1 - shift.s1) - lambda1_hat, rho * (p.b2 - shift.s2) - lambda2_hat)
             )
             x = self.x_c + self.V @ (shrink * self.h_c + self.sig * (self.Ut @ v) / den)
-            # one refinement pass keeps the residual near the backward-stable floor; the
-            # residual rhs - H x = (-c - Q x) + A'(v - rho A x) is split the same way,
-            # because Q~^-1 applied to a rho-sized residual cancels badly for huge rho
-            g = -p.c - p.Q @ x
-            w = v - rho * np.concatenate((p.A1 @ x, p.A2 @ x))
+            # the check's Q x and A x also serve a refinement and the caller
+            grad_norm, prod = _residual_norm(p, x, rho, rhs)
+            if grad_norm <= bound:
+                return x, grad_norm, prod
+            logger.debug("subproblem refines: residual %.3e > bound %.3e", grad_norm, bound)
+            # one refinement pass brings a missed residual back toward the backward-stable
+            # floor; the residual rhs - H x = (-c - Q x) + A'(v - rho A x) is split the same
+            # way as rhs, because Q~^-1 applied to a rho-sized residual cancels badly for
+            # huge rho
+            g = -p.c - prod.qx
+            w = v - rho * np.concatenate((prod.a1x, prod.a2x))
             x = (
                 x
                 + cho_solve(self.factor, g, check_finite=False)
                 + self.V @ (shrink * (self.V.T @ g) + self.sig * (self.Ut @ w) / den)
             )
-            grad_norm = float(norm(_hess_times(p, x, rho) - rhs, check_finite=False))
+            grad_norm, prod = _residual_norm(p, x, rho, rhs)
             if grad_norm <= bound:
-                return x, grad_norm
+                return x, grad_norm, prod
+            logger.debug(
+                "subproblem falls back to lstsq: refined residual %.3e > bound %.3e",
+                grad_norm,
+                bound,
+            )
+        else:
+            logger.debug(
+                "subproblem falls back to lstsq: Q + A'A is not definite (bound %.3e)", bound
+            )
         # singular (or numerically indefinite) system: minimum-norm solution if consistent
         H = p.Q + rho * (p.A1.T @ p.A1 + p.A2.T @ p.A2)
         x, *_ = np.linalg.lstsq(H, rhs, rcond=None)
-        grad_norm = float(norm(_hess_times(p, x, rho) - rhs, check_finite=False))
+        grad_norm, prod = _residual_norm(p, x, rho, rhs)
         if grad_norm > bound:
             raise SubproblemUnboundedError(
                 "subproblem unbounded below: singular system is inconsistent "
                 f"(residual {grad_norm:.3e} > {bound:.3e})"
             )
-        return x, grad_norm
+        return x, grad_norm, prod
 
 
 def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
@@ -410,11 +459,13 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
         else:
             shift = HierarchicalShift.zero(p.m1, p.m2)
         try:
-            x, grad_norm = system.solve(p, lambda1_hat, lambda2_hat, rho, shift)
+            x, grad_norm, prod = system.solve(p, lambda1_hat, lambda2_hat, rho, shift)
         except SubproblemUnboundedError as exc:
             raise SubproblemUnboundedError(f"iteration {k + 1}: {exc}", iteration=k + 1) from exc
 
-        s1, s2 = constraint_residuals(p, x, shift)
+        # constraint_residuals and kkt_residual, bit for bit, from the products the solve formed
+        s1 = prod.a1x - p.b1 + shift.s1
+        s2 = prod.a2x - p.b2 + shift.s2
         lambda1 = lambda1_hat + rho * s1
         lambda2 = lambda2_hat + rho * s2
         lambda1_hat_new = project_box(lambda1, cfg.box1_lo, cfg.box1_hi)
@@ -424,14 +475,14 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
 
         record = IterationRecord(
             k=k + 1,
-            E=kkt_residual(p, x, lambda1, lambda2, shift),
+            E=_kkt_value(p, prod.qx, lambda1, lambda2, s1, s2),
             norm_s1=float(np.linalg.norm(s1)),
             norm_s2=float(np.linalg.norm(s2)),
             r1=float(np.linalg.norm(shift.s1 - s1_star)),
             r2=float(np.linalg.norm(shift.s2 - s2_star)),
             rho=rho_new,
-            norm_lambda1=float(np.linalg.norm(lambda1)),
-            norm_lambda2=float(np.linalg.norm(lambda2)),
+            norm_lambda1=_nrm2(lambda1),
+            norm_lambda2=_nrm2(lambda2),
             subproblem_grad_norm=grad_norm,
         )
         yield IterationState(

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import null_space
 
 from hieralm import (
@@ -229,8 +230,9 @@ def assert_exact_bookkeeping(cfg: SolverConfig, states: list[IterationState]) ->
         assert rec.rho == st.rho
         assert rec.norm_s1 == float(np.linalg.norm(st.s1))
         assert rec.norm_s2 == float(np.linalg.norm(st.s2))
-        assert rec.norm_lambda1 == float(np.linalg.norm(st.lambda1))
-        assert rec.norm_lambda2 == float(np.linalg.norm(st.lambda2))
+        # the multipliers grow with rho, so their norms are BLAS nrm2, which cannot overflow
+        assert rec.norm_lambda1 == float(scipy.linalg.norm(st.lambda1))
+        assert rec.norm_lambda2 == float(scipy.linalg.norm(st.lambda2))
         prev1, prev2 = st.lambda1_hat, st.lambda2_hat
         prev_u, prev_rho = u, st.rho
     ks = [st.record.k for st in states]

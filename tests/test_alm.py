@@ -30,6 +30,7 @@ from hieralm import (
     SubproblemUnboundedError,
     augmented_lagrangian_value,
     build_instance,
+    constraint_residuals,
     hierarchical_shift,
     iterate,
     kkt_residual,
@@ -52,6 +53,20 @@ def factor_calls(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(hieralm.alm, "cho_factor", counting)
+    return calls
+
+
+@pytest.fixture
+def trisolve_calls(monkeypatch):
+    """Records each call the solver makes to hieralm.alm.cho_solve."""
+    calls = []
+    original = hieralm.alm.cho_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hieralm.alm, "cho_solve", counting)
     return calls
 
 
@@ -232,6 +247,74 @@ class TestSolveSubproblem:
             solve_subproblem(p, np.zeros(0), np.zeros(0), 1.0, HierarchicalShift.zero(0, 0))
 
 
+class TestRefinement:
+    """The range-space solve refines only when its first pass misses the bound."""
+
+    @staticmethod
+    def _solve_logged(caplog, p, l1, rho):
+        with caplog.at_level(logging.DEBUG, logger="hieralm.alm"):
+            x, grad = solve_subproblem(p, l1, np.zeros(0), rho, HierarchicalShift.zero(p.m1, 0))
+        lines = [rec.message for rec in caplog.records if rec.name == "hieralm.alm"]
+        caplog.clear()
+        return x, grad, lines
+
+    def test_warm_solves_make_no_triangular_solve(self, trisolve_calls):
+        p, _ = build_instance(GridSpec(4, 4, kappa=0.5))
+        solve(p)
+        assert trisolve_calls == [(p.n,)]  # the setup's solve with -c
+        trisolve_calls.clear()
+        for mode in Mode:
+            assert len(solve(p, SolverConfig(mode=mode)).trace) >= 5
+        assert trisolve_calls == []
+
+    def test_refines_on_a_miss_and_meets_the_bound(self, trisolve_calls, caplog):
+        # cond(Q + A'A) ~ 1e8 and a tiny rho: the first pass misses the bound by
+        # about 200x, and one refinement pass meets it by a factor of about 1e5
+        p = make_problem(Q=np.eye(2), c=[1.0, 1.0], A1=[[1e4, 1.0]], b1=[1.0])
+        x, grad, lines = self._solve_logged(caplog, p, np.ones(1), 1e-8)
+        assert trisolve_calls == [(2,), (2,)]  # the setup's, then the refinement's
+        rhs = -p.c - p.A1.T @ np.ones(1) + 1e-8 * (p.A1.T @ p.b1)
+        assert grad <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+        assert len(lines) == 1
+        assert lines[0].startswith("subproblem refines: residual ")
+        assert "> bound " in lines[0]
+
+    def test_debug_lines_name_the_fallback(self, caplog):
+        # refinement still misses, so lstsq on the formed H takes over
+        p = make_problem(Q=np.eye(2), c=[1.0, 1.0], A1=[[1e6, 1.0]], b1=[1.0])
+        _, grad, lines = self._solve_logged(caplog, p, np.zeros(1), 1e-12)
+        assert grad <= 1e-10 * (1.0 + np.sqrt(2.0))
+        assert [line.split(":")[0] for line in lines] == [
+            "subproblem refines",
+            "subproblem falls back to lstsq",
+        ]
+        assert lines[1].startswith("subproblem falls back to lstsq: refined residual ")
+        # Q + A'A singular: no range-space factors, so straight to lstsq
+        p = make_problem(Q=np.diag([1.0, 0.0]), c=[-1.0, 0.0])
+        assert self._solve_logged(caplog, p, np.zeros(0), 1.0)[2] == [
+            "subproblem falls back to lstsq: Q + A'A is not definite (bound 2.000e-10)"
+        ]
+        # a well-conditioned solve logs nothing
+        p = make_problem(Q=np.eye(2), c=[1.0, 1.0], A1=[[1.0, 1.0]], b1=[1.0])
+        assert self._solve_logged(caplog, p, np.ones(1), 1.0)[2] == []
+
+    def test_shared_products_match_public_functions(self):
+        p, _ = build_instance(GridSpec(4, 4, kappa=0.5))
+        problems = [p]
+        rng = np.random.default_rng(59)
+        for m1, m2 in ((0, 3), (3, 0), (0, 0), (2, 2), (None, None), (None, None)):
+            problems.append(random_problem(rng, m1=m1, m2=m2))
+        problems.append(random_problem(rng, m1=0, definite=False))
+        for q in problems:
+            for mode in Mode:
+                for st in run_with_states(q, SolverConfig(mode=mode, max_iter=25)):
+                    E = kkt_residual(q, st.x, st.lambda1, st.lambda2, st.shift)
+                    assert st.record.E == E
+                    r1, r2 = constraint_residuals(q, st.x, st.shift)
+                    assert st.s1.tobytes() == r1.tobytes()
+                    assert st.s2.tobytes() == r2.tobytes()
+
+
 class TestIterateAndSolve:
     def test_unconstrained_converges_immediately(self):
         p = make_problem(Q=np.diag([2.0, 4.0]), c=[2.0, -4.0])
@@ -287,38 +370,40 @@ class TestIterateAndSolve:
     def test_penalty_overflow_ends_in_divergence(self, kwargs):
         p, _ = build_instance(GridSpec(3, 3, kappa=0.5))
         cfg = SolverConfig(mode=Mode.STANDARD_AL, rho_cap=np.inf, **kwargs)
-        with np.errstate(over="ignore", invalid="ignore"):  # norms of rho-sized vectors
-            report = solve(p, cfg)
-            assert report.status is Status.DIVERGENCE_SUSPECTED
-            assert report.trace[-1].rho == np.inf
-            assert all(np.isfinite(rec.rho) for rec in report.trace[:-1])
-            assert np.isfinite(report.x_final).all()
-            assert all(np.isfinite(rec.subproblem_grad_norm) for rec in report.trace)
-            gen = iterate(p, cfg)
-            states = [next(gen) for _ in report.trace]
-            # every solve meets a finite acceptance bound, so the residual check is not vacuous
-            l1, l2 = np.zeros(p.m1), np.zeros(p.m2)
-            for st in states:
-                rhs = (
-                    -p.c
-                    - p.A1.T @ l1
-                    - p.A2.T @ l2
-                    + st.rho_used * (p.A1.T @ (p.b1 - st.shift.s1) + p.A2.T @ (p.b2 - st.shift.s2))
-                )
-                bound = 1e-10 * (1.0 + scipy.linalg.norm(rhs))
-                assert np.isfinite(bound)
-                assert st.record.subproblem_grad_norm <= bound
-                l1, l2 = st.lambda1_hat, st.lambda2_hat
-            # a huge penalty leaves the least-squares residual of the stacked constraints
-            floor = float(np.linalg.norm(p.left_null.T @ p.b))
-            for st in states:
-                if st.rho_used >= 1e100:
-                    s = np.concatenate((st.s1, st.s2))
-                    assert np.linalg.norm(s) <= floor * (1.0 + 1e-6)
-            # the loop refuses to solve with the overflowed penalty
-            k = len(report.trace) + 1
-            with pytest.raises(OverflowError, match=f"iteration {k}: penalty rho overflowed"):
-                next(gen)
+        report = solve(p, cfg)
+        assert report.status is Status.DIVERGENCE_SUSPECTED
+        assert report.trace[-1].rho == np.inf
+        assert all(np.isfinite(rec.rho) for rec in report.trace[:-1])
+        assert np.isfinite(report.x_final).all()
+        assert all(np.isfinite(rec.subproblem_grad_norm) for rec in report.trace)
+        # E and the multiplier norms are nrm2 sums of rho-sized but finite vectors
+        for rec in report.trace:
+            assert np.isfinite([rec.E, rec.norm_lambda1, rec.norm_lambda2]).all()
+        gen = iterate(p, cfg)
+        states = [next(gen) for _ in report.trace]
+        # every solve meets a finite acceptance bound, so the residual check is not vacuous
+        l1, l2 = np.zeros(p.m1), np.zeros(p.m2)
+        for st in states:
+            rhs = (
+                -p.c
+                - p.A1.T @ l1
+                - p.A2.T @ l2
+                + st.rho_used * (p.A1.T @ (p.b1 - st.shift.s1) + p.A2.T @ (p.b2 - st.shift.s2))
+            )
+            bound = 1e-10 * (1.0 + scipy.linalg.norm(rhs))
+            assert np.isfinite(bound)
+            assert st.record.subproblem_grad_norm <= bound
+            l1, l2 = st.lambda1_hat, st.lambda2_hat
+        # a huge penalty leaves the least-squares residual of the stacked constraints
+        floor = float(np.linalg.norm(p.left_null.T @ p.b))
+        for st in states:
+            if st.rho_used >= 1e100:
+                s = np.concatenate((st.s1, st.s2))
+                assert np.linalg.norm(s) <= floor * (1.0 + 1e-6)
+        # the loop refuses to solve with the overflowed penalty
+        k = len(report.trace) + 1
+        with pytest.raises(OverflowError, match=f"iteration {k}: penalty rho overflowed"):
+            next(gen)
 
     @staticmethod
     def _entry_points(p, cfg):
