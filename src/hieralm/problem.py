@@ -25,6 +25,7 @@ itself: it raises for an asymmetric or indefinite Q and warns for a singular one
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -184,15 +185,19 @@ class ProblemData:
     def left_null(self) -> np.ndarray:
         """Orthonormal basis N of null(A'), shape (m, k) with k = m - rank(A).
 
-        Rows split like the blocks: N[:m1] belongs to A1, N[m1:] to A2. The rank
-        follows lstsq's rule, singular values above max(m, n) * eps * s_max. The
-        cache cannot go stale because the arrays are read-only.
+        Rows split like the blocks: N[:m1] belongs to A1, N[m1:] to A2. With
+        A' = QR, the min(m, n) x m factor R has A's singular values and
+        null(R) = null(A'), so N is read from the SVD of R alone: the right
+        singular vectors past the rank. The rank follows lstsq's rule, singular
+        values above max(m, n) * eps * s_max. Only R is formed, never Q or an
+        m x n singular factor. The cache cannot go stale because the arrays are
+        read-only.
         """
         A = self.A
         m, n = A.shape
-        U, s, _ = np.linalg.svd(A, full_matrices=m > n)
+        _, s, Vt = np.linalg.svd(np.linalg.qr(A.T, mode="r"))
         tol = max(m, n) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-        N = U[:, int(np.count_nonzero(s > tol)):].copy()
+        N = Vt[int(np.count_nonzero(s > tol)):].T.copy()
         N.flags.writeable = False
         return N
 
@@ -292,10 +297,12 @@ _COO_DENSITY = 0.25
 
 def _encode_matrix(a: np.ndarray):
     size = a.size
-    nnz = int(np.count_nonzero(a))
+    # -0.0 compares equal to 0 but is stored, so it round-trips bit exactly
+    stored = (a != 0) | np.signbit(a)
+    nnz = int(np.count_nonzero(stored))
     if size <= _DENSE_MAX_ENTRIES or nnz > _COO_DENSITY * size:
         return a.tolist()
-    rows, cols = np.nonzero(a)
+    rows, cols = np.nonzero(stored)
     return {
         "coo": {
             "rows": rows.tolist(),
@@ -337,21 +344,45 @@ def save_problem(p: ProblemData, path: str | Path, meta: dict | None = None) -> 
         fh.write("\n")
 
 
-def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProblemFormatError(f"{where}: expected a number, got {type(value).__name__}")
-    out = float(value)
-    if not np.isfinite(out):
-        raise ProblemFormatError(f"{where}: non-finite value")
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _float_or_inf(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the double range
+        return np.inf
+
+
+def _decode_numbers(values: list, where) -> np.ndarray:
+    """Doubles from a flat list of JSON scalars; ``where(t)`` names entry t.
+
+    Bools are rejected: JSON's true and false parse to bool, whose exact type is
+    not int. An integer too large for a double counts as non-finite, like 1e999.
+    """
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        t = next(t for t, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
+        raise ProblemFormatError(f"{where(t)}: expected a number, got {type(values[t]).__name__}")
+    try:
+        out = np.array(values, dtype=float)
+    except OverflowError:
+        out = np.array([_float_or_inf(v) for v in values], dtype=float)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise ProblemFormatError(f"{where(int(np.argmax(bad)))}: non-finite value")
     return out
 
 
-def _require_index(value, bound: int, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProblemFormatError(f"{where}: expected an integer index")
-    if not 0 <= value < bound:
-        raise ProblemFormatError(f"{where}: index {value} out of range [0, {bound})")
-    return value
+def _decode_indices(values: list, bound: int, where) -> np.ndarray:
+    """Indices in [0, bound) from a list of JSON integers; ``where(t)`` names entry t."""
+    if not set(map(type, values)) <= {int}:
+        t = next(t for t, v in enumerate(values) if type(v) is not int)
+        raise ProblemFormatError(f"{where(t)}: expected an integer index")
+    # min and max compare Python ints exactly, so a huge index cannot overflow here
+    if values and not (min(values) >= 0 and max(values) < bound):
+        t = next(t for t, v in enumerate(values) if not 0 <= v < bound)
+        raise ProblemFormatError(f"{where(t)}: index {values[t]} out of range [0, {bound})")
+    return np.array(values, dtype=np.intp)
 
 
 def _decode_vector(value, length: int, name: str) -> np.ndarray:
@@ -359,7 +390,7 @@ def _decode_vector(value, length: int, name: str) -> np.ndarray:
         raise ProblemFormatError(f"{name}: expected an array")
     if len(value) != length:
         raise ProblemFormatError(f"{name}: has length {len(value)}, declared {length}")
-    return np.array([_require_number(v, f"{name}[{i}]") for i, v in enumerate(value)])
+    return _decode_numbers(value, lambda t: f"{name}[{t}]")
 
 
 def _decode_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
@@ -375,28 +406,27 @@ def _decode_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
         if not len(ri) == len(ci) == len(vals):
             raise ProblemFormatError(f"{name}.coo: rows, cols, values differ in length")
         out = np.zeros((rows, cols))
-        seen = set()
-        for t, (r, c, v) in enumerate(zip(ri, ci, vals)):
-            r = _require_index(r, rows, f"{name}.coo.rows[{t}]")
-            c = _require_index(c, cols, f"{name}.coo.cols[{t}]")
-            if (r, c) in seen:
-                raise ProblemFormatError(f"{name}.coo: duplicate entry at ({r}, {c})")
-            seen.add((r, c))
-            out[r, c] = _require_number(v, f"{name}.coo.values[{t}]")
+        r = _decode_indices(ri, rows, lambda t: f"{name}.coo.rows[{t}]")
+        c = _decode_indices(ci, cols, lambda t: f"{name}.coo.cols[{t}]")
+        _, first = np.unique(r * cols + c, return_index=True)
+        if first.size < r.size:
+            repeat = np.ones(r.size, dtype=bool)
+            repeat[first] = False
+            t = int(np.argmax(repeat))
+            raise ProblemFormatError(f"{name}.coo: duplicate entry at ({r[t]}, {c[t]})")
+        out[r, c] = _decode_numbers(vals, lambda t: f"{name}.coo.values[{t}]")
         return out
     if not isinstance(value, list):
         raise ProblemFormatError(f"{name}: expected an array of rows or a coo object")
     if len(value) != rows:
         raise ProblemFormatError(f"{name}: has {len(value)} rows, declared {rows}")
-    out = np.zeros((rows, cols))
     for i, row in enumerate(value):
         if not isinstance(row, list):
             raise ProblemFormatError(f"{name}[{i}]: expected an array")
         if len(row) != cols:
             raise ProblemFormatError(f"{name}[{i}]: has {len(row)} entries, declared {cols}")
-        for j, v in enumerate(row):
-            out[i, j] = _require_number(v, f"{name}[{i}][{j}]")
-    return out
+    flat = list(itertools.chain.from_iterable(value))
+    return _decode_numbers(flat, lambda t: f"{name}[{t // cols}][{t % cols}]").reshape(rows, cols)
 
 
 def _require_dim(doc: dict, key: str) -> int:
@@ -413,8 +443,11 @@ def load_problem(path: str | Path) -> ProblemData:
 
     Raises ProblemFormatError with the offending location for malformed files:
     bad JSON, missing fields, wrong row or column counts against the declared
-    dimensions, non-numeric cells, non-finite values, duplicate sparse entries,
-    and data that :class:`ProblemData` rejects, such as ``n = 0``.
+    dimensions, non-numeric cells, non-finite values (an integer literal beyond
+    the double range among them), sparse indices that are not integers in range,
+    duplicate sparse entries, and data that :class:`ProblemData` rejects, such
+    as ``n = 0``. Each check runs over a whole array; the error names the first
+    entry that fails it.
     """
 
     def _reject_constant(token: str):

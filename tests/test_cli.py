@@ -234,6 +234,16 @@ class TestOracleCommand:
         assert code == 0
         assert "stage2_value:" in out
 
+    def test_integer_beyond_double_is_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        run_cli(capsys, "gen-grid", "--rows", "2", "--cols", "2", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["c"][0] = 10**400
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "oracle", "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err == "hieralm: error: c[0]: non-finite value\n"
+
 
 class TestShiftSweep:
     def test_default_sweep(self, capsys):

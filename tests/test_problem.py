@@ -6,8 +6,11 @@ import dataclasses
 import json
 import logging
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_problem, random_problem
 from hieralm import (
@@ -24,6 +27,62 @@ from hieralm import (
     save_problem,
     validate_problem,
 )
+
+
+EPS = np.finfo(float).eps
+
+
+def _near_dependent_rows(ratio: float):
+    """A1 (3 x 6) whose rows 0 and 2 differ by d in their last entry, A2 (2 x 6)
+    with a copy of row 1. A2's copy makes A exactly rank-deficient; the smallest
+    nonzero singular value is then d / sqrt(2), set to ratio times the cutoff
+    max(m, n) * eps * s_max. The last column is zero elsewhere, so d is stored exactly.
+    """
+    rng = np.random.default_rng(11)
+    A = np.zeros((5, 6))
+    A[:, :5] = rng.uniform(-2.0, 2.0, (5, 5))
+    A[2, :5] = A[0, :5]
+    A[4] = A[1]
+    s_max = np.linalg.svd(A, compute_uv=False)[0]
+    A[2, 5] = ratio * 6 * EPS * s_max * np.sqrt(2.0)
+    return A[:3], A[3:]
+
+
+def _left_null_cases() -> dict:
+    """(A1, A2) pairs covering each shape of R = qr(A')'s R and each rank regime."""
+    rng = np.random.default_rng(5)
+    tall = rng.uniform(-2.0, 2.0, (4, 2))  # m > n: R is 2 x 4, trapezoidal
+    wide = rng.uniform(-2.0, 2.0, (3, 5))  # m < n: full row rank, k = 0
+    dup = rng.uniform(-2.0, 2.0, (4, 4))
+    dup[2] = dup[0]
+    col = rng.uniform(-2.0, 2.0, (3, 1))
+    return {
+        "tall": (tall[:3], tall[3:]),
+        "wide": (wide[:2], wide[2:]),
+        "no-rows": (np.zeros((0, 2)), np.zeros((0, 2))),
+        "m1=0": (np.zeros((0, 2)), tall),
+        "m2=0": (tall, np.zeros((0, 2))),
+        "n=1": (col[:2], col[2:]),
+        "duplicated-row": (dup[:3], dup[3:]),
+        "scaled-1e8": (1e8 * tall[:3], 1e8 * tall[3:]),
+        "scaled-1e-8": (1e-8 * tall[:3], 1e-8 * tall[3:]),
+        "near-dependent-above": _near_dependent_rows(100.0),
+        "near-dependent-below": _near_dependent_rows(0.01),
+    }
+
+
+def _mp_left_null(A: np.ndarray):
+    """Rank by left_null's rule on 50-digit singular values of the float data A,
+    those singular values, and the projector onto null(A') at that rank."""
+    m, n = A.shape
+    with mpmath.workdps(50):
+        U, S, _ = mpmath.svd_r(mpmath.matrix(A.tolist()), full_matrices=True)
+        s = [float(v) for v in S]
+        tol = mpmath.mpf(max(m, n)) * EPS * S[0]
+        rank = sum(1 for v in S if v > tol)
+        Z = U[:, rank:]
+        P = np.array((Z * Z.T).tolist(), dtype=float) if rank < m else np.zeros((m, m))
+    return rank, s, P
 
 
 class TestProblemData:
@@ -68,19 +127,45 @@ class TestProblemData:
         assert p.A.shape == (0, 2)
 
     def test_left_null_basis(self):
-        # tall A of rank 2: k = 4 - 2 columns, orthonormal, spanning null(A')
-        rng = np.random.default_rng(5)
-        A = rng.uniform(-2.0, 2.0, (4, 2))
-        p = make_problem(
-            Q=np.eye(2), c=[0.0, 0.0], A1=A[:3], b1=np.zeros(3), A2=A[3:], b2=[0.0]
-        )
-        N = p.left_null
-        assert N.shape == (4, 2) and N.flags.c_contiguous and not N.flags.writeable
-        assert np.allclose(N.T @ N, np.eye(2), atol=1e-12)
-        assert np.abs(A.T @ N).max() <= 1e-12
-        assert p.left_null is N
+        # every case against 50-digit singular values and projector of the same data
+        for case, (A1, A2) in _left_null_cases().items():
+            n = A1.shape[1]
+            b1, b2 = np.zeros(len(A1)), np.zeros(len(A2))
+            p = make_problem(Q=np.eye(n), c=np.zeros(n), A1=A1, b1=b1, A2=A2, b2=b2)
+            N = p.left_null
+            assert N.flags.c_contiguous and not N.flags.writeable, case
+            assert p.left_null is N, case
+            if p.m == 0:
+                assert N.shape == (0, 0), case
+                continue
+            rank, s, P = _mp_left_null(p.A)
+            m, k = p.m, p.m - rank
+            tol = max(m, n) * EPS * s[0]
+            # no singular value sits within a factor 10 of the cutoff, so the
+            # rank decision is not decided by rounding
+            assert all(not tol / 10 <= v <= 10 * tol for v in s), (case, s, tol)
+            assert N.shape == (m, k), case
+            assert np.abs(N.T @ N - np.eye(k)).max(initial=0.0) <= 1e-13, case
+            # Wedin: the null space of the float data moves by eps * s_max over
+            # the gap to the smallest kept singular value
+            err = np.abs(N @ N.T - P).max()
+            assert err <= 8 * max(m, n) * EPS * s[0] / s[rank - 1], (case, err)
         assert "left_null" not in {f.name for f in dataclasses.fields(p)}
-        assert make_problem(Q=np.eye(2), c=[0.0, 0.0]).left_null.shape == (0, 0)
+
+    def test_left_null_cases_straddle_the_cutoff(self):
+        # the near-dependent rows put one singular value 100x above and 100x
+        # below max(m, n) * eps * s_max, and the rank follows
+        cases = _left_null_cases()
+        for case, ratio, rank in (
+            ("near-dependent-above", 100.0, 4),
+            ("near-dependent-below", 0.01, 3),
+        ):
+            A = np.vstack(cases[case])
+            got, s, _ = _mp_left_null(A)
+            assert got == rank, case
+            # s[3] is the near-dependent pair's; max(m, n) = 6
+            assert s[3] / (6 * EPS * s[0]) == pytest.approx(ratio), case
+            assert s[4] <= 1e-30, case  # the exact copy in A2
 
     def test_rejects_wrong_rank_arrays(self):
         with pytest.raises(ValueError, match="Q must be 2-D"):
@@ -282,13 +367,17 @@ class TestFileRoundTrip:
 
     def test_sparse_round_trip(self, tmp_path):
         p, meta = build_instance(GridSpec(4, 4, kappa=0.25))
+        # a negative zero among the implicit zeros must still come back as -0.0
+        A1 = p.A1.copy()
+        A1[0, np.flatnonzero(A1[0] == 0)[0]] = -0.0
+        p = dataclasses.replace(p, A1=A1)
         path = tmp_path / "grid.json"
         save_problem(p, path, meta=meta)
         text = path.read_text()
         assert '"coo"' in text
         q = load_problem(path)
         for name in ("Q", "c", "A1", "b1", "A2", "b2"):
-            assert np.array_equal(getattr(p, name), getattr(q, name)), name
+            assert getattr(p, name).tobytes() == getattr(q, name).tobytes(), name
 
     def test_meta_is_stored_but_not_required(self, tmp_path):
         p = make_problem(Q=np.eye(1), c=[0.5], A1=[[1.0]], b1=[2.0])
@@ -302,6 +391,43 @@ class TestFileRoundTrip:
         # no document can hold a non-finite value: no ProblemData holds one
         with pytest.raises(ValueError, match="c has non-finite entries"):
             make_problem(Q=np.eye(1), c=[np.inf])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), sparse=st.booleans())
+    def test_any_values_round_trip_bit_exact(self, tmp_path_factory, data, sparse):
+        # n >= 17 gives every matrix more than 256 cells, so a few nonzeros are
+        # written as coo; n <= 3 keeps them dense
+        n = data.draw(st.integers(17, 20) if sparse else st.integers(1, 3))
+        m1, m2 = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        extremes = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        cell = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from(extremes),
+            st.integers(-(2**60), 2**60).map(float),
+        )
+
+        def matrix(rows):
+            if not sparse:
+                return vector(rows * n).reshape(rows, n)
+            out = np.zeros((rows, n))
+            cells = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, n - 1), cell)
+            for i, j, v in data.draw(st.lists(cells, max_size=8 if rows else 0)):
+                out[i, j] = v
+            return out
+
+        def vector(length):
+            return np.array(data.draw(st.lists(cell, min_size=length, max_size=length)))
+
+        p = ProblemData(
+            Q=matrix(n), c=vector(n), A1=matrix(m1), b1=vector(m1), A2=matrix(m2), b2=vector(m2)
+        )
+        path = tmp_path_factory.mktemp("round") / "instance.json"
+        save_problem(p, path)
+        assert ('"coo"' in path.read_text()) == sparse
+        q = load_problem(path)
+        for name in ("Q", "c", "A1", "b1", "A2", "b2"):
+            a, b = getattr(p, name), getattr(q, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_zero_row_blocks_round_trip(self, tmp_path):
         p = make_problem(Q=np.eye(2), c=[1.0, 2.0])
@@ -323,7 +449,53 @@ def _write_doc(tmp_path, mutate):
     return path
 
 
+def _coo(rows, cols, values):
+    return {"coo": {"rows": rows, "cols": cols, "values": values}}
+
+
+# one fault per file; the message names the first offending entry
+SINGLE_FAULTS = {
+    "int-beyond-double": ("c", [10**400, 1.0], "c[0]: non-finite value"),
+    "negative-int-beyond-double": ("c", [0.0, -(10**400)], "c[1]: non-finite value"),
+    "dense-int-beyond-double": ("A1", [[1.0, 10**400]], "A1[0][1]: non-finite value"),
+    "dense-null": ("A1", [[1.0, None]], "A1[0][1]: expected a number, got NoneType"),
+    "dense-bool": ("A2", [[0.0, True]], "A2[0][1]: expected a number, got bool"),
+    "coo-bool-row": (
+        "Q", _coo([0, True], [0, 1], [1.0, 1.0]), "Q.coo.rows[1]: expected an integer index"
+    ),
+    "coo-float-index": (
+        "Q", _coo([0, 1], [0, 1.0], [1.0, 1.0]), "Q.coo.cols[1]: expected an integer index"
+    ),
+    "coo-negative-index": (
+        "Q", _coo([-1, 1], [0, 1], [1.0, 1.0]), "Q.coo.rows[0]: index -1 out of range [0, 2)"
+    ),
+    "coo-index-beyond-int64": (
+        "Q",
+        _coo([0, 1], [0, 10**30], [1.0, 1.0]),
+        f"Q.coo.cols[1]: index {10**30} out of range [0, 2)",
+    ),
+    # (1, 1) repeats at position 2, before (0, 1) repeats at position 3
+    "coo-duplicate-second-occurrence": (
+        "Q", _coo([0, 1, 1, 0], [1, 1, 1, 1], [1.0, 2.0, 3.0, 4.0]),
+        "Q.coo: duplicate entry at (1, 1)",
+    ),
+    "coo-string-value": (
+        "Q", _coo([0, 1], [0, 1], [1.0, "x"]), "Q.coo.values[1]: expected a number, got str"
+    ),
+    "coo-int-beyond-double": (
+        "Q", _coo([0, 1], [0, 1], [10**400, 1.0]), "Q.coo.values[0]: non-finite value"
+    ),
+}
+
+
 class TestLoadErrors:
+    @pytest.mark.parametrize("field, value, message", SINGLE_FAULTS.values(), ids=SINGLE_FAULTS)
+    def test_single_fault_names_entry(self, tmp_path, field, value, message):
+        path = _write_doc(tmp_path, lambda d: d.update({field: value}))
+        with pytest.raises(ProblemFormatError) as exc:
+            load_problem(path)
+        assert str(exc.value) == message
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemFormatError, match="cannot read"):
             load_problem(tmp_path / "nope.json")
@@ -448,7 +620,7 @@ class TestLoadErrors:
         path = _write_doc(
             tmp_path,
             lambda d: d.update(
-                Q={"coo": {"rows": [0, 1], "cols": [0, 1], "values": [3.0, 4.0]}}
+                Q={"coo": {"rows": [0, 1], "cols": [0, 1], "values": [3, 4.0]}}
             ),
         )
         q = load_problem(path)
