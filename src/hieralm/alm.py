@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import logging
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -68,20 +68,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 # validate_problem's logger; its singular-Q warning is repeated on cached solves
 _problem_logger = logging.getLogger("hieralm.problem")
-
-# trace table / CSV column order
-TRACE_FIELDS = (
-    "k",
-    "E",
-    "norm_s1",
-    "norm_s2",
-    "r1",
-    "r2",
-    "rho",
-    "norm_lambda1",
-    "norm_lambda2",
-)
-
 
 class Mode(enum.Enum):
     INFEASIBILITY_CONTROL = "infeasibility-control"
@@ -154,7 +140,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One trace row; field order up to subproblem_grad_norm matches TRACE_FIELDS."""
+    """One trace row.
+
+    Every field but the last, ``subproblem_grad_norm``, is a column of the trace
+    table and CSV, in this order (``TRACE_FIELDS``).
+    """
 
     k: int
     E: float
@@ -166,6 +156,10 @@ class IterationRecord:
     norm_lambda1: float
     norm_lambda2: float
     subproblem_grad_norm: float
+
+
+# trace table / CSV column order
+TRACE_FIELDS = tuple(f.name for f in fields(IterationRecord))[:-1]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .problem import HierarchicalShift, ProblemData, ShiftKind
+from .problem import HierarchicalShift, ProblemData
 
 __all__ = [
     "OracleResult",
@@ -54,7 +54,8 @@ class OracleResult:
     """Exact shift plus diagnostics.
 
     Attributes:
-        shift: The hierarchically optimal shift pair (kind OracleExact).
+        shift: The hierarchically optimal shift pair, the eta -> infinity limit
+            of :func:`approximate_shift`.
         rank1: Numerical rank of A1.
         stage1_value: 0.5 ||s1||^2 at the optimum.
         stage2_value: 0.5 ||s2||^2 at the optimum.
@@ -93,6 +94,7 @@ class SigmaSchedule:
     sigma1 is capped at 1e12 by rescaling both weights jointly (the ratio is all
     that matters for the shift), and eta itself is capped at ``eta_cap`` by
     raising sigma2, with a logged warning at the first k where the cap binds.
+    ``eta_cap`` must be finite, which keeps sigma2 positive at every k.
     """
 
     sigma1_0: float = 1.0
@@ -111,8 +113,8 @@ class SigmaSchedule:
                 "need sigma1_factor > sigma2_factor >= 1, got "
                 f"{self.sigma1_factor} and {self.sigma2_factor}"
             )
-        if not self.eta_cap >= 1.0:
-            raise ValueError(f"eta_cap must be >= 1, got {self.eta_cap}")
+        if not 1.0 <= self.eta_cap < math.inf:
+            raise ValueError(f"eta_cap must be finite and >= 1, got {self.eta_cap}")
 
 
 def _power(base: float, scale: float, k: int) -> float:
@@ -176,7 +178,7 @@ def approximate_shift(p: ProblemData, sigma: SigmaPair) -> HierarchicalShift:
     when x_bar is not.
 
     Returns:
-        The shift, kind SigmaApproximate.
+        The shift (r[:m1], r[m1:]); it does not record ``sigma``.
     """
     N = p.left_null
     w = np.concatenate(
@@ -184,12 +186,7 @@ def approximate_shift(p: ProblemData, sigma: SigmaPair) -> HierarchicalShift:
     )
     Q, R = np.linalg.qr(w[:, None] * N)
     r = w * (Q @ solve_triangular(R, N.T @ p.b, trans="T"))
-    return HierarchicalShift(
-        r[: p.m1],
-        r[p.m1 :],
-        ShiftKind.SIGMA_APPROXIMATE,
-        sigma=(sigma.sigma1, sigma.sigma2),
-    )
+    return HierarchicalShift(r[: p.m1], r[p.m1 :])
 
 
 def approximate_shift_sequence(
@@ -220,7 +217,7 @@ def hierarchical_shift(p: ProblemData) -> OracleResult:
     s1 = B @ (B.T @ p.b1)
     s2 = U2[:, :r2] @ ((V2t[:r2] @ (N.T @ p.b - N1.T @ s1)) / theta[:r2])
     return OracleResult(
-        shift=HierarchicalShift(s1, s2, ShiftKind.ORACLE_EXACT),
+        shift=HierarchicalShift(s1, s2),
         rank1=p.m1 - (k - r2),
         stage1_value=0.5 * float(s1 @ s1),
         stage2_value=0.5 * float(s2 @ s2),

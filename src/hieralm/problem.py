@@ -24,7 +24,6 @@ itself: it raises for an asymmetric or indefinite Q and warns for a singular one
 
 from __future__ import annotations
 
-import enum
 import itertools
 import json
 import logging
@@ -40,7 +39,6 @@ __all__ = [
     "HierarchicalShift",
     "ProblemData",
     "ProblemFormatError",
-    "ShiftKind",
     "constraint_residuals",
     "load_problem",
     "objective_value",
@@ -57,44 +55,26 @@ FORMAT_VERSION = 1
 _SYMMETRY_TOL = 1e-10
 
 
-class ShiftKind(enum.Enum):
-    """Provenance of a hierarchical shift."""
-
-    ORACLE_EXACT = "oracle-exact"
-    SIGMA_APPROXIMATE = "sigma-approximate"
-
-
 @dataclass(frozen=True)
 class HierarchicalShift:
-    """A pair of constraint shifts, one per priority block.
+    """A pair of constraint shifts, one per priority block, copied and made read-only.
 
     Attributes:
         s1: Shift for the high-priority block, shape (m1,).
         s2: Shift for the low-priority block, shape (m2,).
-        kind: Whether the shift is exact or a sigma-weighted approximation.
-        sigma: The (sigma1, sigma2) weights that produced an approximate shift;
-            None for exact shifts.
     """
 
     s1: np.ndarray
     s2: np.ndarray
-    kind: ShiftKind
-    sigma: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s1", _frozen_vector(self.s1, "s1"))
         object.__setattr__(self, "s2", _frozen_vector(self.s2, "s2"))
-        if self.kind is ShiftKind.SIGMA_APPROXIMATE:
-            if self.sigma is None:
-                raise ValueError("sigma-approximate shift requires sigma weights")
-            s1, s2 = self.sigma
-            if not (s1 > 0 and s2 > 0):
-                raise ValueError(f"sigma weights must be positive, got {self.sigma}")
 
     @classmethod
     def zero(cls, m1: int, m2: int) -> "HierarchicalShift":
         """The all-zero shift (the exact shift of a feasible problem)."""
-        return cls(np.zeros(m1), np.zeros(m2), ShiftKind.ORACLE_EXACT)
+        return cls(np.zeros(m1), np.zeros(m2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,13 +454,15 @@ def load_problem(path: str | Path) -> ProblemData:
     for key in ("Q", "c", "A1", "b1", "A2", "b2"):
         if key not in doc:
             raise ProblemFormatError(f"missing field '{key}'")
+    # each vector before the matrix it sizes, so a COO matrix is never allocated
+    # from a declared dimension that the file's own data has not confirmed
     arrays = {
-        "Q": _decode_matrix(doc["Q"], n, n, "Q"),
         "c": _decode_vector(doc["c"], n, "c"),
-        "A1": _decode_matrix(doc["A1"], m1, n, "A1"),
+        "Q": _decode_matrix(doc["Q"], n, n, "Q"),
         "b1": _decode_vector(doc["b1"], m1, "b1"),
-        "A2": _decode_matrix(doc["A2"], m2, n, "A2"),
+        "A1": _decode_matrix(doc["A1"], m1, n, "A1"),
         "b2": _decode_vector(doc["b2"], m2, "b2"),
+        "A2": _decode_matrix(doc["A2"], m2, n, "A2"),
     }
     # the decoders raise ProblemFormatError, itself a ValueError, so construct apart
     try:

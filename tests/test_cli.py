@@ -22,6 +22,7 @@ from hieralm import (
 from hieralm.cli import main
 
 SCI = r"-?\d\.\d{2}e[+-]\d{2,3}"
+EMPTY_COO = {"coo": {"rows": [], "cols": [], "values": []}}
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +205,17 @@ class TestConfigFile:
         assert code == 1
         assert "tau must be in (0, 1)" in err
 
+    def test_infinite_eta_cap_rejected(self, tmp_path, capsys):
+        # 1e999 parses to inf; the sweep reaches k = 352, where an uncapped sigma2 underflows
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"eta_cap": 1e999}')
+        code, out, err = run_cli(
+            capsys, "shift-sweep", "--grid", "3x3", "--kappa", "0.5", "--count", "400",
+            "--config", str(cfg_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == "hieralm: error: eta_cap must be finite and >= 1, got inf\n"
+
     def test_invalid_json_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{")
@@ -243,6 +255,23 @@ class TestOracleCommand:
         code, out, err = run_cli(capsys, "oracle", "--problem", str(path))
         assert (code, out) == (1, "")
         assert err == "hieralm: error: c[0]: non-finite value\n"
+
+    @pytest.mark.parametrize(
+        "declared, field",
+        [({"n": 10**12, "Q": EMPTY_COO}, "c"), ({"m1": 10**12, "A1": EMPTY_COO, "b1": []}, "b1")],
+        ids=["n", "m1"],
+    )
+    def test_oversized_dimension_is_a_format_error(self, tmp_path, capsys, declared, field):
+        # a COO matrix is sized by the declared dimensions, so its vector must bound them first
+        path = tmp_path / "g.json"
+        run_cli(capsys, "gen-grid", "--rows", "2", "--cols", "2", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc.update(declared)
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "oracle", "--problem", str(path))
+        assert (code, out) == (1, "")
+        message = rf"hieralm: error: {field}: has length \d+, declared 1000000000000\n"
+        assert re.fullmatch(message, err)
 
 
 class TestShiftSweep:

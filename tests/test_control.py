@@ -9,7 +9,6 @@ import pytest
 
 from conftest import make_problem, random_problem, stacked_weighted_shift
 from hieralm import (
-    ShiftKind,
     SigmaPair,
     SigmaSchedule,
     approximate_shift,
@@ -45,8 +44,15 @@ class TestSigmaSchedule:
     def test_rejects_bad_scalars(self):
         with pytest.raises(ValueError, match="sigma1_0"):
             SigmaSchedule(sigma1_0=0.0)
-        with pytest.raises(ValueError, match="eta_cap"):
-            SigmaSchedule(eta_cap=0.5)
+        for cap in (0.5, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=r"^eta_cap must be finite and >= 1, got "):
+                SigmaSchedule(eta_cap=cap)
+
+    def test_largest_finite_eta_cap_keeps_sigma2_positive(self):
+        # sigma2 >= sigma1 / eta_cap > 0 where the cap binds; without a finite
+        # cap the scaled sigma2 underflows to 0 from about k = 352
+        sched = SigmaSchedule(eta_cap=np.finfo(float).max)
+        assert all(sigma_at(sched, k).sigma2 > 0 for k in (352, 400, 10_000))
 
 
 class TestSigmaAt:
@@ -102,8 +108,6 @@ class TestApproximateShift:
         shift = approximate_shift(self.conflict_problem(), SigmaPair(1.0, 1.0))
         assert shift.s1[0] == pytest.approx(0.5, abs=1e-12)
         assert shift.s2[0] == pytest.approx(-0.5, abs=1e-12)
-        assert shift.kind is ShiftKind.SIGMA_APPROXIMATE
-        assert shift.sigma == (1.0, 1.0)
 
     def test_large_ratio_approaches_exact_shift(self):
         shift = approximate_shift(self.conflict_problem(), SigmaPair(1e6, 1.0))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +13,11 @@ from conftest import (
     random_problem,
     two_stage_reference,
 )
-from hieralm import ShiftKind, hierarchical_shift
+from hieralm import hierarchical_shift
+
+EPS = np.finfo(float).eps
+# hierarchical_shift's cutoff on the singular values of N2, restated
+NULL_TOL = np.sqrt(EPS)
 
 
 class TestStage1:
@@ -127,7 +132,6 @@ class TestHierarchicalShift:
             Q=np.eye(1), c=[0.0], A1=[[1.0]], b1=[1.0], A2=[[1.0]], b2=[0.0]
         )
         res = hierarchical_shift(p)
-        assert res.shift.kind is ShiftKind.ORACLE_EXACT
         assert res.shift.s1 == pytest.approx([0.0], abs=1e-12)
         assert res.shift.s2 == pytest.approx([-1.0], abs=1e-12)
         assert res.stage1_value == pytest.approx(0.0, abs=1e-12)
@@ -209,3 +213,77 @@ class TestHierarchicalShift:
         for _ in range(200):
             p = random_problem(rng, definite=False)
             assert hierarchical_shift(p).rank1 == np.linalg.matrix_rank(p.A1)
+
+
+def _n2_cutoff_problem(ratio: float):
+    """Q = I2, A1 = [[1, 0], [1, d]], A2 = [[0, 1]], b1 = (1, 2), b2 = 0, with d set so
+    that N2's single singular value d / sqrt(2 + d^2) is ratio times the cutoff."""
+    t = ratio * NULL_TOL
+    d = t * np.sqrt(2.0 / (1.0 - t * t))
+    return make_problem(
+        Q=np.eye(2),
+        c=[0.0, 0.0],
+        A1=[[1.0, 0.0], [1.0, d]],
+        b1=[1.0, 2.0],
+        A2=[[0.0, 1.0]],
+        b2=[0.0],
+    )
+
+
+def _mp_two_stage(p, rank1: int):
+    """50-digit two-stage shift with A1 truncated to its leading ``rank1`` singular
+    triplets: s1 = b1 - A1r x0 for the minimum-norm stage-1 point x0, then the least
+    s2 = b2 - A2 x over x in x0 + null(A1r)."""
+    with mpmath.workdps(50):
+        U, S, Vt = mpmath.svd_r(mpmath.matrix(p.A1.tolist()), full_matrices=True)
+        b1, b2 = mpmath.matrix(p.b1.tolist()), mpmath.matrix(p.b2.tolist())
+        A2 = mpmath.matrix(p.A2.tolist())
+        x0 = mpmath.matrix(p.n, 1)
+        s1 = b1.copy()
+        for i in range(rank1):
+            coef = (U[:, i].T * b1)[0]
+            x0 += Vt[i, :].T * (coef / S[i])
+            s1 -= U[:, i] * coef
+        s2 = b2 - A2 * x0
+        if rank1 < p.n:
+            M = A2 * Vt[rank1:, :].T
+            s2 -= M * mpmath.lu_solve(M.T * M, M.T * s2)
+        return tuple(np.array(v.tolist(), dtype=float).ravel() for v in (s1, s2))
+
+
+class TestN2Cutoff:
+    """The sqrt(eps) rank rule on N2, 100x above and 100x below the cutoff."""
+
+    def test_construction_straddles_the_cutoff(self):
+        for ratio in (100.0, 0.01):
+            p = _n2_cutoff_problem(ratio)
+            with mpmath.workdps(50):
+                U, S, _ = mpmath.svd_r(mpmath.matrix(p.A.tolist()), full_matrices=True)
+                assert S[1] > 0.5 and len(S) == 2  # rank(A) = 2, so k = 1
+                theta = abs(U[2, 2])  # N2, the A2 row of null(A')
+                d = mpmath.mpf(p.A1[1, 1])
+                assert abs(theta - d / mpmath.sqrt(2 + d * d)) <= mpmath.mpf(10) ** -45
+            assert float(theta) / NULL_TOL == pytest.approx(ratio), ratio
+
+    def test_above_cutoff_keeps_full_rank(self):
+        p = _n2_cutoff_problem(100.0)
+        res = hierarchical_shift(p)
+        s1, s2 = _mp_two_stage(p, rank1=2)
+        assert res.rank1 == 2
+        assert not res.shift.s1.any()
+        assert np.abs(s1).max() <= 1e-40
+        # N2 = theta carries an absolute error about eps, so s2 = (N'b) / theta
+        # carries a relative error about eps / theta
+        theta = 100.0 * NULL_TOL
+        assert res.shift.s2 == pytest.approx(s2, rel=8 * EPS / theta, abs=0.0)
+        assert s2[0] == pytest.approx(-1.0 / p.A1[1, 1], rel=1e-12)
+
+    def test_below_cutoff_drops_a_rank(self):
+        p = _n2_cutoff_problem(0.01)
+        res = hierarchical_shift(p)
+        s1, s2 = _mp_two_stage(p, rank1=1)
+        assert res.rank1 == 1
+        assert np.abs(res.shift.s1 - s1).max() <= 4 * EPS
+        assert s1 == pytest.approx([-0.5, 0.5], abs=1e-18)
+        assert not res.shift.s2.any()
+        assert np.abs(s2).max() <= 1e-40

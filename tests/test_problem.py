@@ -18,7 +18,6 @@ from hieralm import (
     HierarchicalShift,
     ProblemData,
     ProblemFormatError,
-    ShiftKind,
     build_instance,
     constraint_residuals,
     load_problem,
@@ -323,13 +322,13 @@ class TestObjectiveAndResiduals:
 
     def test_shifted_residuals(self):
         p = make_problem(Q=np.eye(2), c=[0.0, 0.0], A1=np.eye(2), b1=[1.0, 2.0])
-        shift = HierarchicalShift(np.array([1.0, -1.0]), np.zeros(0), ShiftKind.ORACLE_EXACT)
+        shift = HierarchicalShift(np.array([1.0, -1.0]), np.zeros(0))
         r1, _ = constraint_residuals(p, np.array([3.0, 4.0]), shift)
         assert np.array_equal(r1, [3.0, 1.0])
 
     def test_rejects_mismatched_shift(self):
         p = make_problem(Q=np.eye(2), c=[0.0, 0.0], A1=np.eye(2), b1=[1.0, 2.0])
-        bad = HierarchicalShift(np.zeros(1), np.zeros(0), ShiftKind.ORACLE_EXACT)
+        bad = HierarchicalShift(np.zeros(1), np.zeros(0))
         with pytest.raises(ValueError, match="block sizes"):
             constraint_residuals(p, np.zeros(2), bad)
 
@@ -337,18 +336,8 @@ class TestObjectiveAndResiduals:
 class TestShiftContainer:
     def test_zero_shift(self):
         s = HierarchicalShift.zero(3, 2)
-        assert s.kind is ShiftKind.ORACLE_EXACT
         assert np.array_equal(s.s1, np.zeros(3))
         assert np.array_equal(s.s2, np.zeros(2))
-        assert s.sigma is None
-
-    def test_sigma_shift_requires_positive_weights(self):
-        with pytest.raises(ValueError, match="requires sigma"):
-            HierarchicalShift(np.zeros(1), np.zeros(1), ShiftKind.SIGMA_APPROXIMATE)
-        with pytest.raises(ValueError, match="positive"):
-            HierarchicalShift(
-                np.zeros(1), np.zeros(1), ShiftKind.SIGMA_APPROXIMATE, sigma=(0.0, 1.0)
-            )
 
     def test_vectors_read_only(self):
         s = HierarchicalShift.zero(2, 0)
@@ -492,6 +481,28 @@ class TestLoadErrors:
     @pytest.mark.parametrize("field, value, message", SINGLE_FAULTS.values(), ids=SINGLE_FAULTS)
     def test_single_fault_names_entry(self, tmp_path, field, value, message):
         path = _write_doc(tmp_path, lambda d: d.update({field: value}))
+        with pytest.raises(ProblemFormatError) as exc:
+            load_problem(path)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "declared, message",
+        [
+            ({"n": 10**12, "Q": _coo([], [], [])}, "c: has length 1, declared 1000000000000"),
+            (
+                {"m1": 10**12, "A1": _coo([], [], []), "b1": []},
+                "b1: has length 0, declared 1000000000000",
+            ),
+        ],
+        ids=["n", "m1"],
+    )
+    def test_oversized_dimension_is_bounded_by_its_vector(self, tmp_path, declared, message):
+        # the vector's length is checked before the COO matrix is allocated from the
+        # declared size, which would raise "array is too big" for n and MemoryError for m1
+        doc = problem_document(make_problem(Q=np.eye(1), c=[0.0], A1=[[1.0]], b1=[1.0]))
+        doc.update(declared)
+        path = tmp_path / "oversized.json"
+        path.write_text(json.dumps(doc))
         with pytest.raises(ProblemFormatError) as exc:
             load_problem(path)
         assert str(exc.value) == message

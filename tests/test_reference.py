@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_problem, random_problem
-from hieralm import HierarchicalShift, ShiftKind, SubproblemUnboundedError, solve_subproblem
+from hieralm import HierarchicalShift, SubproblemUnboundedError, solve_subproblem
 
 RHOS = (1e-3, 1.0, 625.0, 1e8, 1e14)
 
@@ -81,9 +81,7 @@ def _instance(case: str, rng: np.random.Generator):
 
 
 def _random_inputs(p, rng):
-    shift = HierarchicalShift(
-        rng.uniform(-1.0, 1.0, p.m1), rng.uniform(-1.0, 1.0, p.m2), ShiftKind.ORACLE_EXACT
-    )
+    shift = HierarchicalShift(rng.uniform(-1.0, 1.0, p.m1), rng.uniform(-1.0, 1.0, p.m2))
     return rng.uniform(-1.0, 1.0, p.m1), rng.uniform(-1.0, 1.0, p.m2), shift
 
 
