@@ -16,14 +16,17 @@ rank-m term A'A, so Q + A'A is factored once and given one thin SVD (a
 range-space solve); every iteration then costs O(n^2 + nm) and forms no n x n
 matrix, whatever the penalty: one product with Q, five passes over A (two for
 the right-hand side, A x and A'(A x) for the residual check, A'lambda for E)
-and one over the SVD factor V. Q x and A x are formed once, at the accepted x,
-and shared between the residual check, the constraint residuals and E; a
-refinement pass (two triangular solves with the n x n factor) runs only when
-the first pass misses its bound. Those factors and the check of Q depend on the
-instance alone, so they are built on the first solve of a ProblemData and
-reused by every later solve of it, in any mode or config, until the instance
-is garbage collected. The cache retains about n^2 + nm + m^2 doubles per live
-instance: about 25 MB at the 20x20 grid, 128 MB at 30x30.
+and one over the SVD factor V. For a diagonal Q, such as every grid instance's
+q I, the product is O(n): the diagonal d is kept with the factors and Q x is
+formed as d * x, which has the dense product's bits. Q x and A x are formed
+once, at the accepted x, and shared between the residual check, the constraint
+residuals and E; a refinement pass (two triangular solves with the n x n factor)
+runs only when the first pass misses its bound. Those factors, the diagonal and
+the check of Q depend on the instance alone, so they are built on the first
+solve of a ProblemData and reused by every later solve of it, in any mode or
+config, until the instance is garbage collected. The cache retains about
+n^2 + nm + m^2 doubles per live instance: about 25 MB at the 20x20 grid, 128 MB
+at 30x30.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, cho_solve, norm, solve_triangular, svd
 
-from .control import SigmaSchedule, approximate_shift, hierarchical_shift, sigma_at
+from .control import SigmaSchedule, _require_real, approximate_shift, hierarchical_shift, sigma_at
 from .problem import (
     HierarchicalShift,
     ProblemData,
@@ -117,6 +120,12 @@ class SolverConfig:
     mode: Mode = Mode.INFEASIBILITY_CONTROL
 
     def __post_init__(self) -> None:
+        _require_real(self, ("tau", "gamma", "rho0", "u0", "kkt_tol", "rho_cap"))
+        for name in ("box1_lo", "box1_hi", "box2_lo", "box2_hi"):
+            if isinstance(v := getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a real number or a vector, got {v!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
         if not 1.0 < self.gamma < np.inf:
@@ -304,9 +313,12 @@ class _Products(NamedTuple):
     a2x: np.ndarray
 
 
-def _residual_norm(p: ProblemData, x, rho: float, rhs) -> tuple[float, _Products]:
-    """||Q x + rho (A1'(A1 x) + A2'(A2 x)) - rhs||, and the products it formed."""
-    prod = _Products(p.Q @ x, p.A1 @ x, p.A2 @ x)
+def _residual_norm(p: ProblemData, d, x, rho: float, rhs) -> tuple[float, _Products]:
+    """||Q x + rho (A1'(A1 x) + A2'(A2 x)) - rhs||, and the products it formed.
+
+    ``d`` is Q's diagonal when Q is diagonal, else None; see ``_RangeSpace``.
+    """
+    prod = _Products(p.Q @ x if d is None else d * x, p.A1 @ x, p.A2 @ x)
     return _nrm2(prod.qx + rho * (p.A1.T @ prod.a1x + p.A2.T @ prod.a2x) - rhs), prod
 
 
@@ -323,13 +335,20 @@ class _RangeSpace:
     The second form carries the rho-sized part of the right-hand side, so rho
     cancels in it exactly. ``factor`` is None when Q~ is not positive definite,
     that is when null(Q) and null(A) meet and every H(rho) is singular.
-    ``q_warning`` is validate_problem's verdict on Q. Nothing here refers to
-    the instance itself, so a cached entry never keeps its weak key alive;
+    ``q_warning`` is validate_problem's verdict on Q. ``d`` is Q's diagonal (n
+    doubles) when every off-diagonal entry of Q is zero, else None, whether or
+    not Q~ factors; each solve then forms Q x as d * x in O(n), not as an O(n^2)
+    product. For finite x the two agree bit for bit up to the sign of a zero,
+    since the off-diagonal terms add exact zeros. Nothing here refers to the
+    instance itself, so a cached entry never keeps its weak key alive;
     :meth:`solve` takes the instance as an argument instead.
     """
 
     def __init__(self, p: ProblemData, q_warning: str | None):
         self.q_warning = q_warning
+        diag = p.Q.diagonal()
+        # count_nonzero counts a -0.0 off-diagonal cell as zero
+        self.d = diag.copy() if np.count_nonzero(p.Q) == np.count_nonzero(diag) else None
         A = p.A  # a fresh copy, which the triangular solve below overwrites with R^-T A'
         G = A.T @ A
         G += p.Q  # symmetric, so G.T is the F-ordered Q~ that cho_factor overwrites with R'
@@ -376,7 +395,7 @@ class _RangeSpace:
             )
             x = self.x_c + self.V @ (shrink * self.h_c + self.sig * (self.Ut @ v) / den)
             # the check's Q x and A x also serve a refinement and the caller
-            grad_norm, prod = _residual_norm(p, x, rho, rhs)
+            grad_norm, prod = _residual_norm(p, self.d, x, rho, rhs)
             if grad_norm <= bound:
                 return x, grad_norm, prod
             logger.debug("subproblem refines: residual %.3e > bound %.3e", grad_norm, bound)
@@ -391,7 +410,7 @@ class _RangeSpace:
                 + cho_solve(self.factor, g, check_finite=False)
                 + self.V @ (shrink * (self.V.T @ g) + self.sig * (self.Ut @ w) / den)
             )
-            grad_norm, prod = _residual_norm(p, x, rho, rhs)
+            grad_norm, prod = _residual_norm(p, self.d, x, rho, rhs)
             if grad_norm <= bound:
                 return x, grad_norm, prod
             logger.debug(
@@ -406,7 +425,7 @@ class _RangeSpace:
         # singular (or numerically indefinite) system: minimum-norm solution if consistent
         H = p.Q + rho * (p.A1.T @ p.A1 + p.A2.T @ p.A2)
         x, *_ = np.linalg.lstsq(H, rhs, rcond=None)
-        grad_norm, prod = _residual_norm(p, x, rho, rhs)
+        grad_norm, prod = _residual_norm(p, self.d, x, rho, rhs)
         if grad_norm > bound:
             raise SubproblemUnboundedError(
                 "subproblem unbounded below: singular system is inconsistent "
@@ -539,6 +558,9 @@ def solve(p: ProblemData, cfg: SolverConfig | None = None) -> SolveReport:
             status = Status.MAX_ITER
             break
     assert last is not None
+    d, x = _SETUP[p].d, last.x
+    # objective_value's operations on a diagonal Q, in O(n)
+    objective = objective_value(p, x) if d is None else float((0.5 * x * d) @ x + p.c @ x)
     logger.info(
         "%s after %d iterations (E=%.3e)", status.value, last.record.k, last.record.E
     )
@@ -547,5 +569,5 @@ def solve(p: ProblemData, cfg: SolverConfig | None = None) -> SolveReport:
         x_final=last.x,
         trace=tuple(records),
         shift_final=last.shift,
-        objective_final=objective_value(p, last.x),
+        objective_final=objective,
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,7 @@ class SigmaSchedule:
     eta_cap: float = 1e12
 
     def __post_init__(self) -> None:
+        _require_real(self, ("sigma1_0", "sigma1_factor", "sigma2_0", "sigma2_factor", "eta_cap"))
         for name in ("sigma1_0", "sigma2_0"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
@@ -115,6 +117,14 @@ class SigmaSchedule:
             )
         if not 1.0 <= self.eta_cap < math.inf:
             raise ValueError(f"eta_cap must be finite and >= 1, got {self.eta_cap}")
+
+
+def _require_real(obj, names: tuple[str, ...]) -> None:
+    """Each named field must be a real number and not a bool, which would pass as 0 or 1."""
+    for name in names:
+        v = getattr(obj, name)
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {v!r}")
 
 
 def _power(base: float, scale: float, k: int) -> float:

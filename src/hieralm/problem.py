@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -373,6 +374,27 @@ def _decode_vector(value, length: int, name: str) -> np.ndarray:
     return _decode_numbers(value, lambda t: f"{name}[{t}]")
 
 
+def _physical_memory() -> int | None:
+    """The machine's physical memory in bytes, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _dense_zeros(rows: int, cols: int, name: str) -> np.ndarray:
+    """The dense rows x cols array that a COO matrix fills, refused if it cannot fit."""
+    need = rows * cols * np.dtype(float).itemsize
+    have = _physical_memory()
+    too_big = f"{name}: a dense {rows}x{cols} matrix needs {need} bytes"
+    if have is not None and need > have:
+        raise ProblemFormatError(f"{too_big}, more than this machine's {have} bytes of memory")
+    try:
+        return np.zeros((rows, cols))
+    except MemoryError as exc:
+        raise ProblemFormatError(f"{too_big}, which could not be allocated") from exc
+
+
 def _decode_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
     if isinstance(value, dict):
         if set(value) != {"coo"} or not isinstance(value["coo"], dict):
@@ -385,7 +407,7 @@ def _decode_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
             raise ProblemFormatError(f"{name}.coo: rows, cols, values must be arrays")
         if not len(ri) == len(ci) == len(vals):
             raise ProblemFormatError(f"{name}.coo: rows, cols, values differ in length")
-        out = np.zeros((rows, cols))
+        out = _dense_zeros(rows, cols, name)
         r = _decode_indices(ri, rows, lambda t: f"{name}.coo.rows[{t}]")
         c = _decode_indices(ci, cols, lambda t: f"{name}.coo.cols[{t}]")
         _, first = np.unique(r * cols + c, return_index=True)
@@ -425,9 +447,10 @@ def load_problem(path: str | Path) -> ProblemData:
     bad JSON, missing fields, wrong row or column counts against the declared
     dimensions, non-numeric cells, non-finite values (an integer literal beyond
     the double range among them), sparse indices that are not integers in range,
-    duplicate sparse entries, and data that :class:`ProblemData` rejects, such
-    as ``n = 0``. Each check runs over a whole array; the error names the first
-    entry that fails it.
+    duplicate sparse entries, a sparse matrix whose dense form needs more bytes
+    than the machine's physical memory (or fails to allocate), and data that
+    :class:`ProblemData` rejects, such as ``n = 0``. Each check runs over a whole
+    array; the error names the first entry that fails it.
     """
 
     def _reject_constant(token: str):

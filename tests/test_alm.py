@@ -69,6 +69,29 @@ def trisolve_calls(monkeypatch):
     return calls
 
 
+def _with_q(p: ProblemData, Q) -> ProblemData:
+    return ProblemData(Q=Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
+
+
+def _diagonal_q_problems() -> list[ProblemData]:
+    """Instances whose Q has no nonzero entry off its diagonal; a solve applies it as d * x.
+
+    A grid instance; a diagonal with zero entries; one with subnormal entries and
+    m1 = 0; one with -0.0 off-diagonal cells and m2 = 0; and diag(1, 0) with no
+    constraints, where Q + A'A does not factor and every solve takes lstsq.
+    """
+    rng = np.random.default_rng(60)
+    negative_zeros = np.diag([1.0, 2.0, 3.0])
+    negative_zeros[0, 2] = negative_zeros[2, 0] = -0.0
+    return [
+        build_instance(GridSpec(4, 4, kappa=0.5))[0],
+        _with_q(random_problem(rng, n=4, m1=2, m2=2), np.diag([2.0, 0.0, 3.0, 0.0])),
+        _with_q(random_problem(rng, n=4, m1=0, m2=3), np.diag([1.0, 5e-324, 2.0, 1e-310])),
+        _with_q(random_problem(rng, n=3, m1=2, m2=0), negative_zeros),
+        make_problem(Q=np.diag([1.0, 0.0]), c=[-1.0, 0.0]),
+    ]
+
+
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
@@ -103,6 +126,30 @@ class TestSolverConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_iter": True}, "max_iter must be an integer, got True"),
+            ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+            ({"max_iter": np.float64(3.0)}, f"max_iter must be an integer, got {np.float64(3)!r}"),
+            ({"box1_hi": True}, "box1_hi must be a real number or a vector, got True"),
+        ]
+        + [
+            ({name: value}, f"{name} must be a real number, got {value!r}")
+            for name in ("tau", "gamma", "rho0", "u0", "kkt_tol", "rho_cap")
+            for value in (True, False, np.bool_(True), "0.5")
+        ],
+    )
+    def test_rejects_mistyped_values(self, kwargs, message):
+        # a bool would pass as 0 or 1, and a fractional max_iter as its ceiling
+        with pytest.raises(ValueError) as exc:
+            SolverConfig(**kwargs)
+        assert str(exc.value) == message
+
+    def test_accepts_numpy_scalars(self):
+        cfg = SolverConfig(max_iter=np.int64(3), tau=np.float32(0.25), rho0=np.int32(2))
+        assert (cfg.max_iter, cfg.tau, cfg.rho0) == (3, 0.25, 2)
 
     def test_rejects_nan_box_bounds(self):
         nan = float("nan")
@@ -298,13 +345,19 @@ class TestRefinement:
         assert self._solve_logged(caplog, p, np.ones(1), 1.0)[2] == []
 
     def test_shared_products_match_public_functions(self):
-        p, _ = build_instance(GridSpec(4, 4, kappa=0.5))
-        problems = [p]
         rng = np.random.default_rng(59)
-        for m1, m2 in ((0, 3), (3, 0), (0, 0), (2, 2), (None, None), (None, None)):
-            problems.append(random_problem(rng, m1=m1, m2=m2))
+        # random Q is dense, except that a 1 x 1 Q is diagonal
+        problems = [
+            random_problem(rng, m1=m1, m2=m2)
+            for m1, m2 in ((0, 3), (3, 0), (0, 0), (2, 2), (None, None), (None, None))
+        ]
         problems.append(random_problem(rng, m1=0, definite=False))
-        for q in problems:
+        # a diagonal Q but for one symmetric off-diagonal pair is applied as a full product
+        one_pair = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+        one_pair[1, 3] = one_pair[3, 1] = 1e-3
+        problems.append(_with_q(problems[0], one_pair))
+        diagonal = _diagonal_q_problems()
+        for q in problems + diagonal:
             for mode in Mode:
                 for st in run_with_states(q, SolverConfig(mode=mode, max_iter=25)):
                     E = kkt_residual(q, st.x, st.lambda1, st.lambda2, st.shift)
@@ -312,6 +365,12 @@ class TestRefinement:
                     r1, r2 = constraint_residuals(q, st.x, st.shift)
                     assert st.s1.tobytes() == r1.tobytes()
                     assert st.s2.tobytes() == r2.tobytes()
+        # the solves above applied Q as d * x exactly where Q is diagonal
+        for q in problems + diagonal:
+            d = hieralm.alm._SETUP[q].d
+            assert (d is not None) == (q in diagonal or q.n == 1)
+            if d is not None:
+                assert d.tobytes() == np.diag(q.Q).tobytes()
 
 
 class TestIterateAndSolve:
@@ -535,11 +594,12 @@ class TestIterateAndSolve:
 
     def test_report_is_consistent(self):
         rng = np.random.default_rng(56)
-        p = random_problem(rng, allow_empty=False)
-        report = solve(p)
-        assert report.objective_final == objective_value(p, report.x_final)
-        assert report.trace[-1].k == len(report.trace)
-        assert report.shift_final.s1.shape == (p.m1,)
+        for p in [random_problem(rng, allow_empty=False)] + _diagonal_q_problems():
+            for mode in Mode:
+                report = solve(p, SolverConfig(mode=mode))
+                assert report.objective_final == objective_value(p, report.x_final)
+                assert report.trace[-1].k == len(report.trace)
+                assert report.shift_final.s1.shape == (p.m1,)
 
     def test_modes_agree_on_feasible_instance(self):
         rng = np.random.default_rng(57)

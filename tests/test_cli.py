@@ -205,6 +205,25 @@ class TestConfigFile:
         assert code == 1
         assert "tau must be in (0, 1)" in err
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"max_iter": True}, "max_iter must be an integer, got True"),
+            ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+            ({"rho0": True}, "rho0 must be a real number, got True"),
+        ],
+        ids=["max_iter-bool", "max_iter-float", "rho0-bool"],
+    )
+    def test_mistyped_value_rejected(self, tmp_path, capsys, values, message):
+        # JSON true would otherwise run as 1, and 2.5 as a cap of 3 iterations
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        code, out, err = run_cli(
+            capsys, "solve", "--grid", "3x3", "--kappa", "0.5", "--config", str(cfg_path)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"hieralm: error: {message}\n"
+
     def test_infinite_eta_cap_rejected(self, tmp_path, capsys):
         # 1e999 parses to inf; the sweep reaches k = 352, where an uncapped sigma2 underflows
         cfg_path = tmp_path / "cfg.json"
@@ -271,6 +290,22 @@ class TestOracleCommand:
         code, out, err = run_cli(capsys, "oracle", "--problem", str(path))
         assert (code, out) == (1, "")
         message = rf"hieralm: error: {field}: has length \d+, declared 1000000000000\n"
+        assert re.fullmatch(message, err)
+
+    def test_coo_beyond_physical_memory_is_a_format_error(self, tmp_path, capsys):
+        # c confirms n = 10^6, so the 8 TB dense Q is refused by size, before allocation
+        n = 1_000_000
+        path = tmp_path / "g.json"
+        run_cli(capsys, "gen-grid", "--rows", "2", "--cols", "2", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc.update(n=n, m1=0, m2=0, c=[0] * n, Q=EMPTY_COO, A1=[], b1=[], A2=[], b2=[])
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "oracle", "--problem", str(path))
+        assert (code, out) == (1, "")
+        message = (
+            r"hieralm: error: Q: a dense 1000000x1000000 matrix needs 8000000000000 bytes, "
+            r"more than this machine's \d+ bytes of memory\n"
+        )
         assert re.fullmatch(message, err)
 
 

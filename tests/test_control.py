@@ -48,6 +48,16 @@ class TestSigmaSchedule:
             with pytest.raises(ValueError, match=r"^eta_cap must be finite and >= 1, got "):
                 SigmaSchedule(eta_cap=cap)
 
+    @pytest.mark.parametrize(
+        "name", ["sigma1_0", "sigma1_factor", "sigma2_0", "sigma2_factor", "eta_cap"]
+    )
+    def test_rejects_bool_scalars(self, name):
+        # True would otherwise pass as 1.0
+        for value in (True, np.bool_(True)):
+            with pytest.raises(ValueError) as exc:
+                SigmaSchedule(**{name: value})
+            assert str(exc.value) == f"{name} must be a real number, got {value!r}"
+
     def test_largest_finite_eta_cap_keeps_sigma2_positive(self):
         # sigma2 >= sigma1 / eta_cap > 0 where the cap binds; without a finite
         # cap the scaled sigma2 underflows to 0 from about k = 352

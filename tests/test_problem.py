@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hieralm.problem
 from conftest import make_problem, random_problem
 from hieralm import (
     GridSpec,
@@ -442,6 +443,13 @@ def _coo(rows, cols, values):
     return {"coo": {"rows": rows, "cols": cols, "values": values}}
 
 
+def _unconstrained_with_empty_q(n):
+    """A mutation declaring n, with n zeros in c, an empty COO Q and no constraints."""
+    return lambda d: d.update(
+        n=n, m1=0, m2=0, c=[0] * n, Q=_coo([], [], []), A1=[], b1=[], A2=[], b2=[]
+    )
+
+
 # one fault per file; the message names the first offending entry
 SINGLE_FAULTS = {
     "int-beyond-double": ("c", [10**400, 1.0], "c[0]: non-finite value"),
@@ -506,6 +514,38 @@ class TestLoadErrors:
         with pytest.raises(ProblemFormatError) as exc:
             load_problem(path)
         assert str(exc.value) == message
+
+    def test_coo_beyond_physical_memory_is_refused(self, tmp_path):
+        # c confirms n = 10^6, but the dense Q needs 8 TB; the check runs before any allocation
+        n = 1_000_000
+        path = _write_doc(tmp_path, _unconstrained_with_empty_q(n))
+        with pytest.raises(ProblemFormatError) as exc:
+            load_problem(path)
+        message = str(exc.value)
+        assert message.startswith(
+            "Q: a dense 1000000x1000000 matrix needs 8000000000000 bytes, more than this "
+            "machine's "
+        )
+        assert message.endswith(" bytes of memory") and "\n" not in message
+
+    def test_coo_allocation_failure_is_a_format_error(self, tmp_path, monkeypatch):
+        # where the OS does not report its memory, a failed allocation is the same error
+        zeros = np.zeros
+
+        def failing_zeros(shape, *args, **kwargs):
+            if np.prod(shape) > 10**6:
+                raise MemoryError("Unable to allocate")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(hieralm.problem, "_physical_memory", lambda: None)
+        monkeypatch.setattr(np, "zeros", failing_zeros)
+        n = 2_000
+        path = _write_doc(tmp_path, _unconstrained_with_empty_q(n))
+        with pytest.raises(ProblemFormatError) as exc:
+            load_problem(path)
+        assert str(exc.value) == (
+            "Q: a dense 2000x2000 matrix needs 32000000 bytes, which could not be allocated"
+        )
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemFormatError, match="cannot read"):
