@@ -10,7 +10,6 @@ from .alm import (
     SolverConfig,
     Status,
     SubproblemUnboundedError,
-    augmented_lagrangian_value,
     iterate,
     kkt_residual,
     project_box,
@@ -60,7 +59,6 @@ __all__ = [
     "SubproblemUnboundedError",
     "approximate_shift",
     "approximate_shift_sequence",
-    "augmented_lagrangian_value",
     "build_instance",
     "constraint_residuals",
     "grid_incidence",

@@ -17,14 +17,14 @@ range-space solve); every iteration then costs O(n^2 + nm) and forms no n x n
 matrix, whatever the penalty: one product with Q, five passes over A (two for
 the right-hand side, A x and A'(A x) for the residual check, A'lambda for E)
 and one over the SVD factor V. For a diagonal Q, such as every grid instance's
-q I, the product is O(n): the diagonal d is kept with the factors and Q x is
-formed as d * x, which has the dense product's bits. Q x and A x are formed
-once, at the accepted x, and shared between the residual check, the constraint
+q I, the instance says so (``ProblemData.q_diagonal``) and the product is the
+O(n) d * x, which has the dense product's bits. Q x and A x are formed once,
+at the accepted x, and shared between the residual check, the constraint
 residuals and E; a refinement pass (two triangular solves with the n x n factor)
-runs only when the first pass misses its bound. Those factors, the diagonal and
-the check of Q depend on the instance alone, so they are built on the first
-solve of a ProblemData and reused by every later solve of it, in any mode or
-config, until the instance is garbage collected. The cache retains about
+runs only when the first pass misses its bound. Those factors and the check of
+Q depend on the instance alone, so they are built on the first solve of a
+ProblemData and reused by every later solve of it, in any mode or config,
+until the instance is garbage collected. The cache retains about
 n^2 + nm + m^2 doubles per live instance: about 25 MB at the 20x20 grid, 128 MB
 at 30x30.
 """
@@ -41,10 +41,13 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import cho_factor, cho_solve, norm, solve_triangular, svd
 
-from .control import SigmaSchedule, _require_real, approximate_shift, hierarchical_shift, sigma_at
+from .control import (
+    SigmaSchedule, _is_real, _require_real, approximate_shift, hierarchical_shift, sigma_at
+)
 from .problem import (
     HierarchicalShift,
     ProblemData,
+    _q_times,
     constraint_residuals,
     objective_value,
     validate_problem,
@@ -59,7 +62,6 @@ __all__ = [
     "Status",
     "SubproblemUnboundedError",
     "TRACE_FIELDS",
-    "augmented_lagrangian_value",
     "iterate",
     "kkt_residual",
     "project_box",
@@ -122,7 +124,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         _require_real(self, ("tau", "gamma", "rho0", "u0", "kkt_tol", "rho_cap"))
         for name in ("box1_lo", "box1_hi", "box2_lo", "box2_hi"):
-            if isinstance(v := getattr(self, name), (bool, np.bool_)):
+            v = getattr(self, name)
+            # tolist() makes numpy scalars Python ones, so a bool array is caught too
+            cells = v.tolist() if isinstance(v, np.ndarray) else v
+            if not all(map(_is_real, cells if isinstance(cells, (list, tuple)) else [cells])):
                 raise ValueError(f"{name} must be a real number or a vector, got {v!r}")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
@@ -203,24 +208,6 @@ class SolveReport:
     objective_final: float
 
 
-def augmented_lagrangian_value(
-    p: ProblemData,
-    x: np.ndarray,
-    lambda1_hat: np.ndarray,
-    lambda2_hat: np.ndarray,
-    rho: float,
-    shift: HierarchicalShift,
-) -> float:
-    """Evaluate the shifted augmented Lagrangian at x."""
-    r1, r2 = constraint_residuals(p, x, shift)
-    return float(
-        objective_value(p, x)
-        + lambda1_hat @ r1
-        + lambda2_hat @ r2
-        + 0.5 * rho * (r1 @ r1 + r2 @ r2)
-    )
-
-
 def project_box(v: np.ndarray, lo, hi) -> np.ndarray:
     """Componentwise projection onto [lo, hi]; bounds broadcast against v."""
     lo = np.asarray(lo, dtype=float)
@@ -248,7 +235,7 @@ def kkt_residual(
     one of its terms does.
     """
     r1, r2 = constraint_residuals(p, x, shift)
-    return _kkt_value(p, p.Q @ x, lambda1, lambda2, r1, r2)
+    return _kkt_value(p, _q_times(p, x), lambda1, lambda2, r1, r2)
 
 
 def _kkt_value(p: ProblemData, qx, lambda1, lambda2, r1, r2) -> float:
@@ -313,12 +300,9 @@ class _Products(NamedTuple):
     a2x: np.ndarray
 
 
-def _residual_norm(p: ProblemData, d, x, rho: float, rhs) -> tuple[float, _Products]:
-    """||Q x + rho (A1'(A1 x) + A2'(A2 x)) - rhs||, and the products it formed.
-
-    ``d`` is Q's diagonal when Q is diagonal, else None; see ``_RangeSpace``.
-    """
-    prod = _Products(p.Q @ x if d is None else d * x, p.A1 @ x, p.A2 @ x)
+def _residual_norm(p: ProblemData, x, rho: float, rhs) -> tuple[float, _Products]:
+    """||Q x + rho (A1'(A1 x) + A2'(A2 x)) - rhs||, and the products it formed."""
+    prod = _Products(_q_times(p, x), p.A1 @ x, p.A2 @ x)
     return _nrm2(prod.qx + rho * (p.A1.T @ prod.a1x + p.A2.T @ prod.a2x) - rhs), prod
 
 
@@ -335,20 +319,13 @@ class _RangeSpace:
     The second form carries the rho-sized part of the right-hand side, so rho
     cancels in it exactly. ``factor`` is None when Q~ is not positive definite,
     that is when null(Q) and null(A) meet and every H(rho) is singular.
-    ``q_warning`` is validate_problem's verdict on Q. ``d`` is Q's diagonal (n
-    doubles) when every off-diagonal entry of Q is zero, else None, whether or
-    not Q~ factors; each solve then forms Q x as d * x in O(n), not as an O(n^2)
-    product. For finite x the two agree bit for bit up to the sign of a zero,
-    since the off-diagonal terms add exact zeros. Nothing here refers to the
+    ``q_warning`` is validate_problem's verdict on Q. Nothing here refers to the
     instance itself, so a cached entry never keeps its weak key alive;
     :meth:`solve` takes the instance as an argument instead.
     """
 
     def __init__(self, p: ProblemData, q_warning: str | None):
         self.q_warning = q_warning
-        diag = p.Q.diagonal()
-        # count_nonzero counts a -0.0 off-diagonal cell as zero
-        self.d = diag.copy() if np.count_nonzero(p.Q) == np.count_nonzero(diag) else None
         A = p.A  # a fresh copy, which the triangular solve below overwrites with R^-T A'
         G = A.T @ A
         G += p.Q  # symmetric, so G.T is the F-ordered Q~ that cho_factor overwrites with R'
@@ -395,7 +372,7 @@ class _RangeSpace:
             )
             x = self.x_c + self.V @ (shrink * self.h_c + self.sig * (self.Ut @ v) / den)
             # the check's Q x and A x also serve a refinement and the caller
-            grad_norm, prod = _residual_norm(p, self.d, x, rho, rhs)
+            grad_norm, prod = _residual_norm(p, x, rho, rhs)
             if grad_norm <= bound:
                 return x, grad_norm, prod
             logger.debug("subproblem refines: residual %.3e > bound %.3e", grad_norm, bound)
@@ -410,7 +387,7 @@ class _RangeSpace:
                 + cho_solve(self.factor, g, check_finite=False)
                 + self.V @ (shrink * (self.V.T @ g) + self.sig * (self.Ut @ w) / den)
             )
-            grad_norm, prod = _residual_norm(p, self.d, x, rho, rhs)
+            grad_norm, prod = _residual_norm(p, x, rho, rhs)
             if grad_norm <= bound:
                 return x, grad_norm, prod
             logger.debug(
@@ -425,7 +402,7 @@ class _RangeSpace:
         # singular (or numerically indefinite) system: minimum-norm solution if consistent
         H = p.Q + rho * (p.A1.T @ p.A1 + p.A2.T @ p.A2)
         x, *_ = np.linalg.lstsq(H, rhs, rcond=None)
-        grad_norm, prod = _residual_norm(p, self.d, x, rho, rhs)
+        grad_norm, prod = _residual_norm(p, x, rho, rhs)
         if grad_norm > bound:
             raise SubproblemUnboundedError(
                 "subproblem unbounded below: singular system is inconsistent "
@@ -483,14 +460,15 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
         lambda2 = lambda2_hat + rho * s2
         lambda1_hat_new = project_box(lambda1, cfg.box1_lo, cfg.box1_hi)
         lambda2_hat_new = project_box(lambda2, cfg.box2_lo, cfg.box2_hi)
-        u_new = float(np.linalg.norm(s1) + np.linalg.norm(s2))
+        norm_s1, norm_s2 = np.linalg.norm(s1), np.linalg.norm(s2)
+        u_new = float(norm_s1 + norm_s2)
         rho_new = update_penalty(u_new, u, rho, cfg.tau, cfg.gamma)
 
         record = IterationRecord(
             k=k + 1,
             E=_kkt_value(p, prod.qx, lambda1, lambda2, s1, s2),
-            norm_s1=float(np.linalg.norm(s1)),
-            norm_s2=float(np.linalg.norm(s2)),
+            norm_s1=float(norm_s1),
+            norm_s2=float(norm_s2),
             r1=float(np.linalg.norm(shift.s1 - s1_star)),
             r2=float(np.linalg.norm(shift.s2 - s2_star)),
             rho=rho_new,
@@ -558,9 +536,6 @@ def solve(p: ProblemData, cfg: SolverConfig | None = None) -> SolveReport:
             status = Status.MAX_ITER
             break
     assert last is not None
-    d, x = _SETUP[p].d, last.x
-    # objective_value's operations on a diagonal Q, in O(n)
-    objective = objective_value(p, x) if d is None else float((0.5 * x * d) @ x + p.c @ x)
     logger.info(
         "%s after %d iterations (E=%.3e)", status.value, last.record.k, last.record.E
     )
@@ -569,5 +544,5 @@ def solve(p: ProblemData, cfg: SolverConfig | None = None) -> SolveReport:
         x_final=last.x,
         trace=tuple(records),
         shift_final=last.shift,
-        objective_final=objective,
+        objective_final=objective_value(p, last.x),
     )

@@ -7,7 +7,8 @@ along the weight schedule, and ``compare`` runs both solver modes side by side.
 The HIERALM_LOG environment variable (error, warn, info, debug) sets verbosity.
 
 Exit codes for solve: 0 Converged, 2 MaxIter, 3 DivergenceSuspected; compare
-exits with the infeasibility-control run's code; any usage or file error exits 1.
+exits with the infeasibility-control run's code; any usage or file error, and a
+subproblem with no finite minimum, exits 1.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .alm import (
     SolveReport,
     SolverConfig,
     Status,
+    SubproblemUnboundedError,
     solve,
 )
 from .control import SigmaSchedule, approximate_shift, hierarchical_shift, sigma_at
@@ -404,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(_run_spec(args))
         raise CliError(f"unknown command {args.command!r}")
-    except (CliError, ProblemFormatError, ValueError, OSError) as exc:
+    except (CliError, ProblemFormatError, ValueError, OSError, SubproblemUnboundedError) as exc:
         print(f"hieralm: error: {exc}", file=sys.stderr)
         return 1
 

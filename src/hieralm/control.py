@@ -120,11 +120,15 @@ class SigmaSchedule:
 
 
 def _require_real(obj, names: tuple[str, ...]) -> None:
-    """Each named field must be a real number and not a bool, which would pass as 0 or 1."""
+    """Each named field must be a real number (see :func:`_is_real`)."""
     for name in names:
-        v = getattr(obj, name)
-        if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
+        if not _is_real(v := getattr(obj, name)):
             raise ValueError(f"{name} must be a real number, got {v!r}")
+
+
+def _is_real(v) -> bool:
+    """A real number and not a bool, which would pass as 0 or 1."""
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
 
 
 def _power(base: float, scale: float, k: int) -> float:

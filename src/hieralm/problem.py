@@ -88,10 +88,10 @@ class ProblemData:
     An instance is its own identity: it hashes and compares by ``id``, so two
     instances with equal arrays are different keys. Work derived from the data
     is cached against the instance until it is garbage collected: ``left_null``
-    here, and in :mod:`hieralm.alm` the check of Q and the solver's factors
-    (about n^2 + nm + m^2 doubles, 25 MB at the 20x20 grid). That is sound only
-    because the arrays are read-only and never change after construction; code
-    that forces them writable breaks that contract.
+    and ``q_diagonal`` here, and in :mod:`hieralm.alm` the check of Q and the
+    solver's factors (about n^2 + nm + m^2 doubles, 25 MB at the 20x20 grid).
+    That is sound only because the arrays are read-only and never change after
+    construction; code that forces them writable breaks that contract.
 
     Raises:
         ValueError: If a matrix is not 2-D or a vector not 1-D; or, naming every
@@ -182,6 +182,17 @@ class ProblemData:
         N.flags.writeable = False
         return N
 
+    @cached_property
+    def q_diagonal(self) -> np.ndarray | None:
+        """Q's diagonal d, a read-only view, if no entry off it is nonzero; else None.
+
+        Every Q x is then the O(n) d * x, which for finite x has the bits of
+        Q @ x up to the sign of a zero: the off-diagonal terms add exact zeros.
+        """
+        d = self.Q.diagonal()
+        # count_nonzero counts a -0.0 off-diagonal cell as zero
+        return d if np.count_nonzero(self.Q) == np.count_nonzero(d) else None
+
 
 class ProblemFormatError(ValueError):
     """Raised when an instance file cannot be parsed into a ProblemData."""
@@ -242,11 +253,19 @@ def validate_problem(p: ProblemData) -> str | None:
 
 
 def objective_value(p: ProblemData, x: np.ndarray) -> float:
-    """Evaluate 0.5 x'Qx + c'x."""
+    """Evaluate 0.5 x'Qx + c'x, in O(n) for a diagonal Q."""
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({p.n},)")
-    return float(0.5 * x @ p.Q @ x + p.c @ x)
+    d = p.q_diagonal
+    half_qx = 0.5 * x @ p.Q if d is None else 0.5 * x * d
+    return float(half_qx @ x + p.c @ x)
+
+
+def _q_times(p: ProblemData, x: np.ndarray) -> np.ndarray:
+    """Q x, formed as d * x when Q is diagonal (see ``ProblemData.q_diagonal``)."""
+    d = p.q_diagonal
+    return p.Q @ x if d is None else d * x
 
 
 def constraint_residuals(

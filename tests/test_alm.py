@@ -27,7 +27,6 @@ from hieralm import (
     SolverConfig,
     Status,
     SubproblemUnboundedError,
-    augmented_lagrangian_value,
     build_instance,
     constraint_residuals,
     hierarchical_shift,
@@ -139,6 +138,20 @@ class TestSolverConfig:
             ({name: value}, f"{name} must be a real number, got {value!r}")
             for name in ("tau", "gamma", "rho0", "u0", "kkt_tol", "rho_cap")
             for value in (True, False, np.bool_(True), "0.5")
+        ]
+        # strings, objects, bools and 2-D shapes in a box bound
+        + [
+            ({name: value}, f"{name} must be a real number or a vector, got {value!r}")
+            for name, value in (
+                ("box1_lo", {}),
+                ("box1_lo", "1"),
+                ("box1_hi", [0.0, "1"]),
+                ("box2_lo", [-1.0, True]),
+                ("box2_lo", [[-1.0]]),
+                ("box2_hi", np.array([True, False])),
+                ("box2_hi", np.ones((1, 2))),
+                ("box1_hi", np.array(["1"])),
+            )
         ],
     )
     def test_rejects_mistyped_values(self, kwargs, message):
@@ -150,6 +163,12 @@ class TestSolverConfig:
     def test_accepts_numpy_scalars(self):
         cfg = SolverConfig(max_iter=np.int64(3), tau=np.float32(0.25), rho0=np.int32(2))
         assert (cfg.max_iter, cfg.tau, cfg.rho0) == (3, 0.25, 2)
+
+    def test_accepts_real_box_bounds(self):
+        # scalars of any real type, and 1-D lists, tuples and arrays of them
+        SolverConfig(box1_lo=[-1, -2.5], box1_hi=(1, np.float64(2.0)))
+        SolverConfig(box2_lo=np.float32(-1.0), box2_hi=np.array([1, 2]))
+        SolverConfig(box1_lo=np.array(-1.0), box2_hi=[])
 
     def test_rejects_nan_box_bounds(self):
         nan = float("nan")
@@ -188,40 +207,6 @@ class TestUpdateRules:
 
     def test_penalty_grows_on_stall(self):
         assert update_penalty(5.0, 10.0, 2.0, 0.1, 5.0) == 10.0
-
-
-class TestAugmentedLagrangianValue:
-    def test_frozen_scalar_case(self):
-        # f = 2, multiplier term 3 * 2 = 6, penalty term (2/2) * 4 = 4
-        p = make_problem(Q=np.eye(1), c=[0.0], A1=[[1.0]], b1=[0.0])
-        val = augmented_lagrangian_value(
-            p,
-            np.array([2.0]),
-            np.array([3.0]),
-            np.zeros(0),
-            2.0,
-            HierarchicalShift.zero(1, 0),
-        )
-        assert val == pytest.approx(12.0, abs=1e-12)
-
-    def test_matches_manual_formula(self):
-        rng = np.random.default_rng(51)
-        p = random_problem(rng, allow_empty=False)
-        x = rng.uniform(-1.0, 1.0, p.n)
-        l1 = rng.uniform(-1.0, 1.0, p.m1)
-        l2 = rng.uniform(-1.0, 1.0, p.m2)
-        shift = hierarchical_shift(p).shift
-        rho = 3.0
-        r1 = p.A1 @ x - p.b1 + shift.s1
-        r2 = p.A2 @ x - p.b2 + shift.s2
-        manual = (
-            objective_value(p, x)
-            + l1 @ r1
-            + l2 @ r2
-            + 0.5 * rho * (r1 @ r1 + r2 @ r2)
-        )
-        got = augmented_lagrangian_value(p, x, l1, l2, rho, shift)
-        assert got == pytest.approx(manual, rel=1e-12)
 
 
 class TestKktResidual:
@@ -365,12 +350,13 @@ class TestRefinement:
                     r1, r2 = constraint_residuals(q, st.x, st.shift)
                     assert st.s1.tobytes() == r1.tobytes()
                     assert st.s2.tobytes() == r2.tobytes()
-        # the solves above applied Q as d * x exactly where Q is diagonal
+        # the instance, and so every product above, treats Q as d * x exactly where Q is diagonal
         for q in problems + diagonal:
-            d = hieralm.alm._SETUP[q].d
+            d = q.q_diagonal
             assert (d is not None) == (q in diagonal or q.n == 1)
             if d is not None:
                 assert d.tobytes() == np.diag(q.Q).tobytes()
+                assert np.shares_memory(d, q.Q) and not d.flags.writeable
 
 
 class TestIterateAndSolve:

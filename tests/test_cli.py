@@ -13,10 +13,12 @@ import hieralm.alm
 from hieralm import (
     TRACE_FIELDS,
     GridSpec,
+    ProblemData,
     SolverConfig,
     build_instance,
     hierarchical_shift,
     load_problem,
+    save_problem,
     solve,
 )
 from hieralm.cli import main
@@ -211,8 +213,10 @@ class TestConfigFile:
             ({"max_iter": True}, "max_iter must be an integer, got True"),
             ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
             ({"rho0": True}, "rho0 must be a real number, got True"),
+            ({"box1_lo": {}}, "box1_lo must be a real number or a vector, got {}"),
+            ({"box1_lo": "1"}, "box1_lo must be a real number or a vector, got '1'"),
         ],
-        ids=["max_iter-bool", "max_iter-float", "rho0-bool"],
+        ids=["max_iter-bool", "max_iter-float", "rho0-bool", "box-object", "box-string"],
     )
     def test_mistyped_value_rejected(self, tmp_path, capsys, values, message):
         # JSON true would otherwise run as 1, and 2.5 as a cap of 3 iterations
@@ -241,6 +245,24 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "solve", "--grid", "3x3", "--config", str(cfg_path))
         assert code == 1
         assert "invalid JSON" in err
+
+
+class TestUnboundedSubproblem:
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_one_error_line(self, tmp_path, capsys, command):
+        # Q = 0 and c = (0, 1): x2 is free and lowers the objective without bound
+        path = tmp_path / "unbounded.json"
+        save_problem(
+            ProblemData(Q=np.zeros((2, 2)), c=[0.0, 1.0], A1=[[1.0, 0.0]], b1=[0.0],
+                        A2=np.zeros((0, 2)), b2=[]),
+            path,
+        )
+        code, out, err = run_cli(capsys, command, "--problem", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "hieralm: error: iteration 1: subproblem unbounded below: singular system is "
+            "inconsistent (residual 1.000e+00 > 2.000e-10)\n"
+        )
 
 
 class TestOracleCommand:
