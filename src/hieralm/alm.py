@@ -18,15 +18,18 @@ matrix, whatever the penalty: one product with Q, five passes over A (two for
 the right-hand side, A x and A'(A x) for the residual check, A'lambda for E)
 and one over the SVD factor V. For a diagonal Q, such as every grid instance's
 q I, the instance says so (``ProblemData.q_diagonal``) and the product is the
-O(n) d * x, which has the dense product's bits. Q x and A x are formed once,
-at the accepted x, and shared between the residual check, the constraint
-residuals and E; a refinement pass (two triangular solves with the n x n factor)
-runs only when the first pass misses its bound. Those factors and the check of
-Q depend on the instance alone, so they are built on the first solve of a
-ProblemData and reused by every later solve of it, in any mode or config,
-until the instance is garbage collected. The cache retains about
-n^2 + nm + m^2 doubles per live instance: about 25 MB at the 20x20 grid, 128 MB
-at 30x30.
+O(n) d * x, which has the dense product's bits. For a sparse A, such as every
+grid's incidence matrix, the instance keeps CSR copies (``ProblemData.a_csr``):
+the passes over A and the setup's A'A then cost O(nnz(A)), an iteration with a
+diagonal Q O(nnz(A) + nm), and a product's last bits can differ from dense.
+Q x and A x are formed once, at the accepted x, and shared between the residual
+check, the constraint residuals and E; a refinement pass (two triangular solves
+with the n x n factor) runs only when the first pass misses its bound. Those
+factors and the check of Q depend on the instance alone, so they are built on
+the first solve of a ProblemData and reused by every later solve of it, in any
+mode or config, until the instance is garbage collected. The cache retains
+about n^2 + nm + m^2 doubles per live instance: about 25 MB at the 20x20 grid,
+128 MB at 30x30.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .control import (
 from .problem import (
     HierarchicalShift,
     ProblemData,
+    _a_operators,
     _q_times,
     constraint_residuals,
     objective_value,
@@ -146,7 +150,12 @@ class SolverConfig:
             (self.box1_lo, self.box1_hi, "box1"),
             (self.box2_lo, self.box2_hi, "box2"),
         ):
-            if not np.all(np.asarray(lo, dtype=float) <= np.asarray(hi, dtype=float)):
+            lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+            if lo.ndim == hi.ndim == 1 and lo.shape != hi.shape:
+                raise ValueError(
+                    f"{name}_lo and {name}_hi differ in length: {lo.size} and {hi.size}"
+                )
+            if not np.all(lo <= hi):
                 raise ValueError(f"{name} is empty (lo > hi) or has a NaN bound")
         if not isinstance(self.mode, Mode):
             raise ValueError(f"mode must be a Mode, got {self.mode!r}")
@@ -239,7 +248,8 @@ def kkt_residual(
 
 
 def _kkt_value(p: ProblemData, qx, lambda1, lambda2, r1, r2) -> float:
-    grad = qx + p.c + p.A1.T @ lambda1 + p.A2.T @ lambda2
+    _, A1t, _, A2t = _a_operators(p)
+    grad = qx + p.c + A1t @ lambda1 + A2t @ lambda2
     return _nrm2(grad) + _nrm2(r1) + _nrm2(r2)
 
 
@@ -302,8 +312,9 @@ class _Products(NamedTuple):
 
 def _residual_norm(p: ProblemData, x, rho: float, rhs) -> tuple[float, _Products]:
     """||Q x + rho (A1'(A1 x) + A2'(A2 x)) - rhs||, and the products it formed."""
-    prod = _Products(_q_times(p, x), p.A1 @ x, p.A2 @ x)
-    return _nrm2(prod.qx + rho * (p.A1.T @ prod.a1x + p.A2.T @ prod.a2x) - rhs), prod
+    A1, A1t, A2, A2t = _a_operators(p)
+    prod = _Products(_q_times(p, x), A1 @ x, A2 @ x)
+    return _nrm2(prod.qx + rho * (A1t @ prod.a1x + A2t @ prod.a2x) - rhs), prod
 
 
 class _RangeSpace:
@@ -327,7 +338,9 @@ class _RangeSpace:
     def __init__(self, p: ProblemData, q_warning: str | None):
         self.q_warning = q_warning
         A = p.A  # a fresh copy, which the triangular solve below overwrites with R^-T A'
-        G = A.T @ A
+        A1, A1t, A2, A2t = _a_operators(p)
+        # from CSR blocks in O(nnz) work, with the dense bits on the grids: their sums are exact
+        G = A.T @ A if p.a_csr is None else (A1t @ A1 + A2t @ A2).toarray()
         G += p.Q  # symmetric, so G.T is the F-ordered Q~ that cho_factor overwrites with R'
         try:
             self.factor = cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
@@ -355,11 +368,12 @@ class _RangeSpace:
         The tries are the range-space pass, that pass refined once, and lstsq on
         the formed H; each runs only when the one before it misses.
         """
+        _, A1t, _, A2t = _a_operators(p)
         rhs = (
             -p.c
-            - p.A1.T @ lambda1_hat
-            - p.A2.T @ lambda2_hat
-            + rho * (p.A1.T @ (p.b1 - shift.s1) + p.A2.T @ (p.b2 - shift.s2))
+            - A1t @ lambda1_hat
+            - A2t @ lambda2_hat
+            + rho * (A1t @ (p.b1 - shift.s1) + A2t @ (p.b2 - shift.s2))
         )
         # BLAS nrm2 scales as it sums, so a rho-sized rhs cannot make the bound inf
         bound = 1e-10 * (1.0 + _nrm2(rhs))

@@ -87,9 +87,11 @@ class ProblemData:
 
     An instance is its own identity: it hashes and compares by ``id``, so two
     instances with equal arrays are different keys. Work derived from the data
-    is cached against the instance until it is garbage collected: ``left_null``
-    and ``q_diagonal`` here, and in :mod:`hieralm.alm` the check of Q and the
-    solver's factors (about n^2 + nm + m^2 doubles, 25 MB at the 20x20 grid).
+    is cached against the instance until it is garbage collected: ``left_null``,
+    ``q_diagonal`` and ``a_csr`` (for a sparse A, CSR copies of both blocks and
+    their transposes, 24 nnz(A) + 4 (m + 2n) bytes: 87 KB at the 20x20 grid)
+    here, and in :mod:`hieralm.alm` the check of Q and the solver's factors
+    (about n^2 + nm + m^2 doubles, 25 MB at the 20x20 grid).
     That is sound only because the arrays are read-only and never change after
     construction; code that forces them writable breaks that contract.
 
@@ -193,6 +195,24 @@ class ProblemData:
         # count_nonzero counts a -0.0 off-diagonal cell as zero
         return d if np.count_nonzero(self.Q) == np.count_nonzero(d) else None
 
+    @cached_property
+    def a_csr(self) -> tuple | None:
+        """Read-only CSR copies (A1, A1', A2, A2') if A is sparse; else None.
+
+        A is sparse when nnz(A1) + nnz(A2) <= _COO_DENSITY m n, the rule by which
+        instance files store a matrix as COO. A CSR row adds its nonzeros in
+        another order than a dense product, so a product's last bits can differ.
+        """
+        if np.count_nonzero(self.A1) + np.count_nonzero(self.A2) > _COO_DENSITY * self.m * self.n:
+            return None
+        from scipy.sparse import csr_array  # here, so that importing hieralm does not load it
+
+        copies = tuple(csr_array(a) for a in (self.A1, self.A1.T, self.A2, self.A2.T))
+        for csr in copies:
+            for arr in (csr.data, csr.indices, csr.indptr):
+                arr.flags.writeable = False
+        return copies
+
 
 class ProblemFormatError(ValueError):
     """Raised when an instance file cannot be parsed into a ProblemData."""
@@ -268,6 +288,12 @@ def _q_times(p: ProblemData, x: np.ndarray) -> np.ndarray:
     return p.Q @ x if d is None else d * x
 
 
+def _a_operators(p: ProblemData) -> tuple:
+    """(A1, A1', A2, A2') for every A product: the CSR copies when A is sparse, else dense."""
+    csr = p.a_csr
+    return (p.A1, p.A1.T, p.A2, p.A2.T) if csr is None else csr
+
+
 def constraint_residuals(
     p: ProblemData, x: np.ndarray, shift: HierarchicalShift | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -275,8 +301,9 @@ def constraint_residuals(
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({p.n},)")
-    r1 = p.A1 @ x - p.b1
-    r2 = p.A2 @ x - p.b2
+    A1, _, A2, _ = _a_operators(p)
+    r1 = A1 @ x - p.b1
+    r2 = A2 @ x - p.b2
     if shift is not None:
         if shift.s1.shape != (p.m1,) or shift.s2.shape != (p.m2,):
             raise ValueError(

@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 import hieralm.alm
+import hieralm.problem
 
 from conftest import (
     assert_exact_bookkeeping,
@@ -88,6 +89,50 @@ def _diagonal_q_problems() -> list[ProblemData]:
         _with_q(random_problem(rng, n=4, m1=0, m2=3), np.diag([1.0, 5e-324, 2.0, 1e-310])),
         _with_q(random_problem(rng, n=3, m1=2, m2=0), negative_zeros),
         make_problem(Q=np.diag([1.0, 0.0]), c=[-1.0, 0.0]),
+    ]
+
+
+def _sparse_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """An m x n matrix with two nonzeros, uniform in [-2, 2], in each row."""
+    A = np.zeros((m, n))
+    for row in A:
+        row[rng.choice(n, 2, replace=False)] = rng.uniform(-2.0, 2.0, 2)
+    return A
+
+
+def _with_sparse_a(rng: np.random.Generator, n: int, m1: int, m2: int) -> ProblemData:
+    """random_problem's Q, c and b with _sparse_rows' A, sparse by the COO rule for n >= 8."""
+    p = random_problem(rng, n=n, m1=m1, m2=m2)
+    A1, A2 = _sparse_rows(rng, m1, n), _sparse_rows(rng, m2, n)
+    return ProblemData(Q=p.Q, c=p.c, A1=A1, b1=p.b1, A2=A2, b2=p.b2)
+
+
+def _forced_dense(p: ProblemData) -> ProblemData:
+    """The same arrays in a new instance whose A products take the dense path."""
+    q = ProblemData(Q=p.Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
+    vars(q)["a_csr"] = None  # fills the cached_property before its first read
+    return q
+
+
+def _sparse_a_problems() -> list[ProblemData]:
+    """Instances whose A is sparse by the COO rule; a solve applies it through CSR copies.
+
+    A grid instance; random sparse A with both blocks, with m1 = 0 and with
+    m2 = 0; and one whose A holds a -0.0 cell, which counts as zero.
+    """
+    rng = np.random.default_rng(61)
+    negative_zero = _with_sparse_a(rng, 10, 3, 2)
+    A1 = negative_zero.A1.copy()
+    A1[0, np.flatnonzero(A1[0] == 0.0)[0]] = -0.0
+    return [
+        build_instance(GridSpec(3, 3, kappa=0.5))[0],
+        _with_sparse_a(rng, 10, 3, 2),
+        _with_sparse_a(rng, 10, 0, 4),
+        _with_sparse_a(rng, 10, 4, 0),
+        ProblemData(
+            Q=negative_zero.Q, c=negative_zero.c, A1=A1, b1=negative_zero.b1,
+            A2=negative_zero.A2, b2=negative_zero.b2,
+        ),
     ]
 
 
@@ -169,6 +214,17 @@ class TestSolverConfig:
         SolverConfig(box1_lo=[-1, -2.5], box1_hi=(1, np.float64(2.0)))
         SolverConfig(box2_lo=np.float32(-1.0), box2_hi=np.array([1, 2]))
         SolverConfig(box1_lo=np.array(-1.0), box2_hi=[])
+
+    def test_rejects_box_bounds_of_different_lengths(self):
+        # numpy's own broadcast error would name neither the field nor the lengths
+        with pytest.raises(ValueError) as exc:
+            SolverConfig(box1_lo=[0.0, 0.0], box1_hi=[1.0, 1.0, 1.0])
+        assert str(exc.value) == "box1_lo and box1_hi differ in length: 2 and 3"
+        with pytest.raises(ValueError) as exc:
+            SolverConfig(box2_lo=np.array([-1.0]), box2_hi=np.array([1.0, 1.0]))
+        assert str(exc.value) == "box2_lo and box2_hi differ in length: 1 and 2"
+        # a scalar against a vector still broadcasts
+        SolverConfig(box1_lo=0.0, box1_hi=[1.0, 1.0, 1.0])
 
     def test_rejects_nan_box_bounds(self):
         nan = float("nan")
@@ -342,7 +398,8 @@ class TestRefinement:
         one_pair[1, 3] = one_pair[3, 1] = 1e-3
         problems.append(_with_q(problems[0], one_pair))
         diagonal = _diagonal_q_problems()
-        for q in problems + diagonal:
+        sparse = _sparse_a_problems()
+        for q in problems + diagonal + sparse:
             for mode in Mode:
                 for st in run_with_states(q, SolverConfig(mode=mode, max_iter=25)):
                     E = kkt_residual(q, st.x, st.lambda1, st.lambda2, st.shift)
@@ -357,6 +414,71 @@ class TestRefinement:
             if d is not None:
                 assert d.tobytes() == np.diag(q.Q).tobytes()
                 assert np.shares_memory(d, q.Q) and not d.flags.writeable
+        # and applies A through CSR copies exactly where A is sparse; the
+        # grid and the empty-A instances are sparse too
+        for q in problems + diagonal + sparse:
+            expected = q in sparse or q is diagonal[0] or q.m == 0
+            assert (q.a_csr is not None) == expected
+
+
+class TestSparseA:
+    """A sparse A is applied through read-only CSR copies that the instance keeps."""
+
+    def test_decision_follows_the_coo_rule(self):
+        # m = 2, n = 8: at most _COO_DENSITY * m * n = 4 nonzeros is sparse,
+        # and a -0.0 cell counts as zero
+        limit = int(hieralm.problem._COO_DENSITY * 2 * 8)
+        A = np.zeros((2, 8))
+        A[0, :limit] = 1.0
+        A[1, -1] = -0.0
+
+        def instance():
+            return make_problem(
+                Q=np.eye(8), c=np.zeros(8), A1=A[:1], b1=[0.0], A2=A[1:], b2=[0.0]
+            )
+
+        assert instance().a_csr is not None
+        A[1, -2] = 1.0
+        assert instance().a_csr is None
+
+    def test_copies_are_read_only_and_dense_a_takes_none(self):
+        p = _sparse_a_problems()[1]
+        copies = p.a_csr
+        assert p.a_csr is copies
+        for csr, dense in zip(copies, (p.A1, p.A1.T, p.A2, p.A2.T)):
+            assert csr.format == "csr"
+            assert np.array_equal(csr.toarray(), dense)
+            assert not any(a.flags.writeable for a in (csr.data, csr.indices, csr.indptr))
+        with pytest.raises(ValueError):
+            copies[0].data[0] = 1.0
+        dense = random_problem(np.random.default_rng(63), n=4, m1=2, m2=2)
+        solve(dense)
+        assert dense.a_csr is None
+
+    def test_sparse_path_matches_dense_path(self):
+        # infeasible instances (m > n): standard mode diverges on all three, control
+        # mode converges on the last two; the CSR products add in another order
+        # than dgemv, so x moves by round-off
+        rng = np.random.default_rng(62)
+        for _ in range(3):
+            p = _with_sparse_a(rng, 30, 20, 16)
+            q = _forced_dense(p)
+            assert p.a_csr is not None and q.a_csr is None
+            for mode in Mode:
+                cfg = SolverConfig(mode=mode)
+                a, b = solve(p, cfg), solve(q, cfg)
+                assert a.status is b.status
+                assert [r.rho for r in a.trace] == [r.rho for r in b.trace]
+                scale = np.abs(b.x_final).max()
+                assert np.abs(a.x_final - b.x_final).max() <= 1e-12 * scale
+
+    def test_setup_gram_from_csr_matches_dense_on_a_grid(self):
+        # every entry of a grid's A is 0 or +-1, so every sum in A'A is exact
+        p = build_instance(GridSpec(4, 4, kappa=0.5))[0]
+        q = _forced_dense(p)
+        sparse, dense = hieralm.alm._setup(p), hieralm.alm._setup(q)
+        assert np.array_equal(sparse.factor[0], dense.factor[0])
+        assert np.array_equal(sparse.V, dense.V)
 
 
 class TestIterateAndSolve:

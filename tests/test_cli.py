@@ -228,6 +228,15 @@ class TestConfigFile:
         assert (code, out) == (1, "")
         assert err == f"hieralm: error: {message}\n"
 
+    def test_box_bounds_of_different_lengths_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"box1_lo": [0.0, 0.0], "box1_hi": [1.0, 1.0, 1.0]}))
+        code, out, err = run_cli(
+            capsys, "solve", "--grid", "3x3", "--kappa", "0.5", "--config", str(cfg_path)
+        )
+        assert (code, out) == (1, "")
+        assert err == "hieralm: error: box1_lo and box1_hi differ in length: 2 and 3\n"
+
     def test_infinite_eta_cap_rejected(self, tmp_path, capsys):
         # 1e999 parses to inf; the sweep reaches k = 352, where an uncapped sigma2 underflows
         cfg_path = tmp_path / "cfg.json"

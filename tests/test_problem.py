@@ -5,6 +5,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -118,6 +122,14 @@ class TestProblemData:
         assert (p == copy) is False
         assert p == p
         assert len({p, copy}) == 2
+
+    def test_import_does_not_load_scipy_sparse(self):
+        # the CSR copies of a sparse A import it when first built; a fresh
+        # interpreter that only imports hieralm must not pay for it
+        src = str(Path(hieralm.problem.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import hieralm, sys; assert 'scipy.sparse' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_empty_blocks_get_column_count(self):
         p = make_problem(Q=np.eye(2), c=[0.0, 0.0])
