@@ -12,7 +12,6 @@ from .alm import (
     SubproblemUnboundedError,
     iterate,
     kkt_residual,
-    project_box,
     solve,
     solve_subproblem,
     update_penalty,
@@ -68,7 +67,6 @@ __all__ = [
     "load_problem",
     "objective_value",
     "problem_document",
-    "project_box",
     "save_problem",
     "sigma_at",
     "solve",

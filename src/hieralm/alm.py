@@ -11,24 +11,27 @@ the hierarchically optimal relaxation; in standard mode the shift is pinned to
 zero, which on an infeasible problem drives the penalty and multipliers to
 divergence (flagged via ``rho_cap``).
 
-The subproblem matrix H(rho) = Q + rho A'A depends on rho only through the
-rank-m term A'A, so Q + A'A is factored once and given one thin SVD (a
-range-space solve); every iteration then costs O(n^2 + nm) and forms no n x n
-matrix, whatever the penalty: one product with Q, five passes over A (two for
-the right-hand side, A x and A'(A x) for the residual check, A'lambda for E)
-and one over the SVD factor V. For a diagonal Q, such as every grid instance's
-q I, the instance says so (``ProblemData.q_diagonal``) and the product is the
-O(n) d * x, which has the dense product's bits. For a sparse A, such as every
-grid's incidence matrix, the instance keeps CSR copies (``ProblemData.a_csr``):
-the passes over A and the setup's A'A then cost O(nnz(A)), an iteration with a
-diagonal Q O(nnz(A) + nm), and a product's last bits can differ from dense.
-Q x and A x are formed once, at the accepted x, and shared between the residual
-check, the constraint residuals and E; a refinement pass (two triangular solves
-with the n x n factor) runs only when the first pass misses its bound. Those
-factors and the check of Q depend on the instance alone, so they are built on
-the first solve of a ProblemData and reused by every later solve of it, in any
-mode or config, until the instance is garbage collected. The cache retains
-about n^2 + nm + m^2 doubles per live instance: about 25 MB at the 20x20 grid,
+The priorities act only through the shift and the multiplier box. The
+subproblem sees the stacked system A = [A1; A2], b = [b1; b2]: with
+v = rho (b - s) - lh, its matrix is H(rho) = Q + rho A'A and its right-hand
+side A'v - c. H depends on rho only through the rank-m term A'A, so Q + A'A is
+factored once and given one thin SVD (a range-space solve); every iteration
+then costs O(n^2 + nm) and forms no n x n matrix, whatever the penalty: one
+product with Q, four with A (A'v for the right-hand side, A x and A'(A x) for
+the residual check, A'lambda for E) and one pass over the SVD factor V. For a
+diagonal Q, such as every grid instance's q I, the instance says so
+(``ProblemData.q_diagonal``) and the product is the O(n) d * x, which has the
+dense product's bits. For a sparse A, such as every grid's incidence matrix,
+the instance keeps CSR copies of A and A' (``ProblemData.a_csr``): the products
+with A and the setup's A'A then cost O(nnz(A)), an iteration with a diagonal Q
+O(nnz(A) + nm), and a product's last bits can differ from dense. Q x and A x
+are formed once, at the accepted x, and shared between the residual check, the
+constraint residuals and E; a refinement pass (two triangular solves with the
+n x n factor) runs only when the first pass misses its bound. Those factors and
+the check of Q depend on the instance alone, so they are built on the first
+solve of a ProblemData and reused by every later solve of it, in any mode or
+config, until the instance is garbage collected. The cache retains about
+n^2 + nm + m^2 doubles per live instance: about 25 MB at the 20x20 grid,
 128 MB at 30x30.
 """
 
@@ -68,7 +71,6 @@ __all__ = [
     "TRACE_FIELDS",
     "iterate",
     "kkt_residual",
-    "project_box",
     "solve",
     "solve_subproblem",
     "update_penalty",
@@ -107,8 +109,10 @@ class SolverConfig:
     """Outer-loop parameters.
 
     The multiplier box is the safeguard interval for the projected multiplier
-    estimates; bounds may be scalars or per-row vectors. Each subproblem is
-    solved directly, and its achieved gradient norm is recorded per iteration.
+    estimates; bounds may be scalars or per-row vectors, and a vector bound is
+    kept as a read-only float copy, so the bounds checked here are the ones a
+    solve uses. Each subproblem is solved directly, and its achieved gradient
+    norm is recorded per iteration.
     """
 
     tau: float = 0.1
@@ -133,6 +137,10 @@ class SolverConfig:
             cells = v.tolist() if isinstance(v, np.ndarray) else v
             if not all(map(_is_real, cells if isinstance(cells, (list, tuple)) else [cells])):
                 raise ValueError(f"{name} must be a real number or a vector, got {v!r}")
+            if isinstance(v, (list, tuple, np.ndarray)):
+                v = np.array(v, dtype=float)
+                v.flags.writeable = False
+                object.__setattr__(self, name, v)
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if not 0.0 < self.tau < 1.0:
@@ -191,7 +199,8 @@ class IterationState:
 
     ``rho_used`` is the penalty the subproblem was solved with; ``rho`` (also in
     the record) is the value after the update rule. ``lambda1``/``lambda2`` are
-    the unprojected multipliers, the hatted pair is their box projection.
+    the unprojected multipliers, the hatted pair is their box projection. Each
+    block pair, ``s1``/``s2`` among them, is a pair of views of one stacked vector.
     """
 
     record: IterationRecord
@@ -217,15 +226,6 @@ class SolveReport:
     objective_final: float
 
 
-def project_box(v: np.ndarray, lo, hi) -> np.ndarray:
-    """Componentwise projection onto [lo, hi]; bounds broadcast against v."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(lo > hi):
-        raise ValueError("box is empty (lo > hi)")
-    return np.clip(v, lo, hi)
-
-
 def update_penalty(u_new: float, u_prev: float, rho: float, tau: float, gamma: float) -> float:
     """Keep rho when the infeasibility measure decreased enough, else scale by gamma."""
     return rho if u_new <= tau * u_prev else gamma * rho
@@ -244,12 +244,11 @@ def kkt_residual(
     one of its terms does.
     """
     r1, r2 = constraint_residuals(p, x, shift)
-    return _kkt_value(p, _q_times(p, x), lambda1, lambda2, r1, r2)
+    return _kkt_value(p, _q_times(p, x), np.concatenate((lambda1, lambda2)), r1, r2)
 
 
-def _kkt_value(p: ProblemData, qx, lambda1, lambda2, r1, r2) -> float:
-    _, A1t, _, A2t = _a_operators(p)
-    grad = qx + p.c + A1t @ lambda1 + A2t @ lambda2
+def _kkt_value(p: ProblemData, qx, lam, r1, r2) -> float:
+    grad = qx + p.c + _a_operators(p)[1] @ lam
     return _nrm2(grad) + _nrm2(r1) + _nrm2(r2)
 
 
@@ -266,7 +265,7 @@ def solve_subproblem(
 ) -> tuple[np.ndarray, float]:
     """Minimize the shifted augmented Lagrangian in x.
 
-    The minimizer solves H x = rhs with H = Q + rho (A1'A1 + A2'A2). A
+    The minimizer solves H x = rhs with H = Q + rho A'A, A = [A1; A2]. A
     range-space solve (see ``_RangeSpace``) handles the definite case: its x is
     accepted if it meets the bound below, and refined once only if it does not.
     A minimum-norm least-squares solve on the formed H handles what is still
@@ -275,7 +274,7 @@ def solve_subproblem(
     them for as long as ``p`` lives.
 
     Returns:
-        (x, grad_norm) with grad_norm = ||Q x + rho (A1'(A1 x) + A2'(A2 x)) - rhs||
+        (x, grad_norm) with grad_norm = ||Q x + rho A'(A x) - rhs||
         <= 1e-10 * (1 + ||rhs||), both norms computed without overflow.
 
     Raises:
@@ -283,7 +282,8 @@ def solve_subproblem(
         SubproblemUnboundedError: If the system is inconsistent, i.e. the
             subproblem has no finite minimum.
     """
-    x, grad_norm, _ = _setup(p).solve(p, lambda1_hat, lambda2_hat, rho, shift)
+    lam_hat = np.concatenate((lambda1_hat, lambda2_hat))
+    x, grad_norm, _ = _setup(p).solve(p, lam_hat, rho, np.concatenate((shift.s1, shift.s2)))
     return x, grad_norm
 
 
@@ -303,18 +303,17 @@ def _setup(p: ProblemData) -> _RangeSpace:
 
 
 class _Products(NamedTuple):
-    """Q x, A1 x and A2 x at one x, formed once and shared by the residual check and iterate."""
+    """Q x and A x at one x, formed once and shared by the residual check and iterate."""
 
     qx: np.ndarray
-    a1x: np.ndarray
-    a2x: np.ndarray
+    ax: np.ndarray
 
 
 def _residual_norm(p: ProblemData, x, rho: float, rhs) -> tuple[float, _Products]:
-    """||Q x + rho (A1'(A1 x) + A2'(A2 x)) - rhs||, and the products it formed."""
-    A1, A1t, A2, A2t = _a_operators(p)
-    prod = _Products(_q_times(p, x), A1 @ x, A2 @ x)
-    return _nrm2(prod.qx + rho * (A1t @ prod.a1x + A2t @ prod.a2x) - rhs), prod
+    """||Q x + rho A'(A x) - rhs||, and the products it formed."""
+    A, At = _a_operators(p)
+    prod = _Products(_q_times(p, x), A @ x)
+    return _nrm2(prod.qx + rho * (At @ prod.ax) - rhs), prod
 
 
 class _RangeSpace:
@@ -337,10 +336,10 @@ class _RangeSpace:
 
     def __init__(self, p: ProblemData, q_warning: str | None):
         self.q_warning = q_warning
-        A = p.A  # a fresh copy, which the triangular solve below overwrites with R^-T A'
-        A1, A1t, A2, A2t = _a_operators(p)
-        # from CSR blocks in O(nnz) work, with the dense bits on the grids: their sums are exact
-        G = A.T @ A if p.a_csr is None else (A1t @ A1 + A2t @ A2).toarray()
+        A, At = _a_operators(p)
+        G = At @ A  # O(nnz) work from the CSR pair, whose sums on the grids are exact
+        if p.a_csr is not None:
+            G = G.toarray()
         G += p.Q  # symmetric, so G.T is the F-ordered Q~ that cho_factor overwrites with R'
         try:
             self.factor = cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
@@ -348,7 +347,8 @@ class _RangeSpace:
             self.factor = None
             return
         L = self.factor[0]
-        Bt = solve_triangular(L, A.T, lower=True, overwrite_b=True, check_finite=False)
+        # p.A is shared and read-only; the solve overwrites this copy with R^-T A'
+        Bt = solve_triangular(L, p.A.copy().T, lower=True, overwrite_b=True, check_finite=False)
         W, sig, self.Ut = svd(Bt, full_matrices=False, overwrite_a=True, check_finite=False)
         # left_null's rank rule: a singular value at round-off level belongs to
         # null(A'), and zeroing it keeps a large rho from amplifying the round-off
@@ -362,28 +362,21 @@ class _RangeSpace:
         self.x_c = cho_solve(self.factor, -p.c, check_finite=False)
         self.h_c = self.V.T @ -p.c
 
-    def solve(self, p, lambda1_hat, lambda2_hat, rho, shift) -> tuple[np.ndarray, float, _Products]:
+    def solve(self, p, lam_hat, rho, s) -> tuple[np.ndarray, float, _Products]:
         """(x, grad_norm, products at x) from the first of three tries that meets the bound.
 
-        The tries are the range-space pass, that pass refined once, and lstsq on
-        the formed H; each runs only when the one before it misses.
+        ``lam_hat`` and ``s`` are the stacked multiplier estimate and shift. The
+        tries are the range-space pass, that pass refined once, and lstsq on the
+        formed H; each runs only when the one before it misses.
         """
-        _, A1t, _, A2t = _a_operators(p)
-        rhs = (
-            -p.c
-            - A1t @ lambda1_hat
-            - A2t @ lambda2_hat
-            + rho * (A1t @ (p.b1 - shift.s1) + A2t @ (p.b2 - shift.s2))
-        )
+        v = rho * (p.b - s) - lam_hat
+        rhs = _a_operators(p)[1] @ v - p.c
         # BLAS nrm2 scales as it sums, so a rho-sized rhs cannot make the bound inf
         bound = 1e-10 * (1.0 + _nrm2(rhs))
         if self.factor is not None:
             den = self.one_minus_sig2 + rho * self.sig2
             shrink = (1.0 - rho) * self.sig2 / den
             # rhs = -c + A'v; the A'v part goes through U coordinates, where rho cancels
-            v = np.concatenate(
-                (rho * (p.b1 - shift.s1) - lambda1_hat, rho * (p.b2 - shift.s2) - lambda2_hat)
-            )
             x = self.x_c + self.V @ (shrink * self.h_c + self.sig * (self.Ut @ v) / den)
             # the check's Q x and A x also serve a refinement and the caller
             grad_norm, prod = _residual_norm(p, x, rho, rhs)
@@ -395,7 +388,7 @@ class _RangeSpace:
             # way as rhs, because Q~^-1 applied to a rho-sized residual cancels badly for
             # huge rho
             g = -p.c - prod.qx
-            w = v - rho * np.concatenate((prod.a1x, prod.a2x))
+            w = v - rho * prod.ax
             x = (
                 x
                 + cho_solve(self.factor, g, check_finite=False)
@@ -414,7 +407,7 @@ class _RangeSpace:
                 "subproblem falls back to lstsq: Q + A'A is not definite (bound %.3e)", bound
             )
         # singular (or numerically indefinite) system: minimum-norm solution if consistent
-        H = p.Q + rho * (p.A1.T @ p.A1 + p.A2.T @ p.A2)
+        H = p.Q + rho * (p.A.T @ p.A)
         x, *_ = np.linalg.lstsq(H, rhs, rcond=None)
         grad_norm, prod = _residual_norm(p, x, rho, rhs)
         if grad_norm > bound:
@@ -442,16 +435,15 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
         OverflowError: On the ``next()`` after a state whose updated penalty
             overflowed to inf, naming the iteration it would have solved.
     """
-    _check_box(cfg.box1_lo, cfg.box1_hi, p.m1, "box1")
-    _check_box(cfg.box2_lo, cfg.box2_hi, p.m2, "box2")
+    lo, hi = _stacked_box(cfg, p)
     exact = hierarchical_shift(p).shift
     s1_star, s2_star = exact.s1, exact.s2
     # after the oracle, so its first-call SVD temporaries are freed before the
     # retained factors are built, not stacked on them
     system = _setup(p)
 
-    lambda1_hat = np.zeros(p.m1)
-    lambda2_hat = np.zeros(p.m2)
+    m1 = p.m1
+    lam_hat = np.zeros(p.m)
     u = cfg.u0
     rho = cfg.rho0
     k = 0
@@ -462,32 +454,31 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
             shift = approximate_shift(p, sigma_at(cfg.sigma_schedule, k))
         else:
             shift = HierarchicalShift.zero(p.m1, p.m2)
+        s = np.concatenate((shift.s1, shift.s2))
         try:
-            x, grad_norm, prod = system.solve(p, lambda1_hat, lambda2_hat, rho, shift)
+            x, grad_norm, prod = system.solve(p, lam_hat, rho, s)
         except SubproblemUnboundedError as exc:
             raise SubproblemUnboundedError(f"iteration {k + 1}: {exc}", iteration=k + 1) from exc
 
         # constraint_residuals and kkt_residual, bit for bit, from the products the solve formed
-        s1 = prod.a1x - p.b1 + shift.s1
-        s2 = prod.a2x - p.b2 + shift.s2
-        lambda1 = lambda1_hat + rho * s1
-        lambda2 = lambda2_hat + rho * s2
-        lambda1_hat_new = project_box(lambda1, cfg.box1_lo, cfg.box1_hi)
-        lambda2_hat_new = project_box(lambda2, cfg.box2_lo, cfg.box2_hi)
+        r = prod.ax - p.b + s
+        lam = lam_hat + rho * r
+        lam_hat_new = np.clip(lam, lo, hi)
+        s1, s2 = r[:m1], r[m1:]
         norm_s1, norm_s2 = np.linalg.norm(s1), np.linalg.norm(s2)
         u_new = float(norm_s1 + norm_s2)
         rho_new = update_penalty(u_new, u, rho, cfg.tau, cfg.gamma)
 
         record = IterationRecord(
             k=k + 1,
-            E=_kkt_value(p, prod.qx, lambda1, lambda2, s1, s2),
+            E=_kkt_value(p, prod.qx, lam, s1, s2),
             norm_s1=float(norm_s1),
             norm_s2=float(norm_s2),
             r1=float(np.linalg.norm(shift.s1 - s1_star)),
             r2=float(np.linalg.norm(shift.s2 - s2_star)),
             rho=rho_new,
-            norm_lambda1=_nrm2(lambda1),
-            norm_lambda2=_nrm2(lambda2),
+            norm_lambda1=_nrm2(lam[:m1]),
+            norm_lambda2=_nrm2(lam[m1:]),
             subproblem_grad_norm=grad_norm,
         )
         yield IterationState(
@@ -496,26 +487,33 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
             shift=shift,
             s1=s1,
             s2=s2,
-            lambda1=lambda1,
-            lambda2=lambda2,
-            lambda1_hat=lambda1_hat_new,
-            lambda2_hat=lambda2_hat_new,
+            lambda1=lam[:m1],
+            lambda2=lam[m1:],
+            lambda1_hat=lam_hat_new[:m1],
+            lambda2_hat=lam_hat_new[m1:],
             u=u_new,
             rho_used=rho,
             rho=rho_new,
         )
-        lambda1_hat, lambda2_hat = lambda1_hat_new, lambda2_hat_new
+        lam_hat = lam_hat_new
         u, rho = u_new, rho_new
         k += 1
 
 
-def _check_box(lo, hi, m: int, name: str) -> None:
-    for bound, side in ((lo, "lo"), (hi, "hi")):
-        arr = np.asarray(bound, dtype=float)
-        if arr.ndim > 1 or (arr.ndim == 1 and arr.shape[0] != m):
-            raise ValueError(f"{name}_{side} must be a scalar or length-{m} vector")
-        if np.isnan(arr).any():
-            raise ValueError(f"{name}_{side} has a NaN entry")
+def _stacked_box(cfg: SolverConfig, p: ProblemData) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplier box as one (lo, hi) pair over the stacked rows, high priority first.
+
+    SolverConfig has already checked the bounds, which it keeps read-only; only
+    a vector's length against its block is left to check.
+    """
+    lo, hi = [], []
+    for name, m in (("box1", p.m1), ("box2", p.m2)):
+        for side, out in (("lo", lo), ("hi", hi)):
+            bound = getattr(cfg, f"{name}_{side}")
+            if np.ndim(bound) == 1 and len(bound) != m:
+                raise ValueError(f"{name}_{side} must be a scalar or length-{m} vector")
+            out.append(np.broadcast_to(bound, m))
+    return np.concatenate(lo), np.concatenate(hi)
 
 
 def solve(p: ProblemData, cfg: SolverConfig | None = None) -> SolveReport:

@@ -28,7 +28,7 @@ import itertools
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -69,8 +69,8 @@ class HierarchicalShift:
     s2: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s1", _frozen_vector(self.s1, "s1"))
-        object.__setattr__(self, "s2", _frozen_vector(self.s2, "s2"))
+        object.__setattr__(self, "s1", _frozen_copy(self.s1, 1, "s1"))
+        object.__setattr__(self, "s2", _frozen_copy(self.s2, 1, "s2"))
 
     @classmethod
     def zero(cls, m1: int, m2: int) -> "HierarchicalShift":
@@ -84,14 +84,17 @@ class ProblemData:
 
     The decision dimension ``n`` is taken from ``c``; block sizes come from the
     constraint matrices. A block with zero rows is normalized to shape (0, n).
+    The blocks are stored once, stacked high priority first: ``A`` (m x n) and
+    ``b`` (m,), built straight from the inputs, and ``A1``, ``A2``, ``b1`` and
+    ``b2`` are read-only row views of them.
 
     An instance is its own identity: it hashes and compares by ``id``, so two
     instances with equal arrays are different keys. Work derived from the data
     is cached against the instance until it is garbage collected: ``left_null``,
-    ``q_diagonal`` and ``a_csr`` (for a sparse A, CSR copies of both blocks and
-    their transposes, 24 nnz(A) + 4 (m + 2n) bytes: 87 KB at the 20x20 grid)
-    here, and in :mod:`hieralm.alm` the check of Q and the solver's factors
-    (about n^2 + nm + m^2 doubles, 25 MB at the 20x20 grid).
+    ``q_diagonal`` and ``a_csr`` (for a sparse A, CSR copies of A and A',
+    24 nnz(A) + 4 (m + n + 2) bytes: 81 KB at the 20x20 grid) here, and in
+    :mod:`hieralm.alm` the check of Q and the solver's factors (about
+    n^2 + nm + m^2 doubles, 25 MB at the 20x20 grid).
     That is sound only because the arrays are read-only and never change after
     construction; code that forces them writable breaks that contract.
 
@@ -108,36 +111,45 @@ class ProblemData:
     b1: np.ndarray
     A2: np.ndarray
     b2: np.ndarray
+    A: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "Q", _frozen_matrix(self.Q, "Q"))
-        object.__setattr__(self, "c", _frozen_vector(self.c, "c"))
+        object.__setattr__(self, "Q", _frozen_copy(self.Q, 2, "Q"))
+        object.__setattr__(self, "c", _frozen_copy(self.c, 1, "c"))
         n = self.c.shape[0]
         errors = []
         if n == 0:
             errors.append("empty decision vector (n = 0)")
         if self.Q.shape != (n, n):
             errors.append(f"dimension mismatch: Q has shape {self.Q.shape}, expected ({n}, {n})")
+        # the inputs themselves, not copies, so that stacking makes the only copy
+        arrays = {"Q": self.Q, "c": self.c}
         for mat, vec in (("A1", "b1"), ("A2", "b2")):
-            a = _frozen_matrix(getattr(self, mat), mat)
+            a = _float_array(getattr(self, mat), 2, mat)
             if a.shape[0] == 0:
-                a = np.zeros((0, n))
-                a.flags.writeable = False
+                a = a.reshape(0, n)
             elif a.shape[1] != n:
                 errors.append(f"dimension mismatch: {mat} has {a.shape[1]} columns, expected {n}")
-            b = _frozen_vector(getattr(self, vec), vec)
+            b = _float_array(getattr(self, vec), 1, vec)
             if b.shape[0] != a.shape[0]:
                 errors.append(
                     f"dimension mismatch: {vec} has length {b.shape[0]}, "
                     f"{mat} has {a.shape[0]} rows"
                 )
-            object.__setattr__(self, mat, a)
-            object.__setattr__(self, vec, b)
-        for name in ("Q", "c", "A1", "b1", "A2", "b2"):
-            if not np.isfinite(getattr(self, name)).all():
+            arrays[mat], arrays[vec] = a, b
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
                 errors.append(f"{name} has non-finite entries")
         if errors:
             raise ValueError("; ".join(errors))
+        m1 = arrays["A1"].shape[0]
+        for whole, top, bottom in (("A", "A1", "A2"), ("b", "b1", "b2")):
+            stacked = np.concatenate((arrays[top], arrays[bottom]))
+            stacked.flags.writeable = False
+            object.__setattr__(self, whole, stacked)
+            object.__setattr__(self, top, stacked[:m1])
+            object.__setattr__(self, bottom, stacked[m1:])
 
     @property
     def n(self) -> int:
@@ -153,16 +165,7 @@ class ProblemData:
 
     @property
     def m(self) -> int:
-        return self.m1 + self.m2
-
-    @property
-    def A(self) -> np.ndarray:
-        """Both constraint blocks stacked, high priority first."""
-        return np.vstack([self.A1, self.A2])
-
-    @property
-    def b(self) -> np.ndarray:
-        return np.concatenate([self.b1, self.b2])
+        return self.A.shape[0]
 
     @cached_property
     def left_null(self) -> np.ndarray:
@@ -176,9 +179,8 @@ class ProblemData:
         m x n singular factor. The cache cannot go stale because the arrays are
         read-only.
         """
-        A = self.A
-        m, n = A.shape
-        _, s, Vt = np.linalg.svd(np.linalg.qr(A.T, mode="r"))
+        m, n = self.A.shape
+        _, s, Vt = np.linalg.svd(np.linalg.qr(self.A.T, mode="r"))
         tol = max(m, n) * np.finfo(float).eps * (s[0] if s.size else 0.0)
         N = Vt[int(np.count_nonzero(s > tol)):].T.copy()
         N.flags.writeable = False
@@ -197,17 +199,17 @@ class ProblemData:
 
     @cached_property
     def a_csr(self) -> tuple | None:
-        """Read-only CSR copies (A1, A1', A2, A2') if A is sparse; else None.
+        """Read-only CSR copies (A, A') if A is sparse; else None.
 
-        A is sparse when nnz(A1) + nnz(A2) <= _COO_DENSITY m n, the rule by which
-        instance files store a matrix as COO. A CSR row adds its nonzeros in
-        another order than a dense product, so a product's last bits can differ.
+        A is sparse when nnz(A) <= _COO_DENSITY m n, the rule by which instance
+        files store a matrix as COO. A CSR row adds its nonzeros in another order
+        than a dense product, so a product's last bits can differ.
         """
-        if np.count_nonzero(self.A1) + np.count_nonzero(self.A2) > _COO_DENSITY * self.m * self.n:
+        if np.count_nonzero(self.A) > _COO_DENSITY * self.m * self.n:
             return None
         from scipy.sparse import csr_array  # here, so that importing hieralm does not load it
 
-        copies = tuple(csr_array(a) for a in (self.A1, self.A1.T, self.A2, self.A2.T))
+        copies = (csr_array(self.A), csr_array(self.A.T))
         for csr in copies:
             for arr in (csr.data, csr.indices, csr.indptr):
                 arr.flags.writeable = False
@@ -218,18 +220,16 @@ class ProblemFormatError(ValueError):
     """Raised when an instance file cannot be parsed into a ProblemData."""
 
 
-def _frozen_matrix(a, name: str) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={out.ndim}")
-    out.flags.writeable = False
+def _float_array(a, ndim: int, name: str) -> np.ndarray:
+    """``a`` as a float array, converted only if it is not one already."""
+    out = np.asarray(a, dtype=float)
+    if out.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got ndim={out.ndim}")
     return out
 
 
-def _frozen_vector(a, name: str) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    if out.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got ndim={out.ndim}")
+def _frozen_copy(a, ndim: int, name: str) -> np.ndarray:
+    out = np.array(_float_array(a, ndim, name))
     out.flags.writeable = False
     return out
 
@@ -289,9 +289,9 @@ def _q_times(p: ProblemData, x: np.ndarray) -> np.ndarray:
 
 
 def _a_operators(p: ProblemData) -> tuple:
-    """(A1, A1', A2, A2') for every A product: the CSR copies when A is sparse, else dense."""
+    """(A, A') for every A product: the CSR copies when A is sparse, else dense."""
     csr = p.a_csr
-    return (p.A1, p.A1.T, p.A2, p.A2.T) if csr is None else csr
+    return (p.A, p.A.T) if csr is None else csr
 
 
 def constraint_residuals(
@@ -301,18 +301,15 @@ def constraint_residuals(
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({p.n},)")
-    A1, _, A2, _ = _a_operators(p)
-    r1 = A1 @ x - p.b1
-    r2 = A2 @ x - p.b2
+    r = _a_operators(p)[0] @ x - p.b
     if shift is not None:
         if shift.s1.shape != (p.m1,) or shift.s2.shape != (p.m2,):
             raise ValueError(
                 f"shift has block sizes ({shift.s1.shape[0]}, {shift.s2.shape[0]}), "
                 f"expected ({p.m1}, {p.m2})"
             )
-        r1 = r1 + shift.s1
-        r2 = r2 + shift.s2
-    return r1, r2
+        r = r + np.concatenate((shift.s1, shift.s2))
+    return r[: p.m1], r[p.m1 :]
 
 
 # ---------------------------------------------------------------------------

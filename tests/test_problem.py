@@ -104,6 +104,16 @@ class TestProblemData:
         assert np.array_equal(p.A[:2], p.A1)
         assert np.array_equal(p.A[2:], p.A2)
         assert np.array_equal(p.b, [1.0, 2.0, 3.0])
+        # stored once: the blocks are read-only row views of the stacked arrays
+        assert p.A is p.A and p.b is p.b
+        for block, whole in ((p.A1, p.A), (p.A2, p.A), (p.b1, p.b), (p.b2, p.b)):
+            assert np.shares_memory(block, whole)
+            with pytest.raises(ValueError):
+                block.flags.writeable = True
+        for whole in (p.A, p.b):
+            assert not whole.flags.writeable
+            with pytest.raises(ValueError):
+                whole[0] = 0.0
 
     def test_arrays_are_copied_and_read_only(self):
         Q = np.eye(2)
@@ -137,6 +147,19 @@ class TestProblemData:
         assert p.A2.shape == (0, 2)
         assert p.m == 0
         assert p.A.shape == (0, 2)
+        assert p.b.shape == (0,)
+        # one empty block keeps its (0, n) shape beside the other; an empty
+        # input of any column count is normalized
+        rows = [[1.0, 2.0]]
+        for kwargs, (m1, m2) in (
+            ({"A1": np.zeros((0, 5)), "b1": [], "A2": rows, "b2": [1.0]}, (0, 1)),
+            ({"A1": rows, "b1": [1.0], "A2": np.zeros((0, 0)), "b2": []}, (1, 0)),
+        ):
+            p = ProblemData(Q=np.eye(2), c=[0.0, 0.0], **kwargs)
+            assert (p.m1, p.m2, p.m) == (m1, m2, 1)
+            assert (p.A1.shape, p.A2.shape) == ((m1, 2), (m2, 2))
+            assert (p.b1.shape, p.b2.shape) == ((m1,), (m2,))
+            assert np.array_equal(p.A, rows) and np.array_equal(p.b, [1.0])
 
     def test_left_null_basis(self):
         # every case against 50-digit singular values and projector of the same data
