@@ -14,25 +14,28 @@ divergence (flagged via ``rho_cap``).
 The priorities act only through the shift and the multiplier box. The
 subproblem sees the stacked system A = [A1; A2], b = [b1; b2]: with
 v = rho (b - s) - lh, its matrix is H(rho) = Q + rho A'A and its right-hand
-side A'v - c. H depends on rho only through the rank-m term A'A, so Q + A'A is
-factored once and given one thin SVD (a range-space solve); every iteration
-then costs O(n^2 + nm) and forms no n x n matrix, whatever the penalty: one
-product with Q, four with A (A'v for the right-hand side, A x and A'(A x) for
-the residual check, A'lambda for E) and one pass over the SVD factor V. For a
-diagonal Q, such as every grid instance's q I, the instance says so
-(``ProblemData.q_diagonal``) and the product is the O(n) d * x, which has the
-dense product's bits. For a sparse A, such as every grid's incidence matrix,
-the instance keeps CSR copies of A and A' (``ProblemData.a_csr``): the products
-with A and the setup's A'A then cost O(nnz(A)), an iteration with a diagonal Q
-O(nnz(A) + nm), and a product's last bits can differ from dense. Q x and A x
-are formed once, at the accepted x, and shared between the residual check, the
-constraint residuals and E; a refinement pass (two triangular solves with the
-n x n factor) runs only when the first pass misses its bound. Those factors and
-the check of Q depend on the instance alone, so they are built on the first
-solve of a ProblemData and reused by every later solve of it, in any mode or
-config, until the instance is garbage collected. The cache retains about
-n^2 + nm + m^2 doubles per live instance: about 25 MB at the 20x20 grid,
-128 MB at 30x30.
+side A'v - c. H depends on rho only through the rank-m term A'A, so a base,
+Q + A'A, is factored once and given one thin SVD (a range-space solve); every
+iteration then costs O(n^2 + nm) and forms no n x n matrix, whatever the
+penalty: one product with Q, four with A (A'v for the right-hand side, A x and
+A'(A x) for the residual check, A'lambda for E) and one pass over the SVD
+factor V. For a definite diagonal Q = D, such as every grid instance's q I,
+the instance says so (``ProblemData.q_diagonal``): the base is D, so the setup
+is one SVD of A'/sqrt(d), the check of Q is O(n) and Q x is d * x, with the
+dense product's bits. A solve whose refined base-D pass still misses its bound
+runs the Q + A'A chain unchanged, its setup built on the first such miss. For
+a sparse A, such as every grid's incidence matrix, the instance keeps CSR copies
+of A and A' (``ProblemData.a_csr``): the products with A and the setup's A'A
+then cost O(nnz(A)), an iteration with a diagonal Q O(nnz(A) + nm), and a
+product's last bits can differ from dense. Q x and A x are formed once, at the
+accepted x, and shared between the residual check, the constraint residuals and
+E; a refinement pass (one solve with the base: d or its n x n factor) runs only
+when the first pass misses its bound. Those factors and the check of Q depend
+on the instance alone, so they are built on the first solve of a ProblemData
+and reused by every later solve of it, in any mode or config, until the
+instance is garbage collected. The cache retains about nm + m^2 doubles per
+live instance on base D (6.1 MB at the 20x20 grid, 32 MB at 30x30), and n^2
+more on base Q + A'A (25 MB and 128 MB in all).
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .problem import (
     HierarchicalShift,
     ProblemData,
     _a_operators,
+    _definite_diagonal,
     _q_times,
     constraint_residuals,
     objective_value,
@@ -111,7 +115,8 @@ class SolverConfig:
     The multiplier box is the safeguard interval for the projected multiplier
     estimates; bounds may be scalars or per-row vectors, and a vector bound is
     kept as a read-only float copy, so the bounds checked here are the ones a
-    solve uses. Each subproblem is solved directly, and its achieved gradient
+    solve uses. Configs compare and hash by value, a bound by its shape and
+    entries. Each subproblem is solved directly, and its achieved gradient
     norm is recorded per iteration.
     """
 
@@ -167,6 +172,21 @@ class SolverConfig:
                 raise ValueError(f"{name} is empty (lo > hi) or has a NaN bound")
         if not isinstance(self.mode, Mode):
             raise ValueError(f"mode must be a Mode, got {self.mode!r}")
+
+    def _key(self) -> tuple:
+        """The field values, each box bound as (shape, entries), compared element-wise."""
+        return tuple(
+            (np.shape(v), tuple(np.ravel(v).tolist())) if f.name.startswith("box") else v
+            for f in fields(self)
+            for v in (getattr(self, f.name),)
+        )
+
+    # the generated pair compares array bounds with == inside a tuple
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, SolverConfig) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -269,9 +289,12 @@ def solve_subproblem(
     range-space solve (see ``_RangeSpace``) handles the definite case: its x is
     accepted if it meets the bound below, and refined once only if it does not.
     A minimum-norm least-squares solve on the formed H handles what is still
-    left, the singular-but-consistent case. The first call on an instance checks Q and
-    builds the rho-independent factors; later calls, and :func:`iterate`, reuse
-    them for as long as ``p`` lives.
+    left, the singular-but-consistent case. The range-space base is D for a
+    diagonal Q = D with min(d) > 2e-10 (1 + max|d|), else Q + A'A; on base D
+    a refined pass that still misses switches to the Q + A'A chain unchanged,
+    so a diagonal-Q call raises only where that chain raises. The first call on an
+    instance checks Q and builds the rho-independent factors; later calls, and
+    :func:`iterate`, reuse them for as long as ``p`` lives.
 
     Returns:
         (x, grad_norm) with grad_norm = ||Q x + rho A'(A x) - rhs||
@@ -296,7 +319,8 @@ def _setup(p: ProblemData) -> _RangeSpace:
     """The config-independent setup of ``p``: Q checked, factors built, once per instance."""
     system = _SETUP.get(p)
     if system is None:
-        system = _SETUP[p] = _RangeSpace(p, validate_problem(p))
+        q_warning = validate_problem(p)
+        system = _SETUP[p] = _RangeSpace(p, q_warning, _definite_diagonal(p))
     elif system.q_warning is not None:
         _problem_logger.warning("%s", system.q_warning)
     return system
@@ -319,65 +343,84 @@ def _residual_norm(p: ProblemData, x, rho: float, rhs) -> tuple[float, _Products
 class _RangeSpace:
     """The factors of H(rho) = Q + rho A'A that do not depend on rho.
 
-    With Q~ = Q + A'A = R'R and the thin SVD R^-T A' = W diag(sig) U',
-    H(rho) = R'(I + (rho - 1) W diag(sig^2) W') R, so with V = R^-1 W and
-    den = (1 - sig^2) + rho sig^2, positive for every rho > 0,
+    H(rho) = B + (rho - a) A'A with the base B = Q + a A'A = R'R: the offset is
+    a = 1, or a = 0 and R = D^1/2 for a definite diagonal Q = D (``d``). With
+    the thin SVD R^-T A' = W diag(sig) U', V = R^-1 W and
+    den = (1 - a sig^2) + rho sig^2, positive for every rho > 0,
 
-        H(rho)^-1 = Q~^-1 + V diag((1 - rho) sig^2 / den) V',
-        H(rho)^-1 A'v = V (sig U'v / den).
+        H(rho)^-1 = B^-1 + V diag((a - rho) sig^2 / den) V',
+        H(rho)^-1 A'v = V (sig U'v / den),
 
-    The second form carries the rho-sized part of the right-hand side, so rho
-    cancels in it exactly. ``factor`` is None when Q~ is not positive definite,
-    that is when null(Q) and null(A) meet and every H(rho) is singular.
+    Tikhonov's filter factors for a = 0. The second form carries the rho-sized
+    part of the right-hand side, so rho cancels in it exactly. sig <= 1 for
+    a = 1; for a = 0 it is unbounded, so the quotients are divided through by
+    max(rho, 1), where rho sig^2 could overflow. ``factor`` is R' for a = 1, or
+    None when B is not definite, that is when null(Q) and null(A) meet and every
+    H(rho) is singular. ``dense`` is the a = 1 setup that base D falls back to.
     ``q_warning`` is validate_problem's verdict on Q. Nothing here refers to the
     instance itself, so a cached entry never keeps its weak key alive;
     :meth:`solve` takes the instance as an argument instead.
     """
 
-    def __init__(self, p: ProblemData, q_warning: str | None):
-        self.q_warning = q_warning
-        A, At = _a_operators(p)
-        G = At @ A  # O(nnz) work from the CSR pair, whose sums on the grids are exact
-        if p.a_csr is not None:
-            G = G.toarray()
-        G += p.Q  # symmetric, so G.T is the F-ordered Q~ that cho_factor overwrites with R'
-        try:
-            self.factor = cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
-        except LinAlgError:
-            self.factor = None
-            return
-        L = self.factor[0]
-        # p.A is shared and read-only; the solve overwrites this copy with R^-T A'
-        Bt = solve_triangular(L, p.A.copy().T, lower=True, overwrite_b=True, check_finite=False)
+    def __init__(self, p: ProblemData, q_warning: str | None, d: np.ndarray | None = None):
+        self.q_warning, self.d, self.dense, self.factor, self.V = q_warning, d, None, None, None
+        if d is None:
+            A, At = _a_operators(p)
+            G = At @ A  # O(nnz) work from the CSR pair, whose sums on the grids are exact
+            if p.a_csr is not None:
+                G = G.toarray()
+            G += p.Q  # symmetric, so G.T is the F-ordered B that cho_factor overwrites with R'
+            try:
+                self.factor = cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
+            except LinAlgError:
+                return
+            L = self.factor[0]
+            # p.A is shared and read-only; the solve overwrites this copy with R^-T A'
+            Bt = solve_triangular(L, p.A.copy().T, lower=True, overwrite_b=True, check_finite=False)
+        else:
+            root_d = np.sqrt(d)[:, None]
+            Bt = p.A.T / root_d
         W, sig, self.Ut = svd(Bt, full_matrices=False, overwrite_a=True, check_finite=False)
         # left_null's rank rule: a singular value at round-off level belongs to
         # null(A'), and zeroing it keeps a large rho from amplifying the round-off
         tol = max(p.n, p.m) * np.finfo(float).eps * (sig[0] if sig.size else 0.0)
         sig[sig <= tol] = 0.0
         self.sig, self.sig2 = sig, sig * sig
+        self.offset = 1.0 if d is None else 0.0
         # 1 - sig^2 >= 0 in exact arithmetic when Q is semidefinite; round-off can flip its sign
-        self.one_minus_sig2 = np.maximum(1.0 - self.sig2, 0.0)
-        self.V = solve_triangular(L, W, lower=True, trans="T", overwrite_b=True, check_finite=False)
+        self.one_minus_sig2 = np.maximum(1.0 - self.offset * self.sig2, 0.0)
+        if d is None:
+            W = solve_triangular(L, W, lower=True, trans="T", overwrite_b=True, check_finite=False)
+        else:
+            W /= root_d
+        self.V = W
         # the -c part of every right-hand side
-        self.x_c = cho_solve(self.factor, -p.c, check_finite=False)
+        self.x_c = self._base_solve(-p.c)
         self.h_c = self.V.T @ -p.c
+
+    def _base_solve(self, g: np.ndarray) -> np.ndarray:
+        """B^-1 g."""
+        return cho_solve(self.factor, g, check_finite=False) if self.d is None else g / self.d
 
     def solve(self, p, lam_hat, rho, s) -> tuple[np.ndarray, float, _Products]:
         """(x, grad_norm, products at x) from the first of three tries that meets the bound.
 
         ``lam_hat`` and ``s`` are the stacked multiplier estimate and shift. The
         tries are the range-space pass, that pass refined once, and lstsq on the
-        formed H; each runs only when the one before it misses.
+        formed H; each runs only when the one before it misses. On base D, a
+        refined pass that misses hands the solve to the dense setup's three tries.
         """
         v = rho * (p.b - s) - lam_hat
         rhs = _a_operators(p)[1] @ v - p.c
         # BLAS nrm2 scales as it sums, so a rho-sized rhs cannot make the bound inf
         bound = 1e-10 * (1.0 + _nrm2(rhs))
-        if self.factor is not None:
-            den = self.one_minus_sig2 + rho * self.sig2
-            shrink = (1.0 - rho) * self.sig2 / den
+        if self.V is not None:
+            # k = 1 on base Q + A'A, where each quotient keeps its bits
+            k = 1.0 if self.d is None else max(rho, 1.0)
+            den = self.one_minus_sig2 / k + (rho / k) * self.sig2
+            shrink = ((self.offset - rho) / k) * self.sig2 / den
             # rhs = -c + A'v; the A'v part goes through U coordinates, where rho cancels
-            x = self.x_c + self.V @ (shrink * self.h_c + self.sig * (self.Ut @ v) / den)
+            x = self.x_c + self.V @ (shrink * self.h_c + self.sig * (self.Ut @ v / k) / den)
             # the check's Q x and A x also serve a refinement and the caller
             grad_norm, prod = _residual_norm(p, x, rho, rhs)
             if grad_norm <= bound:
@@ -385,18 +428,24 @@ class _RangeSpace:
             logger.debug("subproblem refines: residual %.3e > bound %.3e", grad_norm, bound)
             # one refinement pass brings a missed residual back toward the backward-stable
             # floor; the residual rhs - H x = (-c - Q x) + A'(v - rho A x) is split the same
-            # way as rhs, because Q~^-1 applied to a rho-sized residual cancels badly for
+            # way as rhs, because B^-1 applied to a rho-sized residual cancels badly for
             # huge rho
             g = -p.c - prod.qx
             w = v - rho * prod.ax
             x = (
                 x
-                + cho_solve(self.factor, g, check_finite=False)
-                + self.V @ (shrink * (self.V.T @ g) + self.sig * (self.Ut @ w) / den)
+                + self._base_solve(g)
+                + self.V @ (shrink * (self.V.T @ g) + self.sig * (self.Ut @ w / k) / den)
             )
             grad_norm, prod = _residual_norm(p, x, rho, rhs)
             if grad_norm <= bound:
                 return x, grad_norm, prod
+            if self.d is not None:
+                logger.debug("subproblem switches from base D to Q + A'A: refined residual "
+                             "%.3e > bound %.3e", grad_norm, bound)
+                if self.dense is None:
+                    self.dense = _RangeSpace(p, self.q_warning)
+                return self.dense.solve(p, lam_hat, rho, s)
             logger.debug(
                 "subproblem falls back to lstsq: refined residual %.3e > bound %.3e",
                 grad_norm,

@@ -56,6 +56,20 @@ def factor_calls(monkeypatch):
 
 
 @pytest.fixture
+def svd_calls(monkeypatch):
+    """Records each call the solver makes to hieralm.alm.svd, one per range-space setup."""
+    calls = []
+    original = hieralm.alm.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hieralm.alm, "svd", counting)
+    return calls
+
+
+@pytest.fixture
 def trisolve_calls(monkeypatch):
     """Records each call the solver makes to hieralm.alm.cho_solve."""
     calls = []
@@ -71,6 +85,11 @@ def trisolve_calls(monkeypatch):
 
 def _with_q(p: ProblemData, Q) -> ProblemData:
     return ProblemData(Q=Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
+
+
+def _tridiagonal_q(p: ProblemData) -> ProblemData:
+    """``p`` with Q = I + (off-diagonals 1/4), definite and not diagonal, so it is factored."""
+    return _with_q(p, np.eye(p.n) + 0.25 * (np.eye(p.n, k=1) + np.eye(p.n, k=-1)))
 
 
 def _diagonal_q_problems() -> list[ProblemData]:
@@ -240,6 +259,40 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="read-only"):
             cfg.box1_lo[0] = nan
 
+    def test_equal_configs_compare_and_hash_equal(self):
+        # vector bounds compare entry by entry, whether given as arrays, lists or tuples
+        pairs = [
+            (SolverConfig(box1_lo=np.zeros(2)), SolverConfig(box1_lo=np.zeros(2))),
+            (SolverConfig(box1_lo=[0.0, -1.0]), SolverConfig(box1_lo=np.array([0.0, -1.0]))),
+            (SolverConfig(box2_hi=(1, 2)), SolverConfig(box2_hi=[1.0, 2.0])),
+            (SolverConfig(box2_lo=[-0.0, 0.0]), SolverConfig(box2_lo=np.zeros(2))),
+            (SolverConfig(box1_lo=np.array(-1.0)), SolverConfig(box1_lo=-1)),
+            (SolverConfig(), SolverConfig()),
+        ]
+        for a, b in pairs:
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+        # the six pairs are six distinct configs, and a set keeps one of each
+        assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
+        # the bounds stay read-only arrays
+        assert not pairs[0][0].box1_lo.flags.writeable
+
+    def test_unequal_configs_compare_unequal(self):
+        base = SolverConfig(box1_lo=np.zeros(2))
+        for other in (
+            SolverConfig(box1_lo=np.array([0.0, 1e-300])),
+            SolverConfig(box1_lo=np.zeros(3)),
+            SolverConfig(box1_lo=np.zeros(2), box1_hi=[1.0, 1.0]),
+            SolverConfig(box2_lo=np.zeros(2)),
+            SolverConfig(box1_lo=np.zeros(2), tau=0.2),
+        ):
+            assert base != other and not base == other
+        # a scalar bound broadcasts to any block, a vector fixes the length, so
+        # the two differ even where they would clip alike
+        assert SolverConfig(box1_lo=0.0) != SolverConfig(box1_lo=[0.0])
+        assert SolverConfig(box1_lo=0.0) != SolverConfig(box1_lo=np.zeros(2))
+        assert SolverConfig() != (SolverConfig().tau, SolverConfig().gamma)
+
     def test_box_bounds_are_copied_when_the_caller_mutates_them(self):
         p = make_problem(
             Q=np.eye(2), c=[0.0, 0.0], A1=[[1.0, 0.0], [0.0, 1.0]], b1=[1.0, 2.0],
@@ -378,18 +431,21 @@ class TestRefinement:
         return x, grad, lines
 
     def test_warm_solves_make_no_triangular_solve(self, trisolve_calls):
-        p, _ = build_instance(GridSpec(4, 4, kappa=0.5))
-        solve(p)
-        assert trisolve_calls == [(p.n,)]  # the setup's solve with -c
-        trisolve_calls.clear()
-        for mode in Mode:
-            assert len(solve(p, SolverConfig(mode=mode)).trace) >= 5
-        assert trisolve_calls == []
+        grid, _ = build_instance(GridSpec(4, 4, kappa=0.5))
+        # the grid's Q = I is the base, applied as -c / d: no triangular solve at
+        # all; a Q with entries off its diagonal makes one, the setup's solve with -c
+        for p, setup_calls in ((grid, []), (_tridiagonal_q(grid), [(grid.n,)])):
+            solve(p)
+            assert trisolve_calls == setup_calls
+            trisolve_calls.clear()
+            for mode in Mode:
+                assert len(solve(p, SolverConfig(mode=mode)).trace) >= 5
+            assert trisolve_calls == []
 
     def test_refines_on_a_miss_and_meets_the_bound(self, trisolve_calls, caplog):
         # cond(Q + A'A) ~ 1e8 and a tiny rho: the first pass misses the bound by
-        # about 200x, and one refinement pass meets it by a factor of about 1e5
-        p = make_problem(Q=np.eye(2), c=[1.0, 1.0], A1=[[1e4, 1.0]], b1=[1.0])
+        # about 300x, and one refinement pass meets it by a factor of about 1e5
+        p = make_problem(Q=[[1.0, 0.5], [0.5, 1.0]], c=[1.0, 1.0], A1=[[1e4, 1.0]], b1=[1.0])
         x, grad, lines = self._solve_logged(caplog, p, np.ones(1), 1e-8)
         assert trisolve_calls == [(2,), (2,)]  # the setup's, then the refinement's
         rhs = -p.c - p.A1.T @ np.ones(1) + 1e-8 * (p.A1.T @ p.b1)
@@ -397,10 +453,21 @@ class TestRefinement:
         assert len(lines) == 1
         assert lines[0].startswith("subproblem refines: residual ")
         assert "> bound " in lines[0]
+        # on base D the refinement's base solve is g / d, and a met bound keeps the
+        # solve on that base, with no n x n factor built
+        trisolve_calls.clear()
+        p = make_problem(Q=np.diag([1.0, 1e-4]), c=[1.0, 1.0], A1=[[1e6, 1.0]], b1=[1.0])
+        x, grad, lines = self._solve_logged(caplog, p, np.zeros(1), 100.0)
+        rhs = -p.c + 100.0 * (p.A1.T @ p.b1)
+        assert grad <= 1e-10 * (1.0 + np.linalg.norm(rhs))
+        assert [line.split(":")[0] for line in lines] == ["subproblem refines"]
+        assert trisolve_calls == []
+        assert hieralm.alm._SETUP[p].dense is None
 
     def test_debug_lines_name_the_fallback(self, caplog):
         # refinement still misses, so lstsq on the formed H takes over
-        p = make_problem(Q=np.eye(2), c=[1.0, 1.0], A1=[[1e6, 1.0]], b1=[1.0])
+        Q = [[1.0, 0.5], [0.5, 1.0]]
+        p = make_problem(Q=Q, c=[1.0, 1.0], A1=[[1e6, 1.0]], b1=[1.0])
         _, grad, lines = self._solve_logged(caplog, p, np.zeros(1), 1e-12)
         assert grad <= 1e-10 * (1.0 + np.sqrt(2.0))
         assert [line.split(":")[0] for line in lines] == [
@@ -408,14 +475,27 @@ class TestRefinement:
             "subproblem falls back to lstsq",
         ]
         assert lines[1].startswith("subproblem falls back to lstsq: refined residual ")
+        # on base D both passes miss, so the solve switches to the Q + A'A chain,
+        # whose first pass meets the bound
+        p = make_problem(Q=np.diag([1.0, 1e-4]), c=[1.0, 1.0], A1=[[1e3, 1.0]], b1=[1.0])
+        _, grad, lines = self._solve_logged(caplog, p, np.ones(1), 1.0)
+        assert grad <= 1e-10 * (1.0 + np.linalg.norm(-p.c + p.A1.T @ (p.b1 - 1.0)))
+        assert [line.split(":")[0] for line in lines] == [
+            "subproblem refines",
+            "subproblem switches from base D to Q + A'A",
+        ]
+        assert lines[1].startswith(
+            "subproblem switches from base D to Q + A'A: refined residual "
+        )
         # Q + A'A singular: no range-space factors, so straight to lstsq
         p = make_problem(Q=np.diag([1.0, 0.0]), c=[-1.0, 0.0])
         assert self._solve_logged(caplog, p, np.zeros(0), 1.0)[2] == [
             "subproblem falls back to lstsq: Q + A'A is not definite (bound 2.000e-10)"
         ]
-        # a well-conditioned solve logs nothing
-        p = make_problem(Q=np.eye(2), c=[1.0, 1.0], A1=[[1.0, 1.0]], b1=[1.0])
-        assert self._solve_logged(caplog, p, np.ones(1), 1.0)[2] == []
+        # a well-conditioned solve logs nothing, on either base
+        for Q in (np.eye(2), [[1.0, 0.5], [0.5, 1.0]]):
+            p = make_problem(Q=Q, c=[1.0, 1.0], A1=[[1.0, 1.0]], b1=[1.0])
+            assert self._solve_logged(caplog, p, np.ones(1), 1.0)[2] == []
 
     def test_shared_products_match_public_functions(self):
         rng = np.random.default_rng(59)
@@ -512,8 +592,9 @@ class TestSparseA:
                 assert np.abs(a.x_final - b.x_final).max() <= 1e-12 * scale
 
     def test_setup_gram_from_csr_matches_dense_on_a_grid(self):
-        # every entry of a grid's A is 0 or +-1, so every sum in A'A is exact
-        p = build_instance(GridSpec(4, 4, kappa=0.5))[0]
+        # every entry of a grid's A is 0 or +-1, so every sum in A'A is exact; the
+        # grid's Q = I would be the base, so Q gets entries off its diagonal
+        p = _tridiagonal_q(build_instance(GridSpec(4, 4, kappa=0.5))[0])
         q = _forced_dense(p)
         sparse, dense = hieralm.alm._setup(p), hieralm.alm._setup(q)
         assert np.array_equal(sparse.factor[0], dense.factor[0])
@@ -659,29 +740,39 @@ class TestIterateAndSolve:
         )
         assert clipped
 
-    def test_one_factorization_per_instance(self, factor_calls):
-        p, _ = build_instance(GridSpec(4, 4, kappa=0.5))
-        runs = [run_with_states(p, SolverConfig(mode=mode)) for mode in Mode]
-        report = solve(p)
-        assert len({st.rho_used for st in runs[0]}) >= 3  # the factor must serve several penalties
-        assert factor_calls == [(p.n, p.n)]
-        assert report.trace == tuple(st.record for st in runs[0])
-        # the cached factors give the bits that factors built for a fresh copy give
-        fresh = ProblemData(Q=p.Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
-        for states in runs:
-            l1, l2 = np.zeros(p.m1), np.zeros(p.m2)
-            for st in states:
-                x, grad = solve_subproblem(fresh, l1, l2, st.rho_used, st.shift)
-                assert x.tobytes() == st.x.tobytes()
-                assert grad == st.record.subproblem_grad_norm
-                l1, l2 = st.lambda1_hat, st.lambda2_hat
-        assert factor_calls == [(p.n, p.n)] * 2
+    def test_one_factorization_per_instance(self, factor_calls, svd_calls):
+        # the grid's Q = I is the base of its setup, which factors nothing; a Q
+        # with entries off its diagonal is factored once
+        grid, _ = build_instance(GridSpec(4, 4, kappa=0.5))
+        for p, factored in ((grid, []), (_tridiagonal_q(grid), [(grid.n, grid.n)])):
+            factor_calls.clear()
+            svd_calls.clear()
+            runs = [run_with_states(p, SolverConfig(mode=mode)) for mode in Mode]
+            report = solve(p)
+            # the factors must serve several penalties
+            assert len({st.rho_used for st in runs[0]}) >= 3
+            assert factor_calls == factored
+            assert svd_calls == [(p.n, p.m)]
+            assert report.trace == tuple(st.record for st in runs[0])
+            # the cached factors give the bits that factors built for a fresh copy give
+            fresh = ProblemData(Q=p.Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
+            for states in runs:
+                l1, l2 = np.zeros(p.m1), np.zeros(p.m2)
+                for st in states:
+                    x, grad = solve_subproblem(fresh, l1, l2, st.rho_used, st.shift)
+                    assert x.tobytes() == st.x.tobytes()
+                    assert grad == st.record.subproblem_grad_norm
+                    l1, l2 = st.lambda1_hat, st.lambda2_hat
+            assert factor_calls == factored * 2
+            assert svd_calls == [(p.n, p.m)] * 2
 
-    def test_equal_instances_do_not_share_factors(self, factor_calls):
+    def test_equal_instances_do_not_share_factors(self, factor_calls, svd_calls):
         p, _ = build_instance(GridSpec(3, 3, kappa=0.5))
         q = ProblemData(Q=p.Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
         a, b = solve(p), solve(q)
-        assert len(factor_calls) == 2
+        assert len(svd_calls) == 2  # one setup each, on base D
+        assert factor_calls == []
+        assert hieralm.alm._SETUP[p] is not hieralm.alm._SETUP[q]
         assert a.trace == b.trace
 
     def test_cache_does_not_keep_instance_alive(self):

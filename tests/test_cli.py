@@ -384,9 +384,9 @@ class TestCompare:
         assert "Converged" in out
         assert "DivergenceSuspected" in out
 
-    def test_setup_runs_once_for_both_modes(self, capsys, monkeypatch):
+    def test_setup_runs_once_for_both_modes(self, tmp_path, capsys, monkeypatch):
         calls = []
-        for name in ("cho_factor", "validate_problem"):
+        for name in ("cho_factor", "svd", "validate_problem"):
             original = getattr(hieralm.alm, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
@@ -397,7 +397,18 @@ class TestCompare:
         code, out, _ = run_cli(capsys, "compare", "--grid", "4x4", "--kappa", "0.5")
         assert code == 0
         assert "DivergenceSuspected" in out
-        assert sorted(calls) == ["cho_factor", "validate_problem"]
+        # the grid's Q = I is the setup's base: one SVD and no n x n factor
+        assert sorted(calls) == ["svd", "validate_problem"]
+        # a Q with entries off its diagonal is factored, once for both modes
+        p, _ = build_instance(GridSpec(4, 4, kappa=0.5))
+        Q = np.eye(p.n) + 0.25 * (np.eye(p.n, k=1) + np.eye(p.n, k=-1))
+        path = tmp_path / "tridiagonal.json"
+        save_problem(ProblemData(Q=Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2), path)
+        calls.clear()
+        code, out, _ = run_cli(capsys, "compare", "--problem", str(path))
+        assert code == 0
+        assert "DivergenceSuspected" in out
+        assert sorted(calls) == ["cho_factor", "svd", "validate_problem"]
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "cmp.txt"
