@@ -59,6 +59,7 @@ from .problem import (
     _a_operators,
     _definite_diagonal,
     _q_times,
+    _rank_cutoff,
     constraint_residuals,
     objective_value,
     validate_problem,
@@ -383,7 +384,7 @@ class _RangeSpace:
         W, sig, self.Ut = svd(Bt, full_matrices=False, overwrite_a=True, check_finite=False)
         # left_null's rank rule: a singular value at round-off level belongs to
         # null(A'), and zeroing it keeps a large rho from amplifying the round-off
-        tol = max(p.n, p.m) * np.finfo(float).eps * (sig[0] if sig.size else 0.0)
+        tol = _rank_cutoff(p.n, p.m, sig[0] if sig.size else 0.0)
         sig[sig <= tol] = 0.0
         self.sig, self.sig2 = sig, sig * sig
         self.offset = 1.0 if d is None else 0.0

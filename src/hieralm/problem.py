@@ -53,6 +53,7 @@ logger = logging.getLogger(__name__)
 FORMAT_NAME = "hieralm-problem"
 FORMAT_VERSION = 1
 
+_EPS = np.finfo(float).eps
 _SYMMETRY_TOL = 1e-10
 _DEFINITE_MARGIN = 2e-10  # validate_problem's, relative to 1 + ||Q||_inf
 
@@ -91,7 +92,9 @@ class ProblemData:
 
     An instance is its own identity: it hashes and compares by ``id``, so two
     instances with equal arrays are different keys. Work derived from the data
-    is cached against the instance until it is garbage collected: ``left_null``,
+    is cached against the instance until it is garbage collected: ``left_null``
+    (m k doubles; building it forms a transient m x m Gram A A' and its
+    eigenvectors, 1.3 MB each at the 20x20 grid and 6.5 MB at 30x30),
     ``q_diagonal`` and ``a_csr`` (for a sparse A, CSR copies of A and A',
     24 nnz(A) + 4 (m + n + 2) bytes: 81 KB at the 20x20 grid) here, and in
     :mod:`hieralm.alm` the check of Q and the solver's factors (about
@@ -173,18 +176,22 @@ class ProblemData:
     def left_null(self) -> np.ndarray:
         """Orthonormal basis N of null(A'), shape (m, k) with k = m - rank(A).
 
-        Rows split like the blocks: N[:m1] belongs to A1, N[m1:] to A2. With
-        A' = QR, the min(m, n) x m factor R has A's singular values and
-        null(R) = null(A'), so N is read from the SVD of R alone: the right
-        singular vectors past the rank. The rank follows lstsq's rule, singular
-        values above max(m, n) * eps * s_max. Only R is formed, never Q or an
-        m x n singular factor. The cache cannot go stale because the arrays are
+        Rows split like the blocks: N[:m1] belongs to A1, N[m1:] to A2. The rank
+        follows lstsq's rule, singular values above max(m, n) * eps * s_max
+        (``_rank_cutoff``). N is first read from one eigendecomposition of the
+        m x m Gram G = A A' (a transient 1.3 MB at the 20x20 grid, 6.5 MB at
+        30x30) and kept only if that candidate is certified (``_gram_left_null``);
+        otherwise it comes from the SVD of the R factor of A' (``_svd_left_null``),
+        which also resolves the singular values that G's squared condition number
+        cannot, as when no gap separates A's spectrum from the cutoff. Each build
+        logs its route at DEBUG. The cache cannot go stale because the arrays are
         read-only.
         """
-        m, n = self.A.shape
-        _, s, Vt = np.linalg.svd(np.linalg.qr(self.A.T, mode="r"))
-        tol = max(m, n) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-        N = Vt[int(np.count_nonzero(s > tol)):].T.copy()
+        N, figures = _gram_left_null(self.A)
+        route = "gram"
+        if N is None:
+            N, route = _svd_left_null(self.A), "qr-svd"
+        logger.debug("left_null: %s route, k = %d; %s", route, N.shape[1], figures)
         N.flags.writeable = False
         return N
 
@@ -220,6 +227,60 @@ class ProblemData:
 
 class ProblemFormatError(ValueError):
     """Raised when an instance file cannot be parsed into a ProblemData."""
+
+
+def _rank_cutoff(m: int, n: int, s_max: float) -> float:
+    """lstsq's rank rule for an m x n matrix whose largest singular value is s_max:
+    singular values at or below max(m, n) * eps * s_max are round-off."""
+    return max(m, n) * _EPS * s_max
+
+
+def _svd_left_null(A: np.ndarray) -> np.ndarray:
+    """N from the SVD of R, where A' = QR: the min(m, n) x m factor R has A's
+    singular values and null(R) = null(A'), so N is the right singular vectors
+    past the rank. Only R is formed, never Q or an m x n singular factor."""
+    m, n = A.shape
+    _, s, Vt = np.linalg.svd(np.linalg.qr(A.T, mode="r"))
+    tol = _rank_cutoff(m, n, s[0] if s.size else 0.0)
+    return Vt[int(np.count_nonzero(s > tol)):].T.copy()
+
+
+def _gram_left_null(A: np.ndarray) -> tuple[np.ndarray | None, str]:
+    """(N, figures): N from eigh(A A') if certified, else None; figures words the candidate.
+
+    G = A A' has the squared singular values of A and null(G) = null(A'). Each
+    computed eigenvalue of G errs by at most about the band
+    max(m, n) * eps * ||A||_F^2 (the rounding of A A' is bounded by
+    n eps |A||A'|, whose norm is at most ||A||_F^2 = trace(G) >= lambda_max), so
+    N is the eigenvectors whose eigenvalues lie inside it. Squaring cannot
+    resolve a singular value near the cutoff, so N is certified only when
+
+    (a) the least kept eigenvalue exceeds ten bands: every kept singular value
+        is then at least sqrt(9 band), far above the cutoff; and
+    (b) ||A'N||_F is at most a tenth of the cutoff: by Courant-Fischer the k
+        dropped singular values are then below it, and by the sin theta theorem
+        N is within ||A'N|| / s_r of null(A'), a tenth of the Wedin bound
+        max(m, n) eps s_max / s_r that the SVD route meets.
+
+    The band must be a normal number: an overflow in G makes it inf, and A = 0,
+    m = 0 or a G lost whole to underflow make it 0 or subnormal.
+    """
+    m, n = A.shape
+    with np.errstate(over="ignore"):  # an overflow shows in the band
+        G = A @ A.T  # numpy computes a product with its own transpose as one syrk
+    band = max(m, n) * _EPS * np.trace(G)
+    if not np.finfo(float).tiny <= band < np.inf:
+        return None, f"Gram rounding band {band:.2e} is not a normal number"
+    w, V = np.linalg.eigh(G)  # LAPACK syevd
+    k = int(np.count_nonzero(w <= band))
+    N = np.ascontiguousarray(V[:, :k])
+    residual = np.linalg.norm(N.T @ A) / _rank_cutoff(m, n, np.sqrt(w[-1]))
+    gap = w[k] / band if k < m else np.inf
+    figures = (
+        f"Gram candidate k = {k}, ||A'N|| / cutoff = {residual:.2e}, "
+        f"least kept eigenvalue / band = {gap:.2e}"
+    )
+    return (N if gap > 10.0 and residual <= 0.1 else None), figures
 
 
 def _float_array(a, ndim: int, name: str) -> np.ndarray:

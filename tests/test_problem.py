@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import hieralm.problem
 from conftest import make_problem, random_problem
@@ -25,6 +26,7 @@ from hieralm import (
     ProblemFormatError,
     build_instance,
     constraint_residuals,
+    grid_incidence,
     load_problem,
     objective_value,
     problem_document,
@@ -53,13 +55,17 @@ def _near_dependent_rows(ratio: float):
 
 
 def _left_null_cases() -> dict:
-    """(A1, A2) pairs covering each shape of R = qr(A')'s R and each rank regime."""
+    """(A1, A2) pairs covering each shape of R = qr(A')'s R and each rank regime,
+    one whose A A' overflows, and two graph incidences that the Gram route certifies."""
     rng = np.random.default_rng(5)
     tall = rng.uniform(-2.0, 2.0, (4, 2))  # m > n: R is 2 x 4, trapezoidal
     wide = rng.uniform(-2.0, 2.0, (3, 5))  # m < n: full row rank, k = 0
     dup = rng.uniform(-2.0, 2.0, (4, 4))
     dup[2] = dup[0]
     col = rng.uniform(-2.0, 2.0, (3, 1))
+    grid = build_instance(GridSpec(3, 3))[0]  # connected: k = 1
+    # a 3x3 grid beside a 2x4 grid: two components, a repeated zero eigenvalue
+    two = block_diag(grid_incidence(3, 3)[0], grid_incidence(2, 4)[0])
     return {
         "tall": (tall[:3], tall[3:]),
         "wide": (wide[:2], wide[2:]),
@@ -70,8 +76,11 @@ def _left_null_cases() -> dict:
         "duplicated-row": (dup[:3], dup[3:]),
         "scaled-1e8": (1e8 * tall[:3], 1e8 * tall[3:]),
         "scaled-1e-8": (1e-8 * tall[:3], 1e-8 * tall[3:]),
+        "scaled-1e200": (1e200 * tall[:3], 1e200 * tall[3:]),  # A A' overflows
         "near-dependent-above": _near_dependent_rows(100.0),
         "near-dependent-below": _near_dependent_rows(0.01),
+        "grid-3x3": (grid.A1, grid.A2),
+        "two-grids": (two[:12], two[12:]),
     }
 
 
@@ -201,6 +210,70 @@ class TestProblemData:
             # s[3] is the near-dependent pair's; max(m, n) = 6
             assert s[3] / (6 * EPS * s[0]) == pytest.approx(ratio), case
             assert s[4] <= 1e-30, case  # the exact copy in A2
+
+    def test_left_null_logs_its_route(self, caplog):
+        def route(A1, A2):
+            n = A1.shape[1]
+            p = make_problem(
+                Q=np.eye(n), c=np.zeros(n), A1=A1, b1=np.zeros(len(A1)), A2=A2, b2=np.zeros(len(A2))
+            )
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="hieralm.problem"):
+                p.left_null
+                p.left_null  # cached: no second line
+            (line,) = [r.getMessage() for r in caplog.records if "left_null" in r.getMessage()]
+            return line
+
+        p, _ = build_instance(GridSpec(20, 20, kappa=0.5))
+        assert route(p.A1, p.A2).startswith("left_null: gram route, k = 1;")
+        cases = _left_null_cases()
+        # the 50-digit test above covers the Gram route through these two
+        assert route(*cases["grid-3x3"]).startswith("left_null: gram route, k = 1;")
+        assert route(*cases["two-grids"]).startswith("left_null: gram route, k = 2;")
+        # the near-dependent pair sits 100x above the cutoff, which G cannot resolve:
+        # its candidate keeps that pair's direction and fails ||A'N|| <= cutoff / 10
+        line = route(*cases["near-dependent-above"])
+        assert line.startswith("left_null: qr-svd route, k = 1; Gram candidate k = 2,"), line
+        # a singular value whose square sits 3 bands above zero, with the band
+        # 2 eps ||A||_F^2: kept on both routes, but within ten bands of G's round-off
+        t = np.sqrt(3 * 2 * EPS)
+        line = route(np.array([[1.0, 0.0]]), np.array([[0.0, t]]))
+        assert line.startswith("left_null: qr-svd route, k = 0; Gram candidate k = 0,"), line
+        # so does a Gram that overflows, with no floating-point warning
+        line = route(*cases["scaled-1e200"])
+        assert line == "left_null: qr-svd route, k = 2; Gram rounding band inf is not a normal number"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        graph=st.booleans(),
+        scale=st.sampled_from([1e-8, 1.0, 1e8]),
+    )
+    def test_certified_gram_basis_matches_the_svd_route(self, seed, graph, scale):
+        # a random graph's incidence, or dense rows with exact duplicates; rows
+        # permuted, the whole scaled
+        rng = np.random.default_rng(seed)
+        if graph:
+            nodes, edges = int(rng.integers(2, 13)), int(rng.integers(1, 41))
+            A = np.zeros((nodes, edges))
+            for j in range(edges):
+                head, tail = rng.choice(nodes, 2, replace=False)
+                A[head, j], A[tail, j] = 1.0, -1.0
+        else:
+            n = int(rng.integers(1, 41))
+            base = rng.standard_normal((int(rng.integers(1, min(n, 12) + 1)), n))
+            A = np.vstack((base, base[rng.integers(0, len(base), int(rng.integers(1, 9)))]))
+        A = scale * A[rng.permutation(len(A))]
+        N, _ = hieralm.problem._gram_left_null(A)
+        if N is None:
+            return
+        ref = hieralm.problem._svd_left_null(A)
+        assert N.shape == ref.shape
+        m, n = A.shape
+        s = np.linalg.svd(A, compute_uv=False)
+        rank = m - ref.shape[1]
+        err = np.abs(N @ N.T - ref @ ref.T).max()
+        assert err <= 8 * max(m, n) * EPS * s[0] / s[rank - 1], err
 
     def test_rejects_wrong_rank_arrays(self):
         with pytest.raises(ValueError, match="Q must be 2-D"):
