@@ -23,7 +23,9 @@ factor V. For a definite diagonal Q = D, such as every grid instance's q I,
 the instance says so (``ProblemData.q_diagonal``): the base is D, so the setup
 is one SVD of A'/sqrt(d), the check of Q is O(n) and Q x is d * x, with the
 dense product's bits. A solve whose refined base-D pass still misses its bound
-runs the Q + A'A chain unchanged, its setup built on the first such miss. For
+runs the Q + A'A chain unchanged, its setup built on the first such miss. That
+chain and the lstsq fallback add a diagonal Q to the diagonal of A'A, so no
+solve reads the n x n ``p.Q`` of an instance that stores Q as its diagonal. For
 a sparse A, such as every grid's incidence matrix, the instance keeps CSR copies
 of A and A' (``ProblemData.a_csr``): the products with A and the setup's A'A
 then cost O(nnz(A)), an iteration with a diagonal Q O(nnz(A) + nm), and a
@@ -57,6 +59,7 @@ from .problem import (
     HierarchicalShift,
     ProblemData,
     _a_operators,
+    _add_q,
     _definite_diagonal,
     _q_times,
     _rank_cutoff,
@@ -370,7 +373,7 @@ class _RangeSpace:
             G = At @ A  # O(nnz) work from the CSR pair, whose sums on the grids are exact
             if p.a_csr is not None:
                 G = G.toarray()
-            G += p.Q  # symmetric, so G.T is the F-ordered B that cho_factor overwrites with R'
+            _add_q(p, G)  # symmetric, so G.T is the F-ordered B that cho_factor overwrites with R'
             try:
                 self.factor = cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
             except LinAlgError:
@@ -457,7 +460,8 @@ class _RangeSpace:
                 "subproblem falls back to lstsq: Q + A'A is not definite (bound %.3e)", bound
             )
         # singular (or numerically indefinite) system: minimum-norm solution if consistent
-        H = p.Q + rho * (p.A.T @ p.A)
+        H = rho * (p.A.T @ p.A)
+        _add_q(p, H)
         x, *_ = np.linalg.lstsq(H, rhs, rcond=None)
         grad_norm, prod = _residual_norm(p, x, rho, rhs)
         if grad_norm > bound:

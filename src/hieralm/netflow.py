@@ -87,7 +87,7 @@ def build_instance(spec: GridSpec) -> tuple[ProblemData, dict]:
     b[m - spec.cols:] = 1.0
     n = A.shape[1]
     p = ProblemData(
-        Q=spec.q_scale * np.eye(n),
+        Q=np.full(n, spec.q_scale),  # the diagonal of q_scale I
         c=spec.c_scale * np.ones(n),
         A1=A[spec.cols:],
         b1=b[spec.cols:],

@@ -18,8 +18,10 @@ representation that round-trips the double exactly; non-finite values are reject
 
 Validation happens in two places. :class:`ProblemData` rejects malformed arrays at
 construction: an empty decision vector, block shapes that do not match, and
-non-finite entries all raise ``ValueError``. :func:`validate_problem` checks Q
-itself: it raises for an asymmetric or indefinite Q and warns for a singular one.
+non-finite entries all raise ``ValueError``. It stores a diagonal Q as its
+diagonal, which is also what a file's sparse Q with entries on the diagonal
+alone loads as. :func:`validate_problem` checks Q itself: it raises for an
+asymmetric or indefinite Q and warns for a singular one.
 """
 
 from __future__ import annotations
@@ -90,6 +92,15 @@ class ProblemData:
     ``b`` (m,), built straight from the inputs, and ``A1``, ``A2``, ``b1`` and
     ``b2`` are read-only row views of them.
 
+    A diagonal Q is stored as its diagonal d, a contiguous read-only (n,)
+    array: a 1-D ``Q`` is taken as d, and so is a 2-D n x n ``Q`` whose every
+    cell off the diagonal is +0.0, so that np.diag(d) has its bits; any other
+    Q, one with a -0.0 off the diagonal among them, is stored as given. For a
+    stored diagonal the shape and finiteness checks are O(n), ``q_diagonal``
+    returns d, and ``Q`` is built from d on its first read (n^2 doubles,
+    18.5 MB at the 20x20 grid and 97 MB at 30x30) and kept, so ``p.Q is p.Q``.
+    The solver, validate_problem and the file writer never read it.
+
     An instance is its own identity: it hashes and compares by ``id``, so two
     instances with equal arrays are different keys. Work derived from the data
     is cached against the instance until it is garbage collected: ``left_null``
@@ -104,10 +115,11 @@ class ProblemData:
     construction; code that forces them writable breaks that contract.
 
     Raises:
-        ValueError: If a matrix is not 2-D or a vector not 1-D; or, naming every
-            failed rule, if n = 0, Q is not (n, n), a nonempty block does not have
-            n columns, a right-hand side does not match its block's row count, or
-            an array has non-finite entries.
+        ValueError: If Q is neither 1-D nor 2-D, another matrix is not 2-D or a
+            vector not 1-D; or, naming every failed rule, if n = 0, Q is not
+            (n,) or (n, n), a nonempty block does not have n columns, a
+            right-hand side does not match its block's row count, or an array
+            has non-finite entries.
     """
 
     Q: np.ndarray
@@ -118,18 +130,27 @@ class ProblemData:
     b2: np.ndarray
     A: np.ndarray = field(init=False, repr=False)
     b: np.ndarray = field(init=False, repr=False)
+    _d: np.ndarray | None = field(init=False, repr=False)  # Q stored as its diagonal, or None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "Q", _frozen_copy(self.Q, 2, "Q"))
         object.__setattr__(self, "c", _frozen_copy(self.c, 1, "c"))
         n = self.c.shape[0]
         errors = []
         if n == 0:
             errors.append("empty decision vector (n = 0)")
-        if self.Q.shape != (n, n):
-            errors.append(f"dimension mismatch: Q has shape {self.Q.shape}, expected ({n}, {n})")
+        d = _stored_diagonal(self.Q, n)
+        object.__setattr__(self, "_d", d)
+        if d is None:
+            object.__setattr__(self, "Q", _frozen_copy(self.Q, 2, "Q"))
+        else:
+            object.__delattr__(self, "Q")  # __getattr__ builds it from d on first read
+        q = self.Q if d is None else d
+        if q.shape != (n, n)[: q.ndim]:
+            errors.append(
+                f"dimension mismatch: Q has shape {q.shape}, expected {(n, n)[: q.ndim]}"
+            )
         # the inputs themselves, not copies, so that stacking makes the only copy
-        arrays = {"Q": self.Q, "c": self.c}
+        arrays = {"Q": q, "c": self.c}
         for mat, vec in (("A1", "b1"), ("A2", "b2")):
             a = _float_array(getattr(self, mat), 2, mat)
             if a.shape[0] == 0:
@@ -195,16 +216,30 @@ class ProblemData:
         N.flags.writeable = False
         return N
 
+    def __getattr__(self, name: str):
+        # reached only when lookup fails: Q, stored as its diagonal and not read yet
+        if name != "Q" or self._d is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        Q = np.diag(self._d)
+        Q.flags.writeable = False
+        object.__setattr__(self, "Q", Q)  # later reads find it, so p.Q is p.Q
+        return Q
+
     @cached_property
     def q_diagonal(self) -> np.ndarray | None:
-        """Q's diagonal d, a read-only view, if no entry off it is nonzero; else None.
+        """Q's diagonal d, contiguous and read-only, if no entry off it is nonzero; else None.
 
-        Every Q x is then the O(n) d * x, which for finite x has the bits of
-        Q @ x up to the sign of a zero: the off-diagonal terms add exact zeros.
+        For a Q stored as its diagonal this is that array, in O(1). Otherwise
+        it is copied from Q after one pass over it, in which a -0.0 off the
+        diagonal counts as zero. Every Q x is then the O(n) d * x, which for
+        finite x has the bits of Q @ x up to the sign of a zero: the
+        off-diagonal terms add exact zeros.
         """
+        if self._d is not None:
+            return self._d
         d = self.Q.diagonal()
         # count_nonzero counts a -0.0 off-diagonal cell as zero
-        return d if np.count_nonzero(self.Q) == np.count_nonzero(d) else None
+        return _frozen_copy(d, 1, "Q") if np.count_nonzero(self.Q) == np.count_nonzero(d) else None
 
     @cached_property
     def a_csr(self) -> tuple | None:
@@ -297,6 +332,28 @@ def _frozen_copy(a, ndim: int, name: str) -> np.ndarray:
     return out
 
 
+def _stored_diagonal(Q, n: int) -> np.ndarray | None:
+    """The read-only diagonal d that ProblemData stores for Q, or None to store Q as given.
+
+    A 1-D Q is the diagonal itself. A 2-D n x n Q is stored as its diagonal
+    when every cell off it is +0.0, so that np.diag(d) has Q's bits; a -0.0
+    off the diagonal keeps Q dense.
+    """
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim not in (1, 2):
+        raise ValueError(f"Q must be 1-D (its diagonal) or 2-D, got ndim={Q.ndim}")
+    if Q.ndim == 2:
+        if Q.shape != (n, n):
+            return None
+        d = Q.diagonal()
+        if np.count_nonzero(Q) != np.count_nonzero(d):
+            return None
+        if np.count_nonzero(np.signbit(Q)) != np.count_nonzero(np.signbit(d)):  # a -0.0 off it
+            return None
+        Q = d
+    return _frozen_copy(Q, 1, "Q")
+
+
 def validate_problem(p: ProblemData) -> str | None:
     """Check that Q is symmetric positive semidefinite.
 
@@ -368,6 +425,16 @@ def _q_times(p: ProblemData, x: np.ndarray) -> np.ndarray:
     return p.Q @ x if d is None else d * x
 
 
+def _add_q(p: ProblemData, G: np.ndarray) -> None:
+    """G += Q in place; on the diagonal alone when Q is diagonal, with the bits
+    of G + Q up to the sign of a zero."""
+    d = p.q_diagonal
+    if d is None:
+        G += p.Q
+    else:
+        G.flat[:: p.n + 1] += d
+
+
 def _a_operators(p: ProblemData) -> tuple:
     """(A, A') for every A product: the CSR copies when A is sparse, else dense."""
     csr = p.a_csr
@@ -407,13 +474,23 @@ def _encode_matrix(a: np.ndarray):
     if size <= _DENSE_MAX_ENTRIES or nnz > _COO_DENSITY * size:
         return a.tolist()
     rows, cols = np.nonzero(stored)
-    return {
-        "coo": {
-            "rows": rows.tolist(),
-            "cols": cols.tolist(),
-            "values": a[rows, cols].tolist(),
-        }
-    }
+    return _encode_coo(rows, cols, a[rows, cols])
+
+
+def _encode_coo(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> dict:
+    return {"coo": {"rows": rows.tolist(), "cols": cols.tolist(), "values": values.tolist()}}
+
+
+def _encode_q(p: ProblemData):
+    """_encode_matrix(p.Q), with no n x n array for a stored diagonal whose
+    encoding is COO: past _DENSE_MAX_ENTRIES cells every diagonal is sparse by
+    the COO rule, and its entries are the stored ones (nonzero or -0.0) in
+    row order, as np.nonzero lists them."""
+    d = p._d
+    if d is None or d.size * d.size <= _DENSE_MAX_ENTRIES:
+        return _encode_matrix(p.Q)
+    i = np.flatnonzero((d != 0) | np.signbit(d))
+    return _encode_coo(i, i, d[i])
 
 
 def problem_document(p: ProblemData, meta: dict | None = None) -> dict:
@@ -424,7 +501,7 @@ def problem_document(p: ProblemData, meta: dict | None = None) -> dict:
         "n": p.n,
         "m1": p.m1,
         "m2": p.m2,
-        "Q": _encode_matrix(p.Q),
+        "Q": _encode_q(p),
         "c": p.c.tolist(),
         "A1": _encode_matrix(p.A1),
         "b1": p.b1.tolist(),
@@ -518,7 +595,9 @@ def _dense_zeros(rows: int, cols: int, name: str) -> np.ndarray:
         raise ProblemFormatError(f"{too_big}, which could not be allocated") from exc
 
 
-def _decode_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
+def _decode_matrix(value, rows: int, cols: int, name: str, diagonal: bool = False) -> np.ndarray:
+    """The matrix ``value`` encodes; with ``diagonal``, a COO matrix whose entries
+    all lie on the diagonal comes back as that diagonal, 1-D."""
     if isinstance(value, dict):
         if set(value) != {"coo"} or not isinstance(value["coo"], dict):
             raise ProblemFormatError(f"{name}: matrix object must hold a single 'coo' entry")
@@ -530,7 +609,9 @@ def _decode_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
             raise ProblemFormatError(f"{name}.coo: rows, cols, values must be arrays")
         if not len(ri) == len(ci) == len(vals):
             raise ProblemFormatError(f"{name}.coo: rows, cols, values differ in length")
-        out = _dense_zeros(rows, cols, name)
+        # Python ints compare exactly, so == decides whether every entry is on the diagonal
+        on_diagonal = diagonal and ri == ci
+        out = np.zeros(rows) if on_diagonal else _dense_zeros(rows, cols, name)
         r = _decode_indices(ri, rows, lambda t: f"{name}.coo.rows[{t}]")
         c = _decode_indices(ci, cols, lambda t: f"{name}.coo.cols[{t}]")
         _, first = np.unique(r * cols + c, return_index=True)
@@ -539,7 +620,9 @@ def _decode_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
             repeat[first] = False
             t = int(np.argmax(repeat))
             raise ProblemFormatError(f"{name}.coo: duplicate entry at ({r[t]}, {c[t]})")
-        out[r, c] = _decode_numbers(vals, lambda t: f"{name}.coo.values[{t}]")
+        out[r if on_diagonal else (r, c)] = _decode_numbers(
+            vals, lambda t: f"{name}.coo.values[{t}]"
+        )
         return out
     if not isinstance(value, list):
         raise ProblemFormatError(f"{name}: expected an array of rows or a coo object")
@@ -573,7 +656,8 @@ def load_problem(path: str | Path) -> ProblemData:
     duplicate sparse entries, a sparse matrix whose dense form needs more bytes
     than the machine's physical memory (or fails to allocate), and data that
     :class:`ProblemData` rejects, such as ``n = 0``. Each check runs over a whole
-    array; the error names the first entry that fails it.
+    array; the error names the first entry that fails it. A sparse Q whose
+    entries all lie on the diagonal loads as its diagonal, with no dense form.
     """
 
     def _reject_constant(token: str):
@@ -604,7 +688,7 @@ def load_problem(path: str | Path) -> ProblemData:
     # from a declared dimension that the file's own data has not confirmed
     arrays = {
         "c": _decode_vector(doc["c"], n, "c"),
-        "Q": _decode_matrix(doc["Q"], n, n, "Q"),
+        "Q": _decode_matrix(doc["Q"], n, n, "Q", diagonal=True),
         "b1": _decode_vector(doc["b1"], m1, "b1"),
         "A1": _decode_matrix(doc["A1"], m1, n, "A1"),
         "b2": _decode_vector(doc["b2"], m2, "b2"),

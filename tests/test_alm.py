@@ -525,7 +525,7 @@ class TestRefinement:
             assert (d is not None) == (q in diagonal or q.n == 1)
             if d is not None:
                 assert d.tobytes() == np.diag(q.Q).tobytes()
-                assert np.shares_memory(d, q.Q) and not d.flags.writeable
+                assert d.flags.c_contiguous and not d.flags.writeable
         # and applies A through CSR copies exactly where A is sparse; the
         # grid and the empty-A instances are sparse too
         for q in problems + diagonal + sparse:

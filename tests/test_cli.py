@@ -329,7 +329,9 @@ class TestOracleCommand:
         path = tmp_path / "g.json"
         run_cli(capsys, "gen-grid", "--rows", "2", "--cols", "2", "--out", str(path))
         doc = json.loads(path.read_text())
-        doc.update(n=n, m1=0, m2=0, c=[0] * n, Q=EMPTY_COO, A1=[], b1=[], A2=[], b2=[])
+        # one entry off the diagonal; a diagonal COO Q would load as its diagonal
+        off_diagonal = {"coo": {"rows": [0], "cols": [1], "values": [1.0]}}
+        doc.update(n=n, m1=0, m2=0, c=[0] * n, Q=off_diagonal, A1=[], b1=[], A2=[], b2=[])
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "oracle", "--problem", str(path))
         assert (code, out) == (1, "")

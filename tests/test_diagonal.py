@@ -9,6 +9,7 @@ by building its setup directly.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 
 import mpmath
@@ -331,3 +332,80 @@ class TestGrids:
         assert setup.d is not None and setup.factor is None and setup.dense is None
         arrays = [v for v in vars(setup).values() if isinstance(v, np.ndarray)]
         assert max(a.size for a in arrays) == p.n * p.m  # V
+
+
+def _outcome(p: ProblemData, cfg: SolverConfig):
+    """A solve's status, trace and x_final as bytes, or the error it raised."""
+    try:
+        report = solve(p, cfg)
+    except SubproblemUnboundedError as exc:
+        return "raised", str(exc)
+    trace = np.array([dataclasses.astuple(rec) for rec in report.trace])
+    return report.status, trace.tobytes(), report.x_final.tobytes()
+
+
+class TestStoredDiagonal:
+    """A diagonal Q is stored as its diagonal d; no solve builds the dense p.Q."""
+
+    @pytest.mark.parametrize("c, answers", [([1.0, 0.0], True), ([1.0, 1.0], False)])
+    def test_lstsq_fallback_builds_no_dense_q(self, caplog, c, answers):
+        # Q + A'A = diag(1, 0) does not factor, so every solve takes lstsq; it
+        # answers where c lies in range(Q) and raises where it does not
+        p = make_problem(Q=np.diag([1.0, 0.0]), c=c)
+        with caplog.at_level(logging.DEBUG, logger="hieralm.alm"):
+            if answers:
+                assert solve(p).status is Status.CONVERGED
+            else:
+                with pytest.raises(SubproblemUnboundedError):
+                    solve(p)
+        assert any("falls back to lstsq" in rec.message for rec in caplog.records)
+        assert "Q" not in vars(p)
+
+    def test_base_d_switch_builds_no_dense_q(self, caplog):
+        # base D misses here, so the Q + A'A chain is built; at rho = 1 its lstsq
+        # try finds the system inconsistent, though H is definite
+        p = make_problem(Q=np.eye(2), c=[1.0, 1.0], A1=[[1e8, 1.0]], b1=[1.0])
+        with caplog.at_level(logging.DEBUG, logger="hieralm.alm"):
+            for mode in Mode:
+                assert solve(p, SolverConfig(mode=mode)).status is Status.CONVERGED
+            with pytest.raises(SubproblemUnboundedError):
+                solve_subproblem(p, np.ones(1), np.zeros(0), 1.0, HierarchicalShift.zero(1, 0))
+        messages = [rec.message for rec in caplog.records]
+        assert any("switches from base D" in m for m in messages)
+        assert any("falls back to lstsq" in m for m in messages)
+        assert hieralm.alm._SETUP[p].dense.factor is not None
+        assert "Q" not in vars(p)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.lists(
+            st.one_of(st.just(-0.0), st.just(0.0), st.floats(-8.0, 8.0).map(lambda e: 10.0**e)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_diagonal_and_its_matrix_solve_alike(self, seed, d):
+        rng = np.random.default_rng(seed)
+        n = len(d)
+        m1, m2 = (int(m) for m in rng.integers(0, 4, 2))
+        arrays = dict(
+            c=rng.uniform(-2.0, 2.0, n),
+            A1=rng.uniform(-2.0, 2.0, (m1, n)),
+            b1=rng.uniform(-2.0, 2.0, m1),
+            A2=rng.uniform(-2.0, 2.0, (m2, n)),
+            b2=rng.uniform(-2.0, 2.0, m2),
+        )
+        p, q = ProblemData(Q=np.array(d), **arrays), ProblemData(Q=np.diag(d), **arrays)
+        for mode in Mode:
+            cfg = SolverConfig(mode=mode, max_iter=20)
+            assert _outcome(p, cfg) == _outcome(q, cfg)
+        assert "Q" not in vars(p) and "Q" not in vars(q)
+        assert p.q_diagonal.tobytes() == q.q_diagonal.tobytes() == np.array(d).tobytes()
+        # a -0.0 off the diagonal keeps Q dense, and q_diagonal still reads its diagonal
+        if n >= 2:
+            Q = np.diag(d)
+            Q[0, 1] = Q[1, 0] = -0.0
+            r = ProblemData(Q=Q, **arrays)
+            assert r.Q.tobytes() == Q.tobytes()
+            assert r.q_diagonal.tobytes() == np.array(d).tobytes()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 import hieralm.problem
-from conftest import make_problem, random_problem
+from conftest import boxed_oracle_problem, make_problem, random_problem
 from hieralm import (
     GridSpec,
     HierarchicalShift,
@@ -33,6 +33,7 @@ from hieralm import (
     save_problem,
     validate_problem,
 )
+from test_alm import _diagonal_q_problems, _sparse_a_problems
 
 
 EPS = np.finfo(float).eps
@@ -133,6 +134,30 @@ class TestProblemData:
             p.Q[0, 0] = 5.0
         with pytest.raises(ValueError):
             p.c[0] = 5.0
+
+    def test_diagonal_q_is_stored_as_its_diagonal(self):
+        d = np.array([1.0, -0.0, 0.0, 2.5])
+        for given in (d.copy(), np.diag(d), np.diag(d).tolist()):
+            p = make_problem(Q=given, c=np.zeros(4))
+            if isinstance(given, np.ndarray):
+                given[0] = 99.0  # the instance holds a copy
+            assert "Q" not in vars(p)
+            assert p.q_diagonal.tobytes() == d.tobytes()
+            assert p.q_diagonal.flags.c_contiguous and not p.q_diagonal.flags.writeable
+            # p.Q is built on its first read, read-only, and kept
+            Q = p.Q
+            assert Q.shape == (4, 4) and Q.tobytes() == np.diag(d).tobytes()
+            assert not Q.flags.writeable and p.Q is Q
+        # a -0.0 off the diagonal keeps Q dense; a d of the wrong length or non-finite is refused
+        negative_zero = np.diag(d)
+        negative_zero[0, 1] = -0.0
+        assert "Q" in vars(make_problem(Q=negative_zero, c=np.zeros(4)))
+        with pytest.raises(ValueError, match=r"Q has shape \(3,\), expected \(4,\)"):
+            make_problem(Q=np.ones(3), c=np.zeros(4))
+        with pytest.raises(ValueError, match="Q has non-finite entries"):
+            make_problem(Q=[1.0, np.nan], c=np.zeros(2))
+        with pytest.raises(AttributeError, match="no attribute 'P'"):
+            make_problem(Q=d, c=np.zeros(4)).P
 
     def test_instances_compare_by_identity(self):
         p = random_problem(np.random.default_rng(59))
@@ -276,9 +301,10 @@ class TestProblemData:
         assert err <= 8 * max(m, n) * EPS * s[0] / s[rank - 1], err
 
     def test_rejects_wrong_rank_arrays(self):
-        with pytest.raises(ValueError, match="Q must be 2-D"):
+        # a 1-D Q is its diagonal
+        with pytest.raises(ValueError, match=r"Q must be 1-D \(its diagonal\) or 2-D, got ndim=3"):
             ProblemData(
-                Q=np.ones(2),
+                Q=np.ones((2, 2, 2)),
                 c=np.zeros(2),
                 A1=np.zeros((0, 2)),
                 b1=np.zeros(0),
@@ -535,6 +561,49 @@ class TestFileRoundTrip:
         assert q.A1.shape == (0, 2)
         assert q.m2 == 0
 
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(72)
+        d = np.array([2.0, -0.0, 0.0, 5e-324] + [1.5] * 13)
+        negative_zero = np.diag(d)
+        negative_zero[0, 16] = negative_zero[16, 0] = -0.0
+        instances = (
+            [random_problem(rng) for _ in range(10)]
+            + [boxed_oracle_problem(rng) for _ in range(5)]
+            + _diagonal_q_problems()
+            + _sparse_a_problems()
+            + [build_instance(GridSpec(r, c, kappa=0.5))[0] for r, c in ((2, 1), (4, 4), (20, 20))]
+            + [make_problem(Q=Q, c=np.ones(17)) for Q in (d, np.diag(d), negative_zero)]
+        )
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        for i, p in enumerate(instances):
+            save_problem(p, first)
+            save_problem(load_problem(first), second)
+            assert first.read_bytes() == second.read_bytes(), i
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 17, 40])
+    def test_stored_diagonal_encodes_as_its_matrix(self, n):
+        # n = 16 is the last dense encoding, 256 cells; n = 17 the first coo one
+        d = np.random.default_rng(n).uniform(-2.0, 2.0, n)
+        d[::3] = 0.0
+        d[1::4] = -0.0
+        p = make_problem(Q=d, c=np.zeros(n))
+        expected = json.dumps(hieralm.problem._encode_matrix(np.diag(d)))
+        assert json.dumps(problem_document(p)["Q"]) == expected
+        assert ("Q" in vars(p)) == (n * n <= 256)  # a coo encoding forms no n x n array
+
+    @pytest.mark.parametrize(
+        "rows, cols, values", [([], [], []), ([0, 5, 999_999], [0, 5, 999_999], [2.0, -0.0, 3.0])]
+    )
+    def test_diagonal_coo_q_loads_as_its_diagonal(self, tmp_path, rows, cols, values):
+        # n = 10^6: the dense Q would need 8 TB, the diagonal needs 8 MB
+        n = 1_000_000
+        p = load_problem(_write_doc(tmp_path, _unconstrained_with_coo_q(n, rows, cols, values)))
+        expected = np.zeros(n)
+        expected[rows] = values
+        assert p.q_diagonal.tobytes() == expected.tobytes()
+        assert json.dumps(problem_document(p)["Q"]) == json.dumps(_coo(rows, cols, values))
+        assert "Q" not in vars(p)
+
 
 def _write_doc(tmp_path, mutate):
     p = make_problem(
@@ -551,11 +620,14 @@ def _coo(rows, cols, values):
     return {"coo": {"rows": rows, "cols": cols, "values": values}}
 
 
-def _unconstrained_with_empty_q(n):
-    """A mutation declaring n, with n zeros in c, an empty COO Q and no constraints."""
-    return lambda d: d.update(
-        n=n, m1=0, m2=0, c=[0] * n, Q=_coo([], [], []), A1=[], b1=[], A2=[], b2=[]
-    )
+def _unconstrained_with_coo_q(n, rows=(), cols=(), values=()):
+    """A mutation declaring n, with n zeros in c, a COO Q of these entries and no constraints."""
+    Q = _coo(list(rows), list(cols), list(values))
+    return lambda d: d.update(n=n, m1=0, m2=0, c=[0] * n, Q=Q, A1=[], b1=[], A2=[], b2=[])
+
+
+# one entry off the diagonal, so that a COO Q is dense
+OFF_DIAGONAL = ([0], [1], [1.0])
 
 
 # one fault per file; the message names the first offending entry
@@ -626,7 +698,7 @@ class TestLoadErrors:
     def test_coo_beyond_physical_memory_is_refused(self, tmp_path):
         # c confirms n = 10^6, but the dense Q needs 8 TB; the check runs before any allocation
         n = 1_000_000
-        path = _write_doc(tmp_path, _unconstrained_with_empty_q(n))
+        path = _write_doc(tmp_path, _unconstrained_with_coo_q(n, *OFF_DIAGONAL))
         with pytest.raises(ProblemFormatError) as exc:
             load_problem(path)
         message = str(exc.value)
@@ -648,7 +720,7 @@ class TestLoadErrors:
         monkeypatch.setattr(hieralm.problem, "_physical_memory", lambda: None)
         monkeypatch.setattr(np, "zeros", failing_zeros)
         n = 2_000
-        path = _write_doc(tmp_path, _unconstrained_with_empty_q(n))
+        path = _write_doc(tmp_path, _unconstrained_with_coo_q(n, *OFF_DIAGONAL))
         with pytest.raises(ProblemFormatError) as exc:
             load_problem(path)
         assert str(exc.value) == (
