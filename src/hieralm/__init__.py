@@ -1,5 +1,8 @@
 """Augmented Lagrangian solver for convex QPs with two priority levels of
-equality constraints, including exact and weighted infeasibility shifts."""
+equality constraints, including exact and weighted infeasibility shifts.
+
+Importing the package loads numpy alone; SciPy is imported by the first solve.
+"""
 
 from .alm import (
     TRACE_FIELDS,

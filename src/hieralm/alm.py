@@ -38,6 +38,11 @@ and reused by every later solve of it, in any mode or config, until the
 instance is garbage collected. The cache retains about nm + m^2 doubles per
 live instance on base D (6.1 MB at the 20x20 grid, 32 MB at 30x30), and n^2
 more on base Q + A'A (25 MB and 128 MB in all).
+
+SciPy is imported on the first solve, by its setup: the SVD, the Q + A'A
+chain's Cholesky factor and solves, the BLAS norm that E and the residual
+check use, and the CSR copies of a sparse A. Importing this module, and the
+shifts of :mod:`hieralm.control`, do not load it.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, cho_solve, norm, solve_triangular, svd
 
 from .control import (
     SigmaSchedule, _is_real, _require_real, approximate_shift, hierarchical_shift, sigma_at
@@ -63,6 +67,7 @@ from .problem import (
     _definite_diagonal,
     _q_times,
     _rank_cutoff,
+    _scipy_linalg,
     constraint_residuals,
     objective_value,
     validate_problem,
@@ -87,6 +92,12 @@ __all__ = [
 logger = logging.getLogger(__name__)
 # validate_problem's logger; its singular-Q warning is repeated on cached solves
 _problem_logger = logging.getLogger("hieralm.problem")
+
+# the setup's SVD and the Q + A'A chain load SciPy on their first call, like _nrm2
+cho_factor, cho_solve, solve_triangular, svd = map(
+    _scipy_linalg, ("cho_factor", "cho_solve", "solve_triangular", "svd")
+)
+
 
 class Mode(enum.Enum):
     INFEASIBILITY_CONTROL = "infeasibility-control"
@@ -277,7 +288,9 @@ def _kkt_value(p: ProblemData, qx, lam, r1, r2) -> float:
 
 
 def _nrm2(v: np.ndarray) -> float:
-    return float(norm(v, check_finite=False))
+    import scipy.linalg  # here, so that importing hieralm does not load SciPy
+
+    return float(scipy.linalg.norm(v, check_finite=False))
 
 
 def solve_subproblem(

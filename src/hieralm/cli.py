@@ -5,6 +5,8 @@ and renders the iteration table (plus an optional full-precision trace CSV),
 ``oracle`` reports the exact shift, ``shift-sweep`` tabulates approximate shifts
 along the weight schedule, and ``compare`` runs both solver modes side by side.
 The HIERALM_LOG environment variable (error, warn, info, debug) sets verbosity.
+``gen-grid``, ``oracle`` and ``shift-sweep`` run on numpy alone; only the solves
+of ``solve`` and ``compare`` load SciPy.
 
 Exit codes for solve: 0 Converged, 2 MaxIter, 3 DivergenceSuspected; compare
 exits with the infeasibility-control run's code; any usage or file error, and a

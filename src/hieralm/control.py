@@ -15,7 +15,7 @@ forms in the k = m - rank(A) coordinates of N, the weighting method of Van Loan
   minimize ||s1||, then ||s2|| among the shifts achieving that minimum.
 
 The schedule drives eta up geometrically while capping the absolute weight scale
-and the ratio.
+and the ratio. Everything here runs on numpy alone: no shift loads SciPy.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .problem import HierarchicalShift, ProblemData
 
@@ -189,7 +188,8 @@ def approximate_shift(p: ProblemData, sigma: SigmaPair) -> HierarchicalShift:
     A'W r = 0 and N'(b - r) = 0 with W = diag(sigma1 I, sigma2 I), so
     r = W^-1 N c with (N'W^-1 N) c = N'b. Writing w = W^(-1/2) and
     diag(w) N = QR, this is r = w * (Q R^-T N'b). The residual is unique even
-    when x_bar is not.
+    when x_bar is not. R^-T N'b is one k x k forward substitution in numpy
+    (``_solve_rt``); on the grids k = 1 and it is one division.
 
     Returns:
         The shift (r[:m1], r[m1:]); it does not record ``sigma``.
@@ -199,8 +199,18 @@ def approximate_shift(p: ProblemData, sigma: SigmaPair) -> HierarchicalShift:
         [np.full(p.m1, sigma.sigma1**-0.5), np.full(p.m2, sigma.sigma2**-0.5)]
     )
     Q, R = np.linalg.qr(w[:, None] * N)
-    r = w * (Q @ solve_triangular(R, N.T @ p.b, trans="T"))
+    r = w * (Q @ _solve_rt(R, N.T @ p.b))
     return HierarchicalShift(r[: p.m1], r[p.m1 :])
+
+
+def _solve_rt(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """R^-T t for an upper triangular R, overwriting t: forward substitution
+    on the lower triangular R', column by column (axpy form). At k = 1 it has
+    the bits of scipy.linalg.solve_triangular(R, t, trans="T")."""
+    for j in range(t.size):
+        t[j] /= R[j, j]
+        t[j + 1 :] -= R[j, j + 1 :] * t[j]
+    return t
 
 
 def approximate_shift_sequence(

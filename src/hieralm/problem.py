@@ -22,6 +22,12 @@ non-finite entries all raise ``ValueError``. It stores a diagonal Q as its
 diagonal, which is also what a file's sparse Q with entries on the diagonal
 alone loads as. :func:`validate_problem` checks Q itself: it raises for an
 asymmetric or indefinite Q and warns for a singular one.
+
+This module runs on numpy alone, except in two places that import SciPy on
+first use: validate_problem's Cholesky test of a Q that is not diagonal, and
+the CSR copies of a sparse A (``ProblemData.a_csr``), which the solver and
+constraint_residuals read. Building, saving and loading an instance never
+load SciPy.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cholesky
 
 __all__ = [
     "HierarchicalShift",
@@ -58,6 +63,24 @@ FORMAT_VERSION = 1
 _EPS = np.finfo(float).eps
 _SYMMETRY_TOL = 1e-10
 _DEFINITE_MARGIN = 2e-10  # validate_problem's, relative to 1 + ||Q||_inf
+
+
+def _scipy_linalg(name: str):
+    """scipy.linalg's function ``name``, behind a wrapper that imports SciPy on
+    its first call, so that importing hieralm does not load it. Each wrapper is
+    a module attribute that its callers go through, so tests and the
+    benchmark's tracer can replace it by name."""
+
+    def call(*args, **kwargs):
+        import scipy.linalg
+
+        return getattr(scipy.linalg, name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+cholesky = _scipy_linalg("cholesky")  # only a Q that is not diagonal is factored
 
 
 @dataclass(frozen=True)
@@ -99,7 +122,8 @@ class ProblemData:
     stored diagonal the shape and finiteness checks are O(n), ``q_diagonal``
     returns d, and ``Q`` is built from d on its first read (n^2 doubles,
     18.5 MB at the 20x20 grid and 97 MB at 30x30) and kept, so ``p.Q is p.Q``.
-    The solver, validate_problem and the file writer never read it.
+    The solver, validate_problem, the file writer and ``repr`` never read it;
+    ``repr`` shows d as the 1-D Q.
 
     An instance is its own identity: it hashes and compares by ``id``, so two
     instances with equal arrays are different keys. Work derived from the data
@@ -224,6 +248,14 @@ class ProblemData:
         Q.flags.writeable = False
         object.__setattr__(self, "Q", Q)  # later reads find it, so p.Q is p.Q
         return Q
+
+    def __repr__(self) -> str:
+        # the generated repr would build Q; a stored diagonal shows as the 1-D Q
+        # it is constructed from
+        shown = {"Q": self.Q if self._d is None else self._d}
+        shown.update((name, getattr(self, name)) for name in ("c", "A1", "b1", "A2", "b2"))
+        cells = ", ".join(f"{name}={value!r}" for name, value in shown.items())
+        return f"{type(self).__qualname__}({cells})"
 
     @cached_property
     def q_diagonal(self) -> np.ndarray | None:

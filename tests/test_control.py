@@ -6,6 +6,9 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_problem, random_problem, stacked_weighted_shift
 from hieralm import (
@@ -16,6 +19,9 @@ from hieralm import (
     hierarchical_shift,
     sigma_at,
 )
+from hieralm.control import _solve_rt
+
+EPS = np.finfo(float).eps
 
 
 class TestSigmaPair:
@@ -185,6 +191,27 @@ class TestApproximateShift:
         for build in problems:
             with pytest.raises(ValueError, match="has non-finite entries"):
                 build()
+
+
+class TestForwardSubstitution:
+    """approximate_shift's numpy R^-T t against LAPACK's triangular solve."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 40), extra=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_within_backward_error(self, k, extra, seed):
+        # R as approximate_shift forms it: the QR of a tall matrix with scaled rows
+        rng = np.random.default_rng(seed)
+        rows = k + extra
+        R = np.linalg.qr(rng.standard_normal((rows, k)) * rng.uniform(0.1, 10.0, (rows, 1)))[1]
+        t = rng.standard_normal(k) * 10.0 ** rng.uniform(-3.0, 3.0)
+        expected = scipy.linalg.solve_triangular(R, t, trans="T")
+        y = _solve_rt(R, t.copy())
+        if k == 1:
+            assert y.tobytes() == expected.tobytes()
+        # both are backward stable: each solves R' + E with |E| <= k eps |R'|
+        bound = 2 * k * EPS * np.linalg.norm(np.abs(R.T) @ np.abs(y))
+        assert np.linalg.norm(R.T @ (y - expected)) <= bound
+        assert np.linalg.norm(R.T @ y - t) <= bound
 
 
 class TestShiftSequence:

@@ -167,13 +167,46 @@ class TestProblemData:
         assert p == p
         assert len({p, copy}) == 2
 
-    def test_import_does_not_load_scipy_sparse(self):
-        # the CSR copies of a sparse A import it when first built; a fresh
-        # interpreter that only imports hieralm must not pay for it
+    def test_files_oracle_and_sweep_do_not_load_scipy(self, tmp_path):
+        # importing hieralm, writing and reading a grid file, and running the
+        # oracle and the shift sweep on it take numpy alone: a fresh interpreter
+        # that does all of them must not load any SciPy module
         src = str(Path(hieralm.problem.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import hieralm, sys; assert 'scipy.sparse' not in sys.modules"
+        path = str(tmp_path / "grid.json")
+        code = f"""
+import contextlib, io, sys
+import hieralm.cli
+commands = (
+    ["gen-grid", "--rows", "4", "--cols", "4", "--kappa", "0.5", "--out", {path!r}],
+    ["oracle", "--problem", {path!r}],
+    ["shift-sweep", "--problem", {path!r}],
+)
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert hieralm.cli.main(argv) == 0, argv
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_repr_does_not_build_a_stored_diagonal(self):
+        # a stored diagonal shows as the 1-D Q it is built from; the generated
+        # repr would have built the n x n Q
+        n = 3000
+        p = make_problem(Q=np.full(n, 2.0), c=np.zeros(n), A1=np.ones((1, n)), b1=[1.0])
+        text = repr(p)
+        assert "Q" not in vars(p)
+        assert text == (
+            f"ProblemData(Q={p.q_diagonal!r}, c={p.c!r}, A1={p.A1!r}, b1={p.b1!r}, "
+            f"A2={p.A2!r}, b2={p.b2!r})"
+        )
+        # a dense Q keeps the generated repr's text
+        dense = make_problem(Q=[[2.0, 1.0], [1.0, 2.0]], c=[0.0, 1.0], A2=[[1.0, 0.0]], b2=[3.0])
+        assert repr(dense) == (
+            f"ProblemData(Q={dense.Q!r}, c={dense.c!r}, A1={dense.A1!r}, b1={dense.b1!r}, "
+            f"A2={dense.A2!r}, b2={dense.b2!r})"
+        )
 
     def test_empty_blocks_get_column_count(self):
         p = make_problem(Q=np.eye(2), c=[0.0, 0.0])
