@@ -1,79 +1,17 @@
 """Augmented Lagrangian solver for convex QPs with two priority levels of
 equality constraints, including exact and weighted infeasibility shifts.
 
+The package exports the public names of its four library modules, each listed
+once in that module's ``__all__``; the command line lives in ``hieralm.cli``.
 Importing the package loads numpy alone; SciPy is imported by the first solve.
 """
 
-from .alm import (
-    TRACE_FIELDS,
-    IterationRecord,
-    IterationState,
-    Mode,
-    SolveReport,
-    SolverConfig,
-    Status,
-    SubproblemUnboundedError,
-    iterate,
-    kkt_residual,
-    solve,
-    solve_subproblem,
-    update_penalty,
-)
-from .control import (
-    OracleResult,
-    SigmaPair,
-    SigmaSchedule,
-    approximate_shift,
-    approximate_shift_sequence,
-    hierarchical_shift,
-    sigma_at,
-)
-from .netflow import GridSpec, build_instance, grid_incidence
-from .problem import (
-    HierarchicalShift,
-    ProblemData,
-    ProblemFormatError,
-    constraint_residuals,
-    load_problem,
-    objective_value,
-    problem_document,
-    save_problem,
-    validate_problem,
-)
+from . import alm, control, netflow, problem
+from .alm import *
+from .control import *
+from .netflow import *
+from .problem import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TRACE_FIELDS",
-    "GridSpec",
-    "HierarchicalShift",
-    "IterationRecord",
-    "IterationState",
-    "Mode",
-    "OracleResult",
-    "ProblemData",
-    "ProblemFormatError",
-    "SigmaPair",
-    "SigmaSchedule",
-    "SolveReport",
-    "SolverConfig",
-    "Status",
-    "SubproblemUnboundedError",
-    "approximate_shift",
-    "approximate_shift_sequence",
-    "build_instance",
-    "constraint_residuals",
-    "grid_incidence",
-    "hierarchical_shift",
-    "iterate",
-    "kkt_residual",
-    "load_problem",
-    "objective_value",
-    "problem_document",
-    "save_problem",
-    "sigma_at",
-    "solve",
-    "solve_subproblem",
-    "update_penalty",
-    "validate_problem",
-]
+__all__ = sorted({*alm.__all__, *control.__all__, *netflow.__all__, *problem.__all__})

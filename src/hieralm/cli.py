@@ -8,6 +8,12 @@ The HIERALM_LOG environment variable (error, warn, info, debug) sets verbosity.
 ``gen-grid``, ``oracle`` and ``shift-sweep`` run on numpy alone; only the solves
 of ``solve`` and ``compare`` load SciPy.
 
+Each subcommand is a ``cmd_*`` function of the parsed arguments, bound to its
+parser by ``set_defaults(run=...)``. The library's own errors pass through
+unchanged: ``main`` prints a ``CliError``, a ``ValueError`` (a bad parameter, a
+malformed file, a grid too large for memory), an ``OSError`` or a
+``SubproblemUnboundedError`` as one ``hieralm: error:`` line.
+
 Exit codes for solve: 0 Converged, 2 MaxIter, 3 DivergenceSuspected; compare
 exits with the infeasibility-control run's code; any usage or file error, and a
 subproblem with no finite minimum, exits 1.
@@ -22,7 +28,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +47,6 @@ from .control import SigmaSchedule, approximate_shift, hierarchical_shift, sigma
 from .netflow import GridSpec, build_instance
 from .problem import (
     ProblemData,
-    ProblemFormatError,
     load_problem,
     problem_document,
     save_problem,
@@ -79,26 +84,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """One resolved invocation: problem source, config, output paths."""
-
-    problem_path: Path | None
-    grid: GridSpec | None
-    config: SolverConfig
-    trace_path: Path | None
-    out_path: Path | None
-
-    def __post_init__(self) -> None:
-        if (self.problem_path is None) == (self.grid is None):
-            raise CliError("exactly one problem source required: --problem or --grid")
-
-    def load(self) -> ProblemData:
-        if self.problem_path is not None:
-            return load_problem(self.problem_path)
-        return build_instance(self.grid)[0]
-
-
 def _parse_grid(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)x(\d+)", text)
     if not m:
@@ -133,34 +118,29 @@ def _build_config(args: argparse.Namespace) -> SolverConfig:
         if v is not None:
             values[key] = v
     schedule_values = {k: values.pop(k) for k in _CONFIG_SCHEDULE_KEYS if k in values}
-    try:
-        if schedule_values:
-            values["sigma_schedule"] = SigmaSchedule(**schedule_values)
-        if "mode" in values:
-            values["mode"] = Mode(values["mode"])
-        return SolverConfig(**values)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if schedule_values:
+        values["sigma_schedule"] = SigmaSchedule(**schedule_values)
+    if "mode" in values:
+        values["mode"] = Mode(values["mode"])
+    return SolverConfig(**values)
 
 
-def _run_spec(args: argparse.Namespace) -> RunSpec:
+def _load(args: argparse.Namespace) -> tuple[ProblemData, SolverConfig]:
+    """Check the grid, --kappa, the config, the single source and --count, in
+    this order, then load the instance. An empty --problem or --grid is absent."""
     grid = None
-    if getattr(args, "grid", None):
+    if args.grid:
         rows, cols = _parse_grid(args.grid)
-        try:
-            grid = GridSpec(rows=rows, cols=cols, kappa=args.kappa)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        grid = GridSpec(rows=rows, cols=cols, kappa=args.kappa)
     elif args.kappa != 0.0:
         raise CliError("--kappa only applies to --grid instances")
     cfg = _build_config(args)
-    return RunSpec(
-        problem_path=Path(args.problem) if getattr(args, "problem", None) else None,
-        grid=grid,
-        config=cfg,
-        trace_path=Path(args.trace) if getattr(args, "trace", None) else None,
-        out_path=Path(args.out) if getattr(args, "out", None) else None,
-    )
+    if bool(args.problem) == bool(args.grid):
+        raise CliError("exactly one problem source required: --problem or --grid")
+    if "count" in args and args.count < 1:
+        raise CliError(f"--count must be >= 1, got {args.count}")
+    p = load_problem(Path(args.problem)) if args.problem else build_instance(grid)[0]
+    return p, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -208,27 +188,24 @@ def write_trace_csv(trace: tuple[IterationRecord, ...], path: Path) -> None:
             )
 
 
-def _emit(text: str, out_path: Path | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
     else:
-        out_path.write_text(text, encoding="utf-8")
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_gen_grid(args: argparse.Namespace) -> int:
-    try:
-        spec = GridSpec(
-            rows=args.rows,
-            cols=args.cols,
-            kappa=args.kappa,
-            q_scale=args.q_scale,
-            c_scale=args.c_scale,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    spec = GridSpec(
+        rows=args.rows,
+        cols=args.cols,
+        kappa=args.kappa,
+        q_scale=args.q_scale,
+        c_scale=args.c_scale,
+    )
     p, meta = build_instance(spec)
     if args.out:
         save_problem(p, args.out, meta=meta)
@@ -239,17 +216,17 @@ def cmd_gen_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_solve(run: RunSpec) -> int:
-    p = run.load()
-    report = solve(p, run.config)
-    if run.trace_path is not None:
-        write_trace_csv(report.trace, run.trace_path)
-    _emit(format_report(report), run.out_path)
+def cmd_solve(args: argparse.Namespace) -> int:
+    p, cfg = _load(args)
+    report = solve(p, cfg)
+    if args.trace:
+        write_trace_csv(report.trace, Path(args.trace))
+    _emit(format_report(report), args.out)
     return EXIT_BY_STATUS[report.status]
 
 
-def cmd_oracle(run: RunSpec) -> int:
-    p = run.load()
+def cmd_oracle(args: argparse.Namespace) -> int:
+    p, _ = _load(args)
     result = hierarchical_shift(p)
     s1, s2 = result.shift.s1, result.shift.s2
     lines = [
@@ -260,7 +237,7 @@ def cmd_oracle(run: RunSpec) -> int:
         f"rank1: {result.rank1}",
     ]
     sys.stdout.write("\n".join(lines) + "\n")
-    if run.out_path is not None:
+    if args.out:
         doc = {
             "s1": s1.tolist(),
             "s2": s2.tolist(),
@@ -268,19 +245,16 @@ def cmd_oracle(run: RunSpec) -> int:
             "stage2_value": result.stage2_value,
             "rank1": result.rank1,
         }
-        run.out_path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        Path(args.out).write_text(json.dumps(doc) + "\n", encoding="utf-8")
     return 0
 
 
-def cmd_shift_sweep(run: RunSpec, count: int) -> int:
-    if count < 1:
-        raise CliError(f"--count must be >= 1, got {count}")
-    p = run.load()
+def cmd_shift_sweep(args: argparse.Namespace) -> int:
+    p, cfg = _load(args)
     exact = hierarchical_shift(p).shift
     rows = [["k", "sigma1", "sigma2", "norm_s1", "norm_s2", "r1", "r2"]]
-    schedule = run.config.sigma_schedule
-    for k in range(count):
-        sigma = sigma_at(schedule, k)
+    for k in range(args.count):
+        sigma = sigma_at(cfg.sigma_schedule, k)
         shift = approximate_shift(p, sigma)
         rows.append(
             [str(k)]
@@ -297,14 +271,14 @@ def cmd_shift_sweep(run: RunSpec, count: int) -> int:
             ]
         )
     text = "\n".join(",".join(row) for row in rows) + "\n"
-    _emit(text, run.out_path)
+    _emit(text, args.out)
     return 0
 
 
-def cmd_compare(run: RunSpec) -> int:
-    p = run.load()
+def cmd_compare(args: argparse.Namespace) -> int:
+    p, cfg = _load(args)
     reports = {
-        mode: solve(p, replace(run.config, mode=mode))
+        mode: solve(p, replace(cfg, mode=mode))
         for mode in (Mode.INFEASIBILITY_CONTROL, Mode.STANDARD_AL)
     }
     rows = [("metric", *(mode.value for mode in reports))]
@@ -320,7 +294,7 @@ def cmd_compare(run: RunSpec) -> int:
     ]
     widths = [max(len(r[i]) for r in rows) for i in range(3)]
     text = "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in rows)
-    _emit(text + "\n", run.out_path)
+    _emit(text + "\n", args.out)
     return EXIT_BY_STATUS[reports[Mode.INFEASIBILITY_CONTROL].status]
 
 
@@ -358,27 +332,32 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--q-scale", dest="q_scale", type=float, default=1.0)
     gen.add_argument("--c-scale", dest="c_scale", type=float, default=0.1)
     gen.add_argument("--out", metavar="PATH", help="output file (default stdout)")
+    gen.set_defaults(run=cmd_gen_grid)
 
     sv = sub.add_parser("solve", help="run the solver and print the iteration table")
     _add_source_args(sv)
     _add_solver_args(sv)
     sv.add_argument("--trace", metavar="PATH", help="write the full-precision trace CSV")
     sv.add_argument("--out", metavar="PATH", help="write the table here instead of stdout")
+    sv.set_defaults(run=cmd_solve)
 
     orc = sub.add_parser("oracle", help="print the exact hierarchical shift")
     _add_source_args(orc)
     orc.add_argument("--out", metavar="PATH", help="write shift vectors as JSON")
+    orc.set_defaults(run=cmd_oracle)
 
     sweep = sub.add_parser("shift-sweep", help="tabulate approximate shifts along the schedule")
     _add_source_args(sweep)
     sweep.add_argument("--config", metavar="PATH", help="JSON config file (schedule keys)")
     sweep.add_argument("--count", type=int, default=26, help="number of schedule steps")
     sweep.add_argument("--out", metavar="PATH", help="write the CSV here instead of stdout")
+    sweep.set_defaults(run=cmd_shift_sweep)
 
     cmp_ = sub.add_parser("compare", help="solve in both modes and summarize side by side")
     _add_source_args(cmp_)
     _add_solver_args(cmp_)
     cmp_.add_argument("--out", metavar="PATH", help="write the summary here instead of stdout")
+    cmp_.set_defaults(run=cmd_compare)
     return parser
 
 
@@ -397,18 +376,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen-grid":
-            return cmd_gen_grid(args)
-        if args.command == "solve":
-            return cmd_solve(_run_spec(args))
-        if args.command == "oracle":
-            return cmd_oracle(_run_spec(args))
-        if args.command == "shift-sweep":
-            return cmd_shift_sweep(_run_spec(args), args.count)
-        if args.command == "compare":
-            return cmd_compare(_run_spec(args))
-        raise CliError(f"unknown command {args.command!r}")
-    except (CliError, ProblemFormatError, ValueError, OSError, SubproblemUnboundedError) as exc:
+        return args.run(args)
+    except (CliError, ValueError, OSError, SubproblemUnboundedError) as exc:
         print(f"hieralm: error: {exc}", file=sys.stderr)
         return 1
 

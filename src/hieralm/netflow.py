@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemData
+from .control import _require_real
+from .problem import ProblemData, _dense_zeros
 
 __all__ = ["GridSpec", "build_instance", "grid_incidence"]
 
@@ -33,6 +34,11 @@ class GridSpec:
     c_scale: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("rows", "cols"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        _require_real(self, ("kappa", "q_scale", "c_scale"))
         if self.rows < 2:
             raise ValueError(f"rows must be >= 2 (supply and demand rows), got {self.rows}")
         if self.cols < 1:
@@ -51,14 +57,15 @@ def grid_incidence(rows: int, cols: int) -> tuple[np.ndarray, dict[tuple[int, in
     Edge columns hold +1 at the head node and -1 at the tail, ordered rightward,
     leftward, downward, upward, each group in row-major order of the tail's grid
     position. Returns (A, node_index) with node_index mapping (row, col) to the
-    node's matrix row.
+    node's matrix row. A grid whose A cannot fit in memory is refused before
+    anything is built.
     """
     if rows * cols < 2:
         raise ValueError("grid needs at least two nodes")
-    node = {(r, c): r * cols + c for r in range(rows) for c in range(cols)}
     m = rows * cols
     n = 2 * (rows * (cols - 1) + (rows - 1) * cols)
-    A = np.zeros((m, n))
+    A = _dense_zeros(m, n, "A")
+    node = {(r, c): r * cols + c for r in range(rows) for c in range(cols)}
     col = 0
     for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
         for r in range(rows):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hieralm.alm
+import hieralm.problem
 from hieralm import (
     TRACE_FIELDS,
     GridSpec,
@@ -442,3 +443,71 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1
+
+
+class TestErrorPrecedence:
+    """With several faults in one invocation, the first check in this order reports:
+    grid string and shape, --kappa without a grid, config file, one source,
+    --count, instance file. An empty --problem or --grid counts as absent."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--grid", "20by20", "--config", "{cfg}"],
+             "--grid expects ROWSxCOLS (e.g. 20x20), got '20by20'"),
+            (["solve", "--grid", "1x3", "--config", "{cfg}"],
+             "rows must be >= 2 (supply and demand rows), got 1"),
+            (["solve", "--problem", "{missing}", "--kappa", "0.5", "--config", "{cfg}"],
+             "--kappa only applies to --grid instances"),
+            (["solve", "--problem", "{missing}", "--config", "{cfg}"],
+             "{cfg}: unknown config keys: maxiter"),
+            (["solve", "--config", "{cfg}"], "{cfg}: unknown config keys: maxiter"),
+            (["shift-sweep", "--problem", "{missing}", "--count", "0"],
+             "--count must be >= 1, got 0"),
+            (["shift-sweep", "--count", "0"],
+             "exactly one problem source required: --problem or --grid"),
+            (["solve", "--problem", "{missing}", "--grid", "2x2"],
+             "exactly one problem source required: --problem or --grid"),
+            (["solve"], "exactly one problem source required: --problem or --grid"),
+            (["solve", "--problem", ""],
+             "exactly one problem source required: --problem or --grid"),
+            (["solve", "--grid", ""],
+             "exactly one problem source required: --problem or --grid"),
+            (["oracle", "--grid", "", "--kappa", "0.5"],
+             "--kappa only applies to --grid instances"),
+            (["oracle", "--problem", "{missing}", "--kappa", "0.5"],
+             "--kappa only applies to --grid instances"),
+            (["compare", "--problem", "{missing}"],
+             "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
+        ],
+        ids=[
+            "grid-string-before-config", "grid-shape-before-config", "kappa-before-config",
+            "config-before-file", "config-before-source", "count-before-file",
+            "source-before-count", "both-sources", "no-source", "empty-problem",
+            "empty-grid", "empty-grid-with-kappa", "kappa-with-problem", "missing-file",
+        ],
+    )
+    def test_first_fault_reports(self, tmp_path, capsys, argv, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"maxiter": 2}))
+        paths = {"cfg": str(cfg), "missing": str(tmp_path / "no.json")}
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err == f"hieralm: error: {message.format(**paths)}\n"
+
+
+class TestGridBeyondMemory:
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen-grid", "--rows", "20", "--cols", "20"], ["solve", "--grid", "20x20"]],
+        ids=["gen-grid", "solve"],
+    )
+    def test_one_error_line(self, capsys, monkeypatch, argv):
+        # A of a 20x20 grid takes 400 x 1520 doubles; on a 1 MiB machine it cannot fit
+        monkeypatch.setattr(hieralm.problem, "_physical_memory", lambda: 2**20)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "hieralm: error: A: a dense 400x1520 matrix needs 4864000 bytes, "
+            "more than this machine's 1048576 bytes of memory\n"
+        )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import hieralm.problem
 from hieralm import GridSpec, build_instance, grid_incidence, hierarchical_shift
 
 
@@ -20,11 +21,32 @@ class TestGridSpec:
             {"rows": 3, "cols": 0},
             {"rows": 3, "cols": 3, "kappa": -0.1},
             {"rows": 3, "cols": 3, "q_scale": 0.0},
+            {"rows": 3, "cols": 2.5},
+            {"rows": 3, "cols": True},
+            {"rows": 3.0, "cols": 3},
+            {"rows": 3, "cols": 3, "kappa": True},
+            {"rows": 3, "cols": 3, "q_scale": np.True_},
+            {"rows": 3, "cols": 3, "c_scale": "1"},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
+        # a bool would run as 0 or 1, and a float or a string fail later, unnamed
         with pytest.raises(ValueError):
             GridSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("cols", 2.5, "cols must be an integer, got 2.5"),
+            ("cols", True, "cols must be an integer, got True"),
+            ("kappa", True, "kappa must be a real number, got True"),
+            ("c_scale", "1", "c_scale must be a real number, got '1'"),
+        ],
+    )
+    def test_type_errors_name_the_field(self, name, value, message):
+        with pytest.raises(ValueError) as info:
+            GridSpec(**{"rows": 3, "cols": 3, name: value})
+        assert str(info.value) == message
 
     def test_rejects_non_finite_parameters(self):
         # the error names the parameter, not the Q, c or b2 it would have made non-finite
@@ -74,6 +96,16 @@ class TestGridIncidence:
     def test_rejects_single_node(self):
         with pytest.raises(ValueError, match="two nodes"):
             grid_incidence(1, 1)
+
+    def test_beyond_physical_memory_is_refused_before_allocation(self, monkeypatch):
+        # A of a 20x20 grid takes 400 x 1520 doubles; on a 1 MiB machine it cannot fit
+        monkeypatch.setattr(hieralm.problem, "_physical_memory", lambda: 2**20)
+        with pytest.raises(ValueError) as info:
+            build_instance(GridSpec(20, 20))
+        assert str(info.value) == (
+            "A: a dense 400x1520 matrix needs 4864000 bytes, "
+            "more than this machine's 1048576 bytes of memory"
+        )
 
 
 class TestBuildInstance:
