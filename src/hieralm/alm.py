@@ -35,9 +35,8 @@ E; a refinement pass (one solve with the base: d or its n x n factor) runs only
 when the first pass misses its bound. Those factors and the check of Q depend
 on the instance alone, so they are built on the first solve of a ProblemData
 and reused by every later solve of it, in any mode or config, until the
-instance is garbage collected. The cache retains about nm + m^2 doubles per
-live instance on base D (6.1 MB at the 20x20 grid, 32 MB at 30x30), and n^2
-more on base Q + A'A (25 MB and 128 MB in all).
+instance is garbage collected. The ``ProblemData`` docstring gives the size
+of what the cache retains per live instance.
 
 SciPy is imported on the first solve, by its setup: the SVD, the Q + A'A
 chain's Cholesky factor and solves, the BLAS norm that E and the residual
@@ -57,7 +56,8 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .control import (
-    SigmaSchedule, _is_real, _require_real, approximate_shift, hierarchical_shift, sigma_at
+    SigmaSchedule, _is_real, _require_integer, _require_real,
+    approximate_shift, hierarchical_shift, sigma_at,
 )
 from .problem import (
     HierarchicalShift,
@@ -130,9 +130,11 @@ class SolverConfig:
     The multiplier box is the safeguard interval for the projected multiplier
     estimates; bounds may be scalars or per-row vectors, and a vector bound is
     kept as a read-only float copy, so the bounds checked here are the ones a
-    solve uses. Configs compare and hash by value, a bound by its shape and
-    entries. Each subproblem is solved directly, and its achieved gradient
-    norm is recorded per iteration.
+    solve uses. Every other real parameter and scalar bound is kept as a Python
+    float and ``max_iter`` as an int, whatever numpy scalar was passed. Configs
+    compare and hash by value, a bound by its shape and entries. Each
+    subproblem is solved directly, and its achieved gradient norm is recorded
+    per iteration.
     """
 
     tau: float = 0.1
@@ -160,9 +162,8 @@ class SolverConfig:
             if isinstance(v, (list, tuple, np.ndarray)):
                 v = np.array(v, dtype=float)
                 v.flags.writeable = False
-                object.__setattr__(self, name, v)
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
+            object.__setattr__(self, name, v if isinstance(v, np.ndarray) else float(v))
+        _require_integer(self, ("max_iter",))
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
         if not 1.0 < self.gamma < np.inf:

@@ -45,12 +45,7 @@ from .alm import (
 )
 from .control import SigmaSchedule, approximate_shift, hierarchical_shift, sigma_at
 from .netflow import GridSpec, build_instance
-from .problem import (
-    ProblemData,
-    load_problem,
-    problem_document,
-    save_problem,
-)
+from .problem import ProblemData, _problem_text, load_problem, save_problem
 
 __all__ = ["main"]
 
@@ -211,8 +206,7 @@ def cmd_gen_grid(args: argparse.Namespace) -> int:
         save_problem(p, args.out, meta=meta)
         logger.info("wrote %s (n=%d, m1=%d, m2=%d)", args.out, p.n, p.m1, p.m2)
     else:
-        json.dump(problem_document(p, meta), sys.stdout, allow_nan=False)
-        sys.stdout.write("\n")
+        sys.stdout.write(_problem_text(p, meta))
     return 0
 
 

@@ -75,6 +75,7 @@ class SigmaPair:
     sigma2: float
 
     def __post_init__(self) -> None:
+        _require_real(self, ("sigma1", "sigma2"))
         for name in ("sigma1", "sigma2"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
@@ -119,10 +120,30 @@ class SigmaSchedule:
 
 
 def _require_real(obj, names: tuple[str, ...]) -> None:
-    """Each named field must be a real number (see :func:`_is_real`)."""
+    """Each named field must be a real number (see :func:`_is_real`); it is
+    stored as a Python float, so that no numpy scalar's promotion rules reach
+    the arithmetic. An integer beyond the double range is stored as +-inf."""
     for name in names:
         if not _is_real(v := getattr(obj, name)):
             raise ValueError(f"{name} must be a real number, got {v!r}")
+        try:
+            x = float(v)
+        except OverflowError:
+            x = math.inf if v > 0 else -math.inf
+        object.__setattr__(obj, name, x)
+
+
+def _require_integer(obj, names: tuple[str, ...]) -> None:
+    """Each named field must be an integer (see :func:`_integer`); it is stored as an int."""
+    for name in names:
+        object.__setattr__(obj, name, _integer(name, getattr(obj, name)))
+
+
+def _integer(name: str, v) -> int:
+    """``v`` as an int: it must be an int or a numpy integer, and not a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
 
 
 def _is_real(v) -> bool:
@@ -166,6 +187,7 @@ def sigma_at(schedule: SigmaSchedule, k: int) -> SigmaPair:
     eta grows with k, so once the ratio cap binds it binds for every later k; the
     warning is logged only at the first binding k.
     """
+    k = _integer("k", k)
     if k < 0:
         raise ValueError(f"iteration index must be nonnegative, got {k}")
     sigma1, sigma2 = _scaled_weights(schedule, k)
@@ -217,6 +239,7 @@ def approximate_shift_sequence(
     p: ProblemData, schedule: SigmaSchedule, count: int
 ) -> list[HierarchicalShift]:
     """Shifts for k = 0 .. count-1 along the schedule."""
+    count = _integer("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return [approximate_shift(p, sigma_at(schedule, k)) for k in range(count)]

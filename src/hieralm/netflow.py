@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import _require_real
+from .control import _require_integer, _require_real
 from .problem import ProblemData, _dense_zeros
 
 __all__ = ["GridSpec", "build_instance", "grid_incidence"]
@@ -34,10 +34,7 @@ class GridSpec:
     c_scale: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("rows", "cols"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+        _require_integer(self, ("rows", "cols"))
         _require_real(self, ("kappa", "q_scale", "c_scale"))
         if self.rows < 2:
             raise ValueError(f"rows must be >= 2 (supply and demand rows), got {self.rows}")

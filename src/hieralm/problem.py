@@ -446,9 +446,7 @@ def objective_value(p: ProblemData, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (p.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({p.n},)")
-    d = p.q_diagonal
-    half_qx = 0.5 * x @ p.Q if d is None else 0.5 * x * d
-    return float(half_qx @ x + p.c @ x)
+    return float(0.5 * x @ _q_times(p, x) + p.c @ x)
 
 
 def _q_times(p: ProblemData, x: np.ndarray) -> np.ndarray:
@@ -545,16 +543,19 @@ def problem_document(p: ProblemData, meta: dict | None = None) -> dict:
     return doc
 
 
+def _problem_text(p: ProblemData, meta: dict | None = None) -> str:
+    """The instance file's text: the document as one line of JSON, then a newline."""
+    return json.dumps(problem_document(p, meta), allow_nan=False) + "\n"
+
+
 def save_problem(p: ProblemData, path: str | Path, meta: dict | None = None) -> None:
     """Write an instance file; values round-trip bit exactly through load_problem.
 
     ``meta`` is stored verbatim under the ``meta`` key and ignored by
-    :func:`load_problem`.
+    :func:`load_problem`. The text is formed before the file is opened, so a
+    document that cannot be serialized raises and writes nothing.
     """
-    doc = problem_document(p, meta)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, allow_nan=False)
-        fh.write("\n")
+    Path(path).write_text(_problem_text(p, meta), encoding="utf-8")
 
 
 _NUMBER_TYPES = frozenset({int, float})

@@ -5,9 +5,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 import scipy.linalg
 from scipy.linalg import null_space
 
+import hieralm.alm
 from hieralm import (
     IterationState,
     ProblemData,
@@ -19,6 +21,38 @@ from hieralm import (
 # every run made through run_with_states lands here; the bookkeeping acceptance
 # test replays the whole bank
 TRACE_BANK: list[tuple[SolverConfig, list[IterationState]]] = []
+
+
+def _record_calls(monkeypatch, name: str, arg: int) -> list:
+    """Records the shape of argument ``arg`` of each call the solver makes to
+    hieralm.alm's ``name``, which still runs."""
+    calls = []
+    original = getattr(hieralm.alm, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[arg].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hieralm.alm, name, counting)
+    return calls
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The shape of each matrix the solver gives cho_factor."""
+    return _record_calls(monkeypatch, "cho_factor", 0)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shape of each matrix the solver gives svd, one per range-space setup."""
+    return _record_calls(monkeypatch, "svd", 0)
+
+
+@pytest.fixture
+def trisolve_calls(monkeypatch):
+    """The shape of each right-hand side the solver gives cho_solve."""
+    return _record_calls(monkeypatch, "cho_solve", 1)
 
 
 def make_problem(Q, c, A1=None, b1=None, A2=None, b2=None) -> ProblemData:

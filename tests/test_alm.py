@@ -41,48 +41,6 @@ from hieralm import (
 )
 
 
-@pytest.fixture
-def factor_calls(monkeypatch):
-    """Records each call the solver makes to hieralm.alm.cho_factor."""
-    calls = []
-    original = hieralm.alm.cho_factor
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(hieralm.alm, "cho_factor", counting)
-    return calls
-
-
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Records each call the solver makes to hieralm.alm.svd, one per range-space setup."""
-    calls = []
-    original = hieralm.alm.svd
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(hieralm.alm, "svd", counting)
-    return calls
-
-
-@pytest.fixture
-def trisolve_calls(monkeypatch):
-    """Records each call the solver makes to hieralm.alm.cho_solve."""
-    calls = []
-    original = hieralm.alm.cho_solve
-
-    def counting(*args, **kwargs):
-        calls.append(args[1].shape)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(hieralm.alm, "cho_solve", counting)
-    return calls
-
-
 def _with_q(p: ProblemData, Q) -> ProblemData:
     return ProblemData(Q=Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
 
@@ -184,6 +142,7 @@ class TestSolverConfig:
             {"rho0": float("inf")},
             {"gamma": float("inf")},
             {"gamma": float("inf"), "rho_cap": float("inf")},
+            {"gamma": 10**400},  # stored as inf; kept as an int it would compare below np.inf
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -227,6 +186,17 @@ class TestSolverConfig:
     def test_accepts_numpy_scalars(self):
         cfg = SolverConfig(max_iter=np.int64(3), tau=np.float32(0.25), rho0=np.int32(2))
         assert (cfg.max_iter, cfg.tau, cfg.rho0) == (3, 0.25, 2)
+
+    def test_numpy_scalars_are_stored_as_python_scalars(self):
+        # a float32 gamma kept as given would make rho a float32, whose 5^11 reads 48828124
+        p, _ = build_instance(GridSpec(4, 4, kappa=0.5))
+        cfg = SolverConfig(mode=Mode.STANDARD_AL, gamma=np.float32(5.0), max_iter=np.int64(50))
+        assert (type(cfg.gamma), type(cfg.max_iter)) == (float, int)
+        trace = solve(p, cfg).trace
+        assert trace[11].k == 12 and trace[11].rho == 5.0**11
+        assert trace == solve(p, SolverConfig(mode=Mode.STANDARD_AL)).trace
+        bounds = SolverConfig(box1_lo=np.float32(-1.0), box2_hi=np.int64(2))
+        assert (type(bounds.box1_lo), type(bounds.box2_hi)) == (float, float)
 
     def test_accepts_real_box_bounds(self):
         # scalars of any real type, and 1-D lists, tuples and arrays of them

@@ -479,18 +479,25 @@ class TestErrorPrecedence:
              "--kappa only applies to --grid instances"),
             (["compare", "--problem", "{missing}"],
              "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
+            (["solve", "--grid", "2x2", "--config", "{missing}"],
+             "cannot read config {missing}: [Errno 2] No such file or directory: '{missing}'"),
+            (["solve", "--grid", "2x2", "--config", "{array}"],
+             "{array}: config must be a JSON object"),
         ],
         ids=[
             "grid-string-before-config", "grid-shape-before-config", "kappa-before-config",
             "config-before-file", "config-before-source", "count-before-file",
             "source-before-count", "both-sources", "no-source", "empty-problem",
             "empty-grid", "empty-grid-with-kappa", "kappa-with-problem", "missing-file",
+            "missing-config", "config-array",
         ],
     )
     def test_first_fault_reports(self, tmp_path, capsys, argv, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"maxiter": 2}))
-        paths = {"cfg": str(cfg), "missing": str(tmp_path / "no.json")}
+        array = tmp_path / "array.json"
+        array.write_text(json.dumps([{"tau": 0.5}]))
+        paths = {"cfg": str(cfg), "missing": str(tmp_path / "no.json"), "array": str(array)}
         code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
         assert (code, out) == (1, "")
         assert err == f"hieralm: error: {message.format(**paths)}\n"

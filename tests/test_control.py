@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,19 @@ class TestSigmaPair:
     def test_rejects_bad_weights(self, pair):
         with pytest.raises(ValueError, match="positive and finite"):
             SigmaPair(*pair)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), "1", None])
+    def test_rejects_weights_that_are_not_real(self, value):
+        # True would otherwise pass as 1.0
+        for name, pair in (("sigma1", (value, 1.0)), ("sigma2", (1.0, value))):
+            with pytest.raises(ValueError) as exc:
+                SigmaPair(*pair)
+            assert str(exc.value) == f"{name} must be a real number, got {value!r}"
+
+    def test_weights_are_stored_as_python_floats(self):
+        pair = SigmaPair(np.float32(2.0), 1)
+        assert (type(pair.sigma1), type(pair.sigma2)) == (float, float)
+        assert pair == SigmaPair(2.0, 1.0)
 
 
 class TestSigmaSchedule:
@@ -64,6 +78,15 @@ class TestSigmaSchedule:
                 SigmaSchedule(**{name: value})
             assert str(exc.value) == f"{name} must be a real number, got {value!r}"
 
+    def test_numpy_scalar_factor_does_not_overflow(self):
+        # a float64 factor kept as given would overflow in numpy with a RuntimeWarning;
+        # a float's power raises the OverflowError that the schedule catches
+        sched = SigmaSchedule(sigma1_factor=np.float64(10.0), eta_cap=np.int64(10**12))
+        assert (type(sched.sigma1_factor), type(sched.eta_cap)) == (float, float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert sigma_at(sched, 400) == sigma_at(SigmaSchedule(), 400) == SigmaPair(1e12, 1.0)
+
     def test_largest_finite_eta_cap_keeps_sigma2_positive(self):
         # sigma2 >= sigma1 / eta_cap > 0 where the cap binds; without a finite
         # cap the scaled sigma2 underflows to 0 from about k = 352
@@ -80,6 +103,21 @@ class TestSigmaAt:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError, match="nonnegative"):
             sigma_at(SigmaSchedule(), -1)
+
+    @pytest.mark.parametrize("k", [2.5, True, np.float64(3.0), "1"])
+    def test_rejects_an_index_that_is_not_an_integer(self, k):
+        # 2.5 would give the weights at k = 2.5, and True those at k = 1
+        with pytest.raises(ValueError) as exc:
+            sigma_at(SigmaSchedule(), k)
+        assert str(exc.value) == f"k must be an integer, got {k!r}"
+
+    @pytest.mark.parametrize("count", [2.5, True, np.float64(3.0), "1"])
+    def test_sequence_rejects_a_count_that_is_not_an_integer(self, count):
+        p = make_problem(Q=np.eye(1), c=[0.0], A1=[[1.0]], b1=[1.0], A2=[[1.0]], b2=[0.0])
+        with pytest.raises(ValueError) as exc:
+            approximate_shift_sequence(p, SigmaSchedule(), count)
+        assert str(exc.value) == f"count must be an integer, got {count!r}"
+        assert len(approximate_shift_sequence(p, SigmaSchedule(), np.int64(2))) == 2
 
     def test_scale_cap_boundary_is_exact(self):
         # k = 12 sits exactly on the 1e12 scale cap with the default schedule

@@ -39,20 +39,6 @@ from hieralm import (
 from test_reference import _mp
 
 
-@pytest.fixture
-def factor_calls(monkeypatch):
-    """Records each call the solver makes to hieralm.alm.cho_factor."""
-    calls = []
-    original = hieralm.alm.cho_factor
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(hieralm.alm, "cho_factor", counting)
-    return calls
-
-
 def _full_q(p: ProblemData) -> ProblemData:
     """The same arrays in a new instance that treats Q as a full matrix throughout.
 

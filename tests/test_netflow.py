@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hieralm.problem
-from hieralm import GridSpec, build_instance, grid_incidence, hierarchical_shift
+from hieralm import GridSpec, build_instance, grid_incidence, hierarchical_shift, save_problem
 
 
 class TestGridSpec:
@@ -27,6 +27,7 @@ class TestGridSpec:
             {"rows": 3, "cols": 3, "kappa": True},
             {"rows": 3, "cols": 3, "q_scale": np.True_},
             {"rows": 3, "cols": 3, "c_scale": "1"},
+            {"rows": 3, "cols": 3, "kappa": -(10**400)},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -47,6 +48,19 @@ class TestGridSpec:
         with pytest.raises(ValueError) as info:
             GridSpec(**{"rows": 3, "cols": 3, name: value})
         assert str(info.value) == message
+
+    def test_numpy_scalars_build_a_savable_instance(self, tmp_path):
+        # numpy scalars kept as given would reach the metadata, which json cannot write
+        numpy_spec = GridSpec(np.int64(3), 3, kappa=np.float32(0.5), q_scale=np.float64(2.0))
+        spec = GridSpec(3, 3, kappa=0.5, q_scale=2.0)
+        assert numpy_spec == spec
+        assert [type(getattr(numpy_spec, name)) for name in ("rows", "kappa", "q_scale")] == [
+            int, float, float
+        ]
+        for name, s in (("numpy", numpy_spec), ("python", spec)):
+            p, meta = build_instance(s)
+            save_problem(p, tmp_path / f"{name}.json", meta=meta)
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
 
     def test_rejects_non_finite_parameters(self):
         # the error names the parameter, not the Q, c or b2 it would have made non-finite

@@ -479,6 +479,9 @@ class TestObjectiveAndResiduals:
         p = make_problem(Q=np.eye(2), c=[0.0, 0.0])
         with pytest.raises(ValueError, match="expected \\(2,\\)"):
             objective_value(p, np.zeros(3))
+        with pytest.raises(ValueError) as exc:
+            constraint_residuals(p, np.zeros((2, 1)))
+        assert str(exc.value) == "x has shape (2, 1), expected (2,)"
 
     def test_plain_residuals(self):
         p = make_problem(
@@ -535,6 +538,14 @@ class TestFileRoundTrip:
         q = load_problem(path)
         for name in ("Q", "c", "A1", "b1", "A2", "b2"):
             assert getattr(p, name).tobytes() == getattr(q, name).tobytes(), name
+
+    def test_unserializable_meta_writes_no_file(self, tmp_path):
+        # the text is formed before the file opens; a streamed write would leave a truncated one
+        p = make_problem(Q=np.eye(1), c=[0.5], A1=[[1.0]], b1=[2.0])
+        path = tmp_path / "inst.json"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_problem(p, path, meta={"origin": object()})
+        assert not path.exists()
 
     def test_meta_is_stored_but_not_required(self, tmp_path):
         p = make_problem(Q=np.eye(1), c=[0.5], A1=[[1.0]], b1=[2.0])
@@ -695,6 +706,16 @@ SINGLE_FAULTS = {
     "coo-int-beyond-double": (
         "Q", _coo([0, 1], [0, 1], [10**400, 1.0]), "Q.coo.values[0]: non-finite value"
     ),
+    "vector-not-array": ("c", 5, "c: expected an array"),
+    "matrix-not-array": ("A1", 3, "A1: expected an array of rows or a coo object"),
+    "row-not-array": ("A1", [5], "A1[0]: expected an array"),
+    "coo-extra-key": (
+        "Q", {**_coo([0], [0], [1.0]), "shape": [2, 2]},
+        "Q: matrix object must hold a single 'coo' entry",
+    ),
+    "coo-fields-not-arrays": (
+        "Q", _coo(0, [0], [1.0]), "Q.coo: rows, cols, values must be arrays"
+    ),
 }
 
 
@@ -759,6 +780,14 @@ class TestLoadErrors:
         assert str(exc.value) == (
             "Q: a dense 2000x2000 matrix needs 32000000 bytes, which could not be allocated"
         )
+
+    @pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+    def test_physical_memory_is_unknown_where_the_os_does_not_say(self, monkeypatch, error):
+        def sysconf(name):
+            raise error(name)
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        assert hieralm.problem._physical_memory() is None
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemFormatError, match="cannot read"):
