@@ -584,6 +584,18 @@ def _stacked_box(cfg: SolverConfig, p: ProblemData) -> tuple[np.ndarray, np.ndar
     return np.concatenate(lo), np.concatenate(hi)
 
 
+def _stop_status(state: IterationState, cfg: SolverConfig) -> Status | None:
+    """The terminal status that ``state`` ends a run in, or None to go on: the
+    stopping rule of :func:`solve`, which the test suite's replays also apply."""
+    if state.record.E <= cfg.kkt_tol:
+        return Status.CONVERGED
+    if state.rho > cfg.rho_cap or not np.isfinite(state.rho):
+        return Status.DIVERGENCE_SUSPECTED
+    if state.record.k >= cfg.max_iter:
+        return Status.MAX_ITER
+    return None
+
+
 def solve(p: ProblemData, cfg: SolverConfig | None = None) -> SolveReport:
     """Run the outer loop to one of the three terminal statuses.
 
@@ -598,31 +610,21 @@ def solve(p: ProblemData, cfg: SolverConfig | None = None) -> SolveReport:
     if cfg is None:
         cfg = SolverConfig()
     records: list[IterationRecord] = []
-    status = Status.MAX_ITER
-    last: IterationState | None = None
     for state in iterate(p, cfg):
         records.append(state.record)
-        last = state
         logger.debug(
             "k=%d E=%.3e rho=%.3e u=%.3e", state.record.k, state.record.E, state.rho, state.u
         )
-        if state.record.E <= cfg.kkt_tol:
-            status = Status.CONVERGED
+        status = _stop_status(state, cfg)
+        if status is not None:
             break
-        if state.rho > cfg.rho_cap or not np.isfinite(state.rho):
-            status = Status.DIVERGENCE_SUSPECTED
-            break
-        if state.record.k >= cfg.max_iter:
-            status = Status.MAX_ITER
-            break
-    assert last is not None
     logger.info(
-        "%s after %d iterations (E=%.3e)", status.value, last.record.k, last.record.E
+        "%s after %d iterations (E=%.3e)", status.value, state.record.k, state.record.E
     )
     return SolveReport(
         status=status,
-        x_final=last.x,
+        x_final=state.x,
         trace=tuple(records),
-        shift_final=last.shift,
-        objective_final=objective_value(p, last.x),
+        shift_final=state.shift,
+        objective_final=objective_value(p, state.x),
     )

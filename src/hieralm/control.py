@@ -2,9 +2,9 @@
 
 A shift is a residual pair s = b - A x, so it lies in b + range(A). With N an
 orthonormal basis of null(A') (:attr:`ProblemData.left_null`, split N = [N1; N2]
-by block) every such s satisfies N'(b - s) = 0, and both shifts below are closed
-forms in the k = m - rank(A) coordinates of N, the weighting method of Van Loan
-(SIAM J. Numer. Anal. 22(5), 1985):
+by block, and rotated so that N1 and N2 each have orthogonal columns, as in the
+CS decomposition) every such s satisfies N'(b - s) = 0, and both shifts below
+are diagonal filters on t = N'b, after Van Loan (SIAM J. Numer. Anal. 22(5), 1985):
 
 - the weighted shift, the residual of
 
@@ -44,8 +44,8 @@ logger = logging.getLogger(__name__)
 # joint downscale bound on sigma1; rescaling both weights preserves eta
 _SIGMA1_CAP = 1e12
 
-# N has orthonormal columns, so the singular values of N2 lie in [0, 1]; the ones
-# that stand for exact zeros carry the error of N, about eps * cond(A)
+# N has orthonormal columns, so the column norms of the rotated N2 lie in [0, 1];
+# the ones that stand for exact zeros carry the error of N, about eps * cond(A)
 _NULL_TOL = math.sqrt(np.finfo(float).eps)
 
 
@@ -69,7 +69,8 @@ class OracleResult:
 
 @dataclass(frozen=True)
 class SigmaPair:
-    """Positive weights for the two priority blocks."""
+    """Positive weights for the two priority blocks. Their ratio eta must be a
+    normal number, so that neither eta nor 1/eta overflows in a shift."""
 
     sigma1: float
     sigma2: float
@@ -80,6 +81,8 @@ class SigmaPair:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
+        if not np.finfo(float).tiny <= self.eta < math.inf:
+            raise ValueError(f"sigma1 / sigma2 must be a normal number, got {self.eta}")
 
     @property
     def eta(self) -> float:
@@ -203,36 +206,35 @@ def sigma_at(schedule: SigmaSchedule, k: int) -> SigmaPair:
     return SigmaPair(sigma1, sigma2)
 
 
+def _cs_coordinates(p: ProblemData):
+    """N1, N2, their squared column norms a1, a2, and t = N'b. A column with
+    a2 <= _NULL_TOL^2 lies in null(A1'): its N2 part is dropped (also from a2
+    and t), else a filter dividing by a2 or by 1/eta would amplify its round-off."""
+    N = p.left_null.copy()
+    N1, N2 = N[: p.m1], N[p.m1 :]  # views, so that t sees the dropped parts as zero
+    N2[:, np.einsum("ij,ij->j", N2, N2) <= _NULL_TOL**2] = 0.0
+    return N1, N2, np.einsum("ij,ij->j", N1, N1), np.einsum("ij,ij->j", N2, N2), N.T @ p.b
+
+
 def approximate_shift(p: ProblemData, sigma: SigmaPair) -> HierarchicalShift:
     """Residual pair of the weighted relaxation for one weight pair.
 
     The residual r = b - A x_bar of the weighted least squares satisfies
     A'W r = 0 and N'(b - r) = 0 with W = diag(sigma1 I, sigma2 I), so
-    r = W^-1 N c with (N'W^-1 N) c = N'b. Writing w = W^(-1/2) and
-    diag(w) N = QR, this is r = w * (Q R^-T N'b). The residual is unique even
-    when x_bar is not. R^-T N'b is one k x k forward substitution in numpy
-    (``_solve_rt``); on the grids k = 1 and it is one division.
+    r = W^-1 N c with (N'W^-1 N) c = N'b. N1 and N2 have orthogonal columns,
+    so N'W^-1 N = diag(a1 / sigma1 + a2 / sigma2), and r is
+    s1 = N1 (t / (a1 + eta a2)), s2 = N2 (t / (a1 / eta + a2)). The residual is
+    unique even when x_bar is not.
 
     Returns:
-        The shift (r[:m1], r[m1:]); it does not record ``sigma``.
+        The shift (s1, s2); it does not record ``sigma``.
     """
-    N = p.left_null
-    w = np.concatenate(
-        [np.full(p.m1, sigma.sigma1**-0.5), np.full(p.m2, sigma.sigma2**-0.5)]
-    )
-    Q, R = np.linalg.qr(w[:, None] * N)
-    r = w * (Q @ _solve_rt(R, N.T @ p.b))
-    return HierarchicalShift(r[: p.m1], r[p.m1 :])
-
-
-def _solve_rt(R: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """R^-T t for an upper triangular R, overwriting t: forward substitution
-    on the lower triangular R', column by column (axpy form). At k = 1 it has
-    the bits of scipy.linalg.solve_triangular(R, t, trans="T")."""
-    for j in range(t.size):
-        t[j] /= R[j, j]
-        t[j + 1 :] -= R[j, j + 1 :] * t[j]
-    return t
+    N1, N2, a1, a2, t = _cs_coordinates(p)
+    eta = sigma.eta
+    # a column in null(A1') has no N2 part, and its s2 filter eta t / a1 could overflow
+    kept = a2 > 0.0
+    s2 = N2[:, kept] @ (t[kept] / (a1[kept] / eta + a2[kept]))
+    return HierarchicalShift(N1 @ (t / (a1 + eta * a2)), s2)
 
 
 def approximate_shift_sequence(
@@ -248,24 +250,19 @@ def approximate_shift_sequence(
 def hierarchical_shift(p: ProblemData) -> OracleResult:
     """The exact hierarchically optimal shift, the eta -> infinity limit.
 
-    The shifts (u, 0) with A1'u = 0 are the N c with c in null(N2). With V a
-    basis of null(N2), N1 V is an orthonormal basis of null(A1'), so the least
-    high-priority shift is the projection s1 = (N1 V)(N1 V)' b1 and
-    rank(A1) = m1 - dim V. The low-priority shift is then the least s2 with
-    N'(b - s) = 0, that is s2 = (N2')^+ (N'b - N1's1). V is empty unless A1
-    has dependent rows, the only case in which its block alone can be inconsistent.
+    The columns of N with no N2 part span the shifts (u, 0) with A1'u = 0, so
+    rank(A1) is m1 less their number and the least high-priority shift is
+    their part of t, s1 = N1 (t / a1). The other columns give the least s2
+    with N'(b - s) = 0, s2 = N2 (t / a2). Only an A1 with dependent rows has
+    such columns, the only case in which its block alone can be inconsistent.
     """
-    N = p.left_null
-    N1, N2 = N[: p.m1], N[p.m1 :]
-    k = N.shape[1]
-    U2, theta, V2t = np.linalg.svd(N2, full_matrices=p.m2 < k)
-    r2 = int(np.count_nonzero(theta > _NULL_TOL))
-    B = N1 @ V2t[r2:].T
-    s1 = B @ (B.T @ p.b1)
-    s2 = U2[:, :r2] @ ((V2t[:r2] @ (N.T @ p.b - N1.T @ s1)) / theta[:r2])
+    N1, N2, a1, a2, t = _cs_coordinates(p)
+    null1 = a2 == 0.0
+    s1 = N1[:, null1] @ (t[null1] / a1[null1])
+    s2 = N2[:, ~null1] @ (t[~null1] / a2[~null1])
     return OracleResult(
         shift=HierarchicalShift(s1, s2),
-        rank1=p.m1 - (k - r2),
+        rank1=p.m1 - int(np.count_nonzero(null1)),
         stage1_value=0.5 * float(s1 @ s1),
         stage2_value=0.5 * float(s2 @ s2),
     )

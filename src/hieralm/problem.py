@@ -229,14 +229,17 @@ class ProblemData:
         otherwise it comes from the SVD of the R factor of A' (``_svd_left_null``),
         which also resolves the singular values that G's squared condition number
         cannot, as when no gap separates A's spectrum from the cutoff. Each build
-        logs its route at DEBUG. The cache cannot go stale because the arrays are
-        read-only.
+        logs its route at DEBUG. N is then rotated by the right singular vectors
+        of N2 (an SVD of m2 x k; its U and the unrotated N, at most m k doubles
+        each, are transient), so that N1 and N2 each have orthogonal columns.
+        The cache cannot go stale because the arrays are read-only.
         """
         N, figures = _gram_left_null(self.A)
         route = "gram"
         if N is None:
             N, route = _svd_left_null(self.A), "qr-svd"
         logger.debug("left_null: %s route, k = %d; %s", route, N.shape[1], figures)
+        N = N @ np.linalg.svd(N[self.m1 :], full_matrices=self.m2 < N.shape[1])[2].T
         N.flags.writeable = False
         return N
 

@@ -104,6 +104,19 @@ def random_problem(
     return ProblemData(Q=Q, c=c, A1=A1, b1=b1, A2=A2, b2=b2)
 
 
+def reference_battery() -> list[ProblemData]:
+    """The instances of the criterion-4 battery (random_problem, seed 3) that have
+    both blocks, an A of full column rank and k = m - rank(A) >= 2: 61 instances
+    with n <= 6, 28 of them with a rank-deficient A1, in which s1 != 0."""
+    rng = np.random.default_rng(3)
+    battery = [random_problem(rng, definite=False) for _ in range(200)]
+    return [
+        p
+        for p in battery
+        if p.m1 and p.m2 and np.linalg.matrix_rank(p.A) == p.n and p.m - p.n >= 2
+    ]
+
+
 class TwoStage(NamedTuple):
     """Shifts, minimum-norm minimizers and rank of the two least-squares stages."""
 
@@ -231,8 +244,7 @@ def run_with_states(p: ProblemData, cfg: SolverConfig | None = None) -> list[Ite
     states: list[IterationState] = []
     for state in iterate(p, cfg):
         states.append(state)
-        rec = state.record
-        if rec.E <= cfg.kkt_tol or state.rho > cfg.rho_cap or rec.k >= cfg.max_iter:
+        if hieralm.alm._stop_status(state, cfg) is not None:
             break
     TRACE_BANK.append((cfg, states))
     assert_exact_bookkeeping(cfg, states)

@@ -661,6 +661,15 @@ class TestIterateAndSolve:
         with pytest.raises(OverflowError, match=f"iteration {k}: penalty rho overflowed"):
             next(gen)
 
+    @pytest.mark.parametrize("kwargs", [{"gamma": 1e200}, {"rho0": 1e300}])
+    def test_replay_stops_where_solve_does(self, kwargs):
+        # run_with_states applies solve's stopping rule, so it stops at the
+        # overflowed penalty too and never asks iterate for the next state
+        p, _ = build_instance(GridSpec(3, 3, kappa=0.5))
+        cfg = SolverConfig(mode=Mode.STANDARD_AL, rho_cap=np.inf, **kwargs)
+        states = run_with_states(p, cfg)
+        assert [st.record for st in states] == list(solve(p, cfg).trace)
+
     @staticmethod
     def _entry_points(p, cfg):
         # both must reject bad input, iterate on its first next()

@@ -5,14 +5,15 @@ from __future__ import annotations
 import logging
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_problem, random_problem, stacked_weighted_shift
+from conftest import make_problem, random_problem, reference_battery, stacked_weighted_shift
 from hieralm import (
+    ProblemData,
     SigmaPair,
     SigmaSchedule,
     approximate_shift,
@@ -20,9 +21,10 @@ from hieralm import (
     hierarchical_shift,
     sigma_at,
 )
-from hieralm.control import _solve_rt
 
 EPS = np.finfo(float).eps
+# the shifts' cutoff on the column norms of N2, restated
+NULL_TOL = np.sqrt(EPS)
 
 
 class TestSigmaPair:
@@ -41,6 +43,11 @@ class TestSigmaPair:
             with pytest.raises(ValueError) as exc:
                 SigmaPair(*pair)
             assert str(exc.value) == f"{name} must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize("pair", [(1e300, 1e-10), (1e-300, 1e300)])
+    def test_rejects_a_ratio_beyond_the_normal_range(self, pair):
+        with pytest.raises(ValueError, match="sigma1 / sigma2 must be a normal number"):
+            SigmaPair(*pair)
 
     def test_weights_are_stored_as_python_floats(self):
         pair = SigmaPair(np.float32(2.0), 1)
@@ -205,6 +212,20 @@ class TestApproximateShift:
                 assert np.abs(shift.s1 - s1).max(initial=0.0) <= tol
                 assert np.abs(shift.s2 - s2).max(initial=0.0) <= tol
 
+    def test_extreme_ratios_give_the_limit_shifts(self):
+        # A1's repeated row puts a column of N in null(A1'); with no N2 part it
+        # takes no s2 filter, which at eta = 1e300 would overflow
+        p = make_problem(
+            Q=np.eye(1), c=[0.0], A1=[[1.0], [1.0]], b1=[1.0, 2.0], A2=[[1.0]], b2=[0.0]
+        )
+        top = approximate_shift(p, SigmaPair(1e300, 1.0))
+        assert top.s1 == pytest.approx([-0.5, 0.5], rel=4 * EPS, abs=0.0)
+        assert top.s2 == pytest.approx([-1.5], rel=4 * EPS, abs=0.0)
+        # the priorities reversed: A2 x = b2 holds, so x = 0
+        bottom = approximate_shift(p, SigmaPair(1.0, 1e300))
+        assert bottom.s1 == pytest.approx([1.0, 2.0], rel=4 * EPS, abs=0.0)
+        assert abs(bottom.s2[0]) <= 1e-299
+
     def test_unconstrained_problem(self):
         p = make_problem(Q=np.eye(2), c=[1.0, 1.0])
         shift = approximate_shift(p, SigmaPair(1.0, 1.0))
@@ -229,27 +250,6 @@ class TestApproximateShift:
         for build in problems:
             with pytest.raises(ValueError, match="has non-finite entries"):
                 build()
-
-
-class TestForwardSubstitution:
-    """approximate_shift's numpy R^-T t against LAPACK's triangular solve."""
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(k=st.integers(1, 40), extra=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
-    def test_matches_scipy_within_backward_error(self, k, extra, seed):
-        # R as approximate_shift forms it: the QR of a tall matrix with scaled rows
-        rng = np.random.default_rng(seed)
-        rows = k + extra
-        R = np.linalg.qr(rng.standard_normal((rows, k)) * rng.uniform(0.1, 10.0, (rows, 1)))[1]
-        t = rng.standard_normal(k) * 10.0 ** rng.uniform(-3.0, 3.0)
-        expected = scipy.linalg.solve_triangular(R, t, trans="T")
-        y = _solve_rt(R, t.copy())
-        if k == 1:
-            assert y.tobytes() == expected.tobytes()
-        # both are backward stable: each solves R' + E with |E| <= k eps |R'|
-        bound = 2 * k * EPS * np.linalg.norm(np.abs(R.T) @ np.abs(y))
-        assert np.linalg.norm(R.T @ (y - expected)) <= bound
-        assert np.linalg.norm(R.T @ y - t) <= bound
 
 
 class TestShiftSequence:
@@ -291,3 +291,104 @@ class TestShiftSequence:
             np.concatenate([last.s1 - exact.s1, last.s2 - exact.s2])
         )
         assert err <= 1e-5 * (1.0 + np.linalg.norm(np.concatenate([exact.s1, exact.s2])))
+
+
+def _mp_weighted_shift(p: ProblemData, sigma: SigmaPair) -> np.ndarray:
+    """The stacked residual of the weighted least squares, from its normal
+    equations at 50 digits; A must have full column rank."""
+    with mpmath.workdps(50):
+        A, b = mpmath.matrix(p.A.tolist()), mpmath.matrix(p.b.tolist())
+        W = mpmath.diag([mpmath.mpf(sigma.sigma1)] * p.m1 + [mpmath.mpf(sigma.sigma2)] * p.m2)
+        r = b - A * mpmath.lu_solve(A.T * W * A, A.T * W * b)
+        return np.array(r.tolist(), dtype=float).ravel()
+
+
+class TestFiftyDigitReference:
+    def test_weighted_shift_along_schedule(self):
+        battery = reference_battery()
+        assert sum(np.linalg.matrix_rank(p.A1) < p.m1 for p in battery) >= 20
+        for p in battery:
+            tol = 1e-12 * (1.0 + np.linalg.norm(p.b))
+            for k in (0, 3, 6, 9, 12, 20):
+                sigma = sigma_at(SigmaSchedule(), k)
+                shift = approximate_shift(p, sigma)
+                err = np.abs(np.concatenate([shift.s1, shift.s2]) - _mp_weighted_shift(p, sigma))
+                assert err.max() <= tol, (k, err.max())
+
+
+def _stacked_shifts(p: ProblemData) -> list[np.ndarray]:
+    """The weighted shift at three steps of the default schedule (the last
+    under the eta cap) and the exact shift, each stacked as (s1, s2)."""
+    shifts = [approximate_shift(p, sigma_at(SigmaSchedule(), k)) for k in (0, 6, 20)]
+    shifts.append(hierarchical_shift(p).shift)
+    return [np.concatenate([s.s1, s.s2]) for s in shifts]
+
+
+def _rounding_scale(p: ProblemData) -> float:
+    """max(m, n) eps / theta^2 for the least column norm theta of N2 above the
+    cutoff. A rounding error of N or of t = N'b is about max(m, n) eps; the
+    exact shift divides a column of N by theta^2 (s2 = N2 (t / a2)), and the
+    weighted shift by at most that."""
+    theta = np.linalg.svd(p.left_null[p.m1 :], compute_uv=False)
+    theta = theta[theta > NULL_TOL]
+    return max(p.m, p.n) * EPS / (theta.min() ** 2 if theta.size else 1.0)
+
+
+def _with_b(p: ProblemData, b1, b2) -> ProblemData:
+    return ProblemData(Q=p.Q, c=p.c, A1=p.A1, b1=b1, A2=p.A2, b2=b2)
+
+
+class TestMetamorphic:
+    """Both shifts depend on b only through its part outside range(A), linearly,
+    and they follow a reordering of the rows within a block."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_adding_a_range_vector_to_b_changes_no_shift(self, seed):
+        # tolerance: 16 rounding scales of ||b|| + ||A|| ||y||, the size of N'(A y)
+        # and of the rounding of b + A y
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, definite=False, allow_empty=False)
+        y = rng.uniform(-10.0, 10.0, p.n)
+        q = _with_b(p, p.b1 + p.A1 @ y, p.b2 + p.A2 @ y)
+        scale = np.linalg.norm(p.b) + np.linalg.norm(p.A, 2) * np.linalg.norm(y)
+        tol = 16 * _rounding_scale(p) * scale
+        for a, b in zip(_stacked_shifts(p), _stacked_shifts(q)):
+            assert np.abs(a - b).max() <= tol
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_permuting_rows_within_a_block_permutes_both_shifts(self, seed):
+        # tolerance: 16 rounding scales of ||b||; the permuted instance has its
+        # own basis N, which rounds differently
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, definite=False, allow_empty=False)
+        perm1, perm2 = rng.permutation(p.m1), rng.permutation(p.m2)
+        q = ProblemData(
+            Q=p.Q, c=p.c, A1=p.A1[perm1], b1=p.b1[perm1], A2=p.A2[perm2], b2=p.b2[perm2]
+        )
+        perm = np.concatenate([perm1, p.m1 + perm2])
+        tol = 16 * _rounding_scale(p) * (1.0 + np.linalg.norm(p.b))
+        for a, b in zip(_stacked_shifts(p), _stacked_shifts(q)):
+            assert np.abs(a[perm] - b).max() <= tol
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-30, 30),
+        mantissa=st.floats(-2.0, 2.0).filter(lambda v: abs(v) >= 1.0),
+    )
+    def test_scaling_b_scales_both_shifts(self, seed, exponent, mantissa):
+        # bit for bit by a power of two: N depends on A alone, and every step
+        # from b to the shifts is linear; by any other factor, to 4 rounding
+        # scales of |alpha| ||b||
+        rng = np.random.default_rng(seed)
+        p = random_problem(rng, definite=False, allow_empty=False)
+        power = 2.0**exponent
+        base = _stacked_shifts(p)
+        for a, b in zip(base, _stacked_shifts(_with_b(p, power * p.b1, power * p.b2))):
+            assert np.array_equal(power * a, b)
+        alpha = mantissa * power
+        tol = 4 * _rounding_scale(p) * abs(alpha) * (1.0 + np.linalg.norm(p.b))
+        for a, b in zip(base, _stacked_shifts(_with_b(p, alpha * p.b1, alpha * p.b2))):
+            assert np.abs(alpha * a - b).max() <= tol

@@ -11,6 +11,7 @@ from conftest import (
     exhaustive_stage_values,
     make_problem,
     random_problem,
+    reference_battery,
     two_stage_reference,
 )
 from hieralm import hierarchical_shift
@@ -287,3 +288,20 @@ class TestN2Cutoff:
         assert s1 == pytest.approx([-0.5, 0.5], abs=1e-18)
         assert not res.shift.s2.any()
         assert np.abs(s2).max() <= 1e-40
+
+
+class TestFiftyDigitReference:
+    def test_matches_two_stage_reference(self):
+        battery = reference_battery()
+        inconsistent = 0
+        for p in battery:
+            rank1 = int(np.linalg.matrix_rank(p.A1))
+            s1, s2 = _mp_two_stage(p, rank1)
+            res = hierarchical_shift(p)
+            assert res.rank1 == rank1
+            tol = 1e-12 * (1.0 + np.linalg.norm(p.b))
+            assert np.abs(res.shift.s1 - s1).max() <= tol
+            assert np.abs(res.shift.s2 - s2).max() <= tol
+            inconsistent += bool(np.linalg.norm(s1) > 1e-3)
+        # s1 != 0 wherever A1 is rank-deficient
+        assert inconsistent == sum(np.linalg.matrix_rank(p.A1) < p.m1 for p in battery) >= 20
