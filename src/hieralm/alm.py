@@ -14,34 +14,36 @@ divergence (flagged via ``rho_cap``).
 The priorities act only through the shift and the multiplier box. The
 subproblem sees the stacked system A = [A1; A2], b = [b1; b2]: with
 v = rho (b - s) - lh, its matrix is H(rho) = Q + rho A'A and its right-hand
-side A'v - c. H depends on rho only through the rank-m term A'A, so a base,
-Q + A'A, is factored once and given one thin SVD (a range-space solve); every
-iteration then costs O(n^2 + nm) and forms no n x n matrix, whatever the
-penalty: one product with Q, four with A (A'v for the right-hand side, A x and
-A'(A x) for the residual check, A'lambda for E) and one pass over the SVD
-factor V. For a definite diagonal Q = D, such as every grid instance's q I,
-the instance says so (``ProblemData.q_diagonal``): the base is D, so the setup
-is one SVD of A'/sqrt(d), the check of Q is O(n) and Q x is d * x, with the
-dense product's bits. A solve whose refined base-D pass still misses its bound
-runs the Q + A'A chain unchanged, its setup built on the first such miss. That
-chain and the lstsq fallback add a diagonal Q to the diagonal of A'A, so no
-solve reads the n x n ``p.Q`` of an instance that stores Q as its diagonal. For
-a sparse A, such as every grid's incidence matrix, the instance keeps CSR copies
-of A and A' (``ProblemData.a_csr``): the products with A and the setup's A'A
-then cost O(nnz(A)), an iteration with a diagonal Q O(nnz(A) + nm), and a
-product's last bits can differ from dense. Q x and A x are formed once, at the
-accepted x, and shared between the residual check, the constraint residuals and
-E; a refinement pass (one solve with the base: d or its n x n factor) runs only
-when the first pass misses its bound. Those factors and the check of Q depend
-on the instance alone, so they are built on the first solve of a ProblemData
-and reused by every later solve of it, in any mode or config, until the
-instance is garbage collected. The ``ProblemData`` docstring gives the size
-of what the cache retains per live instance.
+side A'v - c. H depends on rho only through the rank-m term A'A, so its
+factors are built once and serve every penalty, and no iteration forms an
+n x n matrix. For a definite diagonal Q = D, such as every grid instance's
+q I, the instance says so (``ProblemData.q_diagonal``), and the setup is one
+eigendecomposition of the m x m K = A D^-1 A' (``_Eigenbasis``): an iteration
+then makes two passes over its m x r eigenvector block, r = rank(A), and
+forms no n x m array; the check of Q is O(n) and Q x is d * x, with the dense
+product's bits. A spectrum that does not certify, or a solve whose refined
+pass still misses its bound, hands the solve to the range-space chain built on
+first need (``_RangeSpace``): one thin SVD of A'/sqrt(d), then, on its own
+miss, the Cholesky factor of Q + A'A and one thin SVD (the setup of any other
+Q), then lstsq. That chain adds a diagonal Q to the diagonal of A'A, so no
+solve reads the n x n ``p.Q`` of an instance that stores Q as its diagonal.
+For a sparse A, such as every grid's incidence matrix, the instance keeps CSR
+copies of A and A' (``ProblemData.a_csr``): the products with A, K and the
+chain's A'A then cost O(nnz(A)), an iteration with a diagonal Q
+O(nnz(A) + mr), and a product's last bits can differ from dense. Q x and A x
+are formed once, at the accepted x, and shared between the residual check,
+the constraint residuals and E; a refinement pass runs only when the first
+pass misses its bound. The factors and the check of Q depend on the instance
+alone, so they are built on the first solve of a ProblemData and reused by
+every later solve of it, in any mode or config, until the instance is garbage
+collected. The ``ProblemData`` docstring gives the size of what the cache
+retains per live instance. The setup names its route at DEBUG level, as
+``left_null`` does, and so does each escalation.
 
-SciPy is imported on the first solve, by its setup: the SVD, the Q + A'A
-chain's Cholesky factor and solves, the BLAS norm that E and the residual
-check use, and the CSR copies of a sparse A. Importing this module, and the
-shifts of :mod:`hieralm.control`, do not load it.
+SciPy is imported on the first solve, by its setup: the BLAS norm that E and
+the residual check use, the CSR copies of a sparse A, and, where the chain
+runs, its SVD and its Cholesky factor and solves. Importing this module, and
+the shifts of :mod:`hieralm.control`, do not load it.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .problem import (
     ProblemData,
     _a_operators,
     _add_q,
+    _certified_gram,
     _definite_diagonal,
     _q_times,
     _rank_cutoff,
@@ -93,10 +96,11 @@ logger = logging.getLogger(__name__)
 # validate_problem's logger; its singular-Q warning is repeated on cached solves
 _problem_logger = logging.getLogger("hieralm.problem")
 
-# the setup's SVD and the Q + A'A chain load SciPy on their first call, like _nrm2
+# the range-space chain's SVD and Cholesky load SciPy on their first call, like _nrm2
 cho_factor, cho_solve, solve_triangular, svd = map(
     _scipy_linalg, ("cho_factor", "cho_solve", "solve_triangular", "svd")
 )
+eigh = np.linalg.eigh  # the eigenbasis setup's, called through this name
 
 
 class Mode(enum.Enum):
@@ -303,16 +307,18 @@ def solve_subproblem(
 ) -> tuple[np.ndarray, float]:
     """Minimize the shifted augmented Lagrangian in x.
 
-    The minimizer solves H x = rhs with H = Q + rho A'A, A = [A1; A2]. A
-    range-space solve (see ``_RangeSpace``) handles the definite case: its x is
+    The minimizer solves H x = rhs with H = Q + rho A'A, A = [A1; A2]. For a
+    diagonal Q = D with min(d) > 2e-10 (1 + max|d|), one eigendecomposition of
+    K = A D^-1 A' solves it (see ``_Eigenbasis``); any other Q takes a
+    range-space solve on the base Q + A'A (see ``_RangeSpace``). Either x is
     accepted if it meets the bound below, and refined once only if it does not.
-    A minimum-norm least-squares solve on the formed H handles what is still
-    left, the singular-but-consistent case. The range-space base is D for a
-    diagonal Q = D with min(d) > 2e-10 (1 + max|d|), else Q + A'A; on base D
-    a refined pass that still misses switches to the Q + A'A chain unchanged,
-    so a diagonal-Q call raises only where that chain raises. The first call on an
-    instance checks Q and builds the rho-independent factors; later calls, and
-    :func:`iterate`, reuse them for as long as ``p`` lives.
+    A refined eigenbasis pass that still misses hands the call to the
+    range-space chain on base D, then Q + A'A, unchanged, so a diagonal-Q call
+    raises only where that chain raises. A minimum-norm least-squares solve on
+    the formed H handles what is still left, the singular-but-consistent case.
+    The first call on an instance checks Q and builds the rho-independent
+    factors; later calls, and :func:`iterate`, reuse them for as long as ``p``
+    lives.
 
     Returns:
         (x, grad_norm) with grad_norm = ||Q x + rho A'(A x) - rhs||
@@ -330,15 +336,23 @@ def solve_subproblem(
 
 # one entry per live instance; a weak key drops the entry when the instance goes.
 # Two threads that miss at once each build an equal setup, and either may stay.
-_SETUP: weakref.WeakKeyDictionary[ProblemData, _RangeSpace] = weakref.WeakKeyDictionary()
+_SETUP: weakref.WeakKeyDictionary[ProblemData, _Eigenbasis | _RangeSpace] = (
+    weakref.WeakKeyDictionary()
+)
 
 
-def _setup(p: ProblemData) -> _RangeSpace:
+def _setup(p: ProblemData) -> _Eigenbasis | _RangeSpace:
     """The config-independent setup of ``p``: Q checked, factors built, once per instance."""
     system = _SETUP.get(p)
     if system is None:
         q_warning = validate_problem(p)
-        system = _SETUP[p] = _RangeSpace(p, q_warning, _definite_diagonal(p))
+        d = _definite_diagonal(p)
+        if d is None:
+            logger.debug("subproblem setup: Q + A'A route")
+            system = _RangeSpace(p, q_warning)
+        else:
+            system = _Eigenbasis(p, q_warning, d)
+        _SETUP[p] = system
     elif system.q_warning is not None:
         _problem_logger.warning("%s", system.q_warning)
     return system
@@ -358,9 +372,103 @@ def _residual_norm(p: ProblemData, x, rho: float, rhs) -> tuple[float, _Products
     return _nrm2(prod.qx + rho * (At @ prod.ax) - rhs), prod
 
 
-class _RangeSpace:
-    """The factors of H(rho) = Q + rho A'A that do not depend on rho.
+def _right_hand_side(p: ProblemData, lam_hat, rho: float, s) -> tuple:
+    """(v, rhs, bound): v = rho (b - s) - lam_hat, rhs = A'v - c and the residual
+    bound 1e-10 (1 + ||rhs||) that a solve must meet."""
+    v = rho * (p.b - s) - lam_hat
+    rhs = _a_operators(p)[1] @ v - p.c
+    # BLAS nrm2 scales as it sums, so a rho-sized rhs cannot make the bound inf
+    return v, rhs, 1e-10 * (1.0 + _nrm2(rhs))
 
+
+class _Eigenbasis:
+    """H(rho)^-1 for a definite diagonal Q = D, from one eigendecomposition of
+    the m x m K = A D^-1 A' = U diag(lam) U'.
+
+    By the push-through identity, (D + rho A'A)^-1 A' = D^-1 A'(I + rho K)^-1,
+    and by Woodbury's, H(rho)^-1 = D^-1 - rho D^-1 A'(I + rho K)^-1 A D^-1
+    (Golub and Van Loan, Matrix Computations, 4th ed., 2.1.4). So the solution
+    of H x = g + A'w is
+
+        x = g / d + D^-1 A' U [(U'w - rho h) / (1 + rho lam)],  h = U'A (g / d).
+
+    Only the eigenpairs above K's rounding band are kept: the others span
+    null(A'), which D^-1 A' maps to zero. K = B B' with B = A D^-1/2, and they
+    are kept only if they certify B's rank (``_certified_gram``, the rule
+    ``left_null`` follows); ``U`` is then m x r with r = rank(A), else None.
+    The quotient is divided through by k = max(rho, 1), so that rho lam cannot
+    overflow; with the rho-sized w = rho (b - s) - lh, the rho-sized parts of
+    its numerator cancel as rho grows, as Tikhonov's filter factors do. A first
+    pass has g = -c and w = v, its h fixed once (``h_c``); a refinement has
+    g = -c - Q x and w = v - rho A x, the residual at x, split alike. A spectrum
+    that does not certify, or a refined pass that still misses its bound,
+    hands the solve to ``chain``, the base-D ``_RangeSpace`` with its own
+    escalations, built on first need. Nothing here refers to the instance, so
+    a cached entry never keeps its weak key alive.
+    """
+
+    def __init__(self, p: ProblemData, q_warning: str | None, d: np.ndarray):
+        self.q_warning, self.d, self.chain = q_warning, d, None
+        self.U = self.lam = self.x_c = self.h_c = None
+        A, At = _a_operators(p)
+        with np.errstate(over="ignore"):  # an overflow shows in the band
+            Bt = At / np.sqrt(d)[:, None]  # B' = D^-1/2 A'; a COO copy for a CSR A'
+            K = Bt.T @ Bt
+        if p.a_csr is not None:
+            K = K.toarray()
+        spectrum, figures = _certified_gram(K, p.n, lambda N: np.linalg.norm(Bt @ N), eigh)
+        if spectrum is None:
+            logger.debug("subproblem setup: base-D SVD route; %s", figures)
+            return
+        w, V, k = spectrum
+        self.U, self.lam = V[:, k:].copy(), w[k:].copy()  # V and w go with K
+        logger.debug("subproblem setup: eigenbasis route, r = %d; %s", self.lam.size, figures)
+        self.x_c = -p.c / d
+        self.h_c = self.U.T @ (A @ self.x_c)
+
+    def _chain(self, p: ProblemData) -> _RangeSpace:
+        if self.chain is None:
+            self.chain = _RangeSpace(p, self.q_warning, self.d)
+        return self.chain
+
+    def _push(self, p: ProblemData, w, h, rho: float) -> np.ndarray:
+        """D^-1 A' U [(U'w - rho h) / (1 + rho lam)], the quotient divided by max(rho, 1)."""
+        k = max(rho, 1.0)
+        y = (self.U.T @ w / k - (rho / k) * h) / (1.0 / k + (rho / k) * self.lam)
+        return (_a_operators(p)[1] @ (self.U @ y)) / self.d
+
+    def solve(self, p, lam_hat, rho, s) -> tuple[np.ndarray, float, _Products]:
+        """(x, grad_norm, products at x), as ``_RangeSpace.solve`` returns them.
+
+        The tries are the eigenbasis pass and that pass refined once, each run
+        only when the one before it misses; then the chain's tries.
+        """
+        if self.U is None:
+            return self._chain(p).solve(p, lam_hat, rho, s)
+        v, rhs, bound = _right_hand_side(p, lam_hat, rho, s)
+        x = self.x_c + self._push(p, v, self.h_c, rho)
+        # the check's Q x and A x also serve a refinement and the caller
+        grad_norm, prod = _residual_norm(p, x, rho, rhs)
+        if grad_norm <= bound:
+            return x, grad_norm, prod
+        logger.debug("subproblem refines: residual %.3e > bound %.3e", grad_norm, bound)
+        x_g = (-p.c - prod.qx) / self.d
+        h = self.U.T @ (_a_operators(p)[0] @ x_g)
+        x = x + x_g + self._push(p, v - rho * prod.ax, h, rho)
+        grad_norm, prod = _residual_norm(p, x, rho, rhs)
+        if grad_norm <= bound:
+            return x, grad_norm, prod
+        logger.debug("subproblem escalates from the eigenbasis to the base-D SVD chain: "
+                     "refined residual %.3e > bound %.3e", grad_norm, bound)
+        return self._chain(p).solve(p, lam_hat, rho, s)
+
+
+class _RangeSpace:
+    """The range-space factors of H(rho) = Q + rho A'A that do not depend on rho.
+
+    This is the setup of a Q that is not a definite diagonal, and the chain
+    that ``_Eigenbasis`` escalates to. It keeps the n x m V below (4.9 MB at
+    the 20x20 grid), an m x m U and, on base Q + A'A, the n x n R.
     H(rho) = B + (rho - a) A'A with the base B = Q + a A'A = R'R: the offset is
     a = 1, or a = 0 and R = D^1/2 for a definite diagonal Q = D (``d``). With
     the thin SVD R^-T A' = W diag(sig) U', V = R^-1 W and
@@ -428,10 +536,7 @@ class _RangeSpace:
         formed H; each runs only when the one before it misses. On base D, a
         refined pass that misses hands the solve to the dense setup's three tries.
         """
-        v = rho * (p.b - s) - lam_hat
-        rhs = _a_operators(p)[1] @ v - p.c
-        # BLAS nrm2 scales as it sums, so a rho-sized rhs cannot make the bound inf
-        bound = 1e-10 * (1.0 + _nrm2(rhs))
+        v, rhs, bound = _right_hand_side(p, lam_hat, rho, s)
         if self.V is not None:
             # k = 1 on base Q + A'A, where each quotient keeps its bits
             k = 1.0 if self.d is None else max(rho, 1.0)
@@ -511,6 +616,10 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
     system = _setup(p)
 
     m1 = p.m1
+    control = cfg.mode is Mode.INFEASIBILITY_CONTROL
+    # standard mode's shift is the same zero pair every iteration; its arrays are read-only
+    shift = HierarchicalShift.zero(p.m1, p.m2)
+    s = np.concatenate((shift.s1, shift.s2))
     lam_hat = np.zeros(p.m)
     u = cfg.u0
     rho = cfg.rho0
@@ -518,11 +627,9 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
     while True:
         if not np.isfinite(rho):
             raise OverflowError(f"iteration {k + 1}: penalty rho overflowed to {rho}")
-        if cfg.mode is Mode.INFEASIBILITY_CONTROL:
+        if control:
             shift = approximate_shift(p, sigma_at(cfg.sigma_schedule, k))
-        else:
-            shift = HierarchicalShift.zero(p.m1, p.m2)
-        s = np.concatenate((shift.s1, shift.s2))
+            s = np.concatenate((shift.s1, shift.s2))
         try:
             x, grad_norm, prod = system.solve(p, lam_hat, rho, s)
         except SubproblemUnboundedError as exc:

@@ -98,7 +98,8 @@ class SigmaSchedule:
     sigma1 is capped at 1e12 by rescaling both weights jointly (the ratio is all
     that matters for the shift), and eta itself is capped at ``eta_cap`` by
     raising sigma2, with a logged warning at the first k where the cap binds.
-    ``eta_cap`` must be finite, which keeps sigma2 positive at every k.
+    ``eta_cap`` must be finite, which keeps sigma2 positive at every k, and
+    sigma1_0 / sigma2_0 a normal number or larger, which keeps eta one at k = 0.
     """
 
     sigma1_0: float = 1.0
@@ -113,6 +114,11 @@ class SigmaSchedule:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
+        # eta is least at k = 0, where sigma_at would reject a ratio below the
+        # normal range with SigmaPair's message; a ratio past the double range
+        # is capped at eta_cap
+        if (eta0 := self.sigma1_0 / self.sigma2_0) < np.finfo(float).tiny:
+            raise ValueError(f"sigma1 / sigma2 must be a normal number, got {eta0}")
         if not self.sigma1_factor > self.sigma2_factor >= 1.0:
             raise ValueError(
                 "need sigma1_factor > sigma2_factor >= 1, got "

@@ -132,9 +132,11 @@ class ProblemData:
     eigenvectors, 1.3 MB each at the 20x20 grid and 6.5 MB at 30x30),
     ``q_diagonal`` and ``a_csr`` (for a sparse A, CSR copies of A and A',
     24 nnz(A) + 4 (m + n + 2) bytes: 81 KB at the 20x20 grid) here, and in
-    :mod:`hieralm.alm` the check of Q and the solver's factors (about
-    nm + m^2 doubles for a definite diagonal Q, 6.1 MB at the 20x20 grid and
-    32 MB at 30x30, and n^2 more for any other Q, 25 MB and 128 MB).
+    :mod:`hieralm.alm` the check of Q and the solver's factors: for a definite
+    diagonal Q, about m r + n doubles with r = rank(A) (1.3 MB at the 20x20
+    grid and 6.5 MB at 30x30), and nm + m^2 more if the range-space chain is
+    built for an escalation (6.1 MB and 32 MB); for any other Q, that chain's
+    nm + m^2 and n^2 more (25 MB and 128 MB).
     That is sound only because the arrays are read-only and never change after
     construction; code that forces them writable breaks that contract.
 
@@ -316,41 +318,57 @@ def _svd_left_null(A: np.ndarray) -> np.ndarray:
 
 
 def _gram_left_null(A: np.ndarray) -> tuple[np.ndarray | None, str]:
-    """(N, figures): N from eigh(A A') if certified, else None; figures words the candidate.
+    """(N, figures): N from eigh(A A') if certified (``_certified_gram`` with
+    B = A), else None; figures words the candidate."""
+    with np.errstate(over="ignore"):  # an overflow shows in the band
+        G = A @ A.T  # numpy computes a product with its own transpose as one syrk
+    spectrum, figures = _certified_gram(G, A.shape[1], lambda N: np.linalg.norm(N.T @ A))
+    if spectrum is None:
+        return None, figures
+    _, V, k = spectrum
+    return np.ascontiguousarray(V[:, :k]), figures
 
-    G = A A' has the squared singular values of A and null(G) = null(A'). Each
-    computed eigenvalue of G errs by at most about the band
-    max(m, n) * eps * ||A||_F^2 (the rounding of A A' is bounded by
-    n eps |A||A'|, whose norm is at most ||A||_F^2 = trace(G) >= lambda_max), so
-    N is the eigenvectors whose eigenvalues lie inside it. Squaring cannot
-    resolve a singular value near the cutoff, so N is certified only when
+
+def _certified_gram(G: np.ndarray, n: int, dropped_norm, eigh=np.linalg.eigh):
+    """((w, V, k), figures) from eigh(G) if it certifies the rank of B, else (None, figures).
+
+    G = B B' is the m x m Gram matrix of an m x n matrix B; it has the squared
+    singular values of B and null(G) = null(B'). ``eigh`` (LAPACK syevd by
+    default) gives G = V diag(w) V' with w ascending, and ``dropped_norm(N)`` is
+    ||B'N||_F for N, the first k columns of V. Each computed eigenvalue of G errs
+    by at most about the band max(m, n) * eps * ||B||_F^2 (the rounding of B B'
+    is bounded by n eps |B||B'|, whose norm is at most ||B||_F^2 = trace(G) >=
+    lambda_max), so the k eigenvalues inside it are taken as zero and their
+    eigenvectors N as a basis of null(B'). Squaring cannot resolve a singular
+    value near lstsq's cutoff (``_rank_cutoff``), so the split is certified
+    only when
 
     (a) the least kept eigenvalue exceeds ten bands: every kept singular value
         is then at least sqrt(9 band), far above the cutoff; and
-    (b) ||A'N||_F is at most a tenth of the cutoff: by Courant-Fischer the k
+    (b) ||B'N||_F is at most a tenth of the cutoff: by Courant-Fischer the k
         dropped singular values are then below it, and by the sin theta theorem
-        N is within ||A'N|| / s_r of null(A'), a tenth of the Wedin bound
+        N is within ||B'N|| / s_r of null(B'), a tenth of the Wedin bound
         max(m, n) eps s_max / s_r that the SVD route meets.
 
-    The band must be a normal number: an overflow in G makes it inf, and A = 0,
-    m = 0 or a G lost whole to underflow make it 0 or subnormal.
+    The band must be a normal number: an overflow in G makes it inf, and B = 0,
+    m = 0 or a G lost whole to underflow make it 0 or subnormal; eigh is then
+    not called. :attr:`ProblemData.left_null` takes N with B = A, and the
+    solver's setup for a diagonal Q = D keeps the other columns with
+    B = A D^-1/2.
     """
-    m, n = A.shape
-    with np.errstate(over="ignore"):  # an overflow shows in the band
-        G = A @ A.T  # numpy computes a product with its own transpose as one syrk
+    m = G.shape[0]
     band = max(m, n) * _EPS * np.trace(G)
     if not np.finfo(float).tiny <= band < np.inf:
         return None, f"Gram rounding band {band:.2e} is not a normal number"
-    w, V = np.linalg.eigh(G)  # LAPACK syevd
+    w, V = eigh(G)
     k = int(np.count_nonzero(w <= band))
-    N = np.ascontiguousarray(V[:, :k])
-    residual = np.linalg.norm(N.T @ A) / _rank_cutoff(m, n, np.sqrt(w[-1]))
+    residual = dropped_norm(V[:, :k]) / _rank_cutoff(m, n, np.sqrt(w[-1]))
     gap = w[k] / band if k < m else np.inf
     figures = (
-        f"Gram candidate k = {k}, ||A'N|| / cutoff = {residual:.2e}, "
+        f"Gram candidate k = {k}, ||B'N|| / cutoff = {residual:.2e}, "
         f"least kept eigenvalue / band = {gap:.2e}"
     )
-    return (N if gap > 10.0 and residual <= 0.1 else None), figures
+    return ((w, V, k) if gap > 10.0 and residual <= 0.1 else None), figures
 
 
 def _float_array(a, ndim: int, name: str) -> np.ndarray:

@@ -50,6 +50,12 @@ def svd_calls(monkeypatch):
 
 
 @pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shape of each matrix the solver gives eigh, one per eigenbasis setup."""
+    return _record_calls(monkeypatch, "eigh", 0)
+
+
+@pytest.fixture
 def trisolve_calls(monkeypatch):
     """The shape of each right-hand side the solver gives cho_solve."""
     return _record_calls(monkeypatch, "cho_solve", 1)

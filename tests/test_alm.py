@@ -394,9 +394,14 @@ class TestRefinement:
 
     @staticmethod
     def _solve_logged(caplog, p, l1, rho):
+        """(x, grad, the solve's DEBUG lines), without the setup's line (see
+        test_setup_names_its_route)."""
         with caplog.at_level(logging.DEBUG, logger="hieralm.alm"):
             x, grad = solve_subproblem(p, l1, np.zeros(0), rho, HierarchicalShift.zero(p.m1, 0))
-        lines = [rec.message for rec in caplog.records if rec.name == "hieralm.alm"]
+        lines = [
+            rec.message for rec in caplog.records
+            if rec.name == "hieralm.alm" and not rec.message.startswith("subproblem setup: ")
+        ]
         caplog.clear()
         return x, grad, lines
 
@@ -423,16 +428,44 @@ class TestRefinement:
         assert len(lines) == 1
         assert lines[0].startswith("subproblem refines: residual ")
         assert "> bound " in lines[0]
-        # on base D the refinement's base solve is g / d, and a met bound keeps the
-        # solve on that base, with no n x n factor built
+        # on a diagonal Q the eigenbasis pass misses by about 100x, and its
+        # refinement, whose base solve is g / d, meets the bound by about 25x: the
+        # solve stays on the eigenbasis, with no chain and no n x n factor built
         trisolve_calls.clear()
-        p = make_problem(Q=np.diag([1.0, 1e-4]), c=[1.0, 1.0], A1=[[1e6, 1.0]], b1=[1.0])
-        x, grad, lines = self._solve_logged(caplog, p, np.zeros(1), 100.0)
-        rhs = -p.c + 100.0 * (p.A1.T @ p.b1)
+        p = make_problem(
+            Q=np.diag([1.0, 1e-3]), c=[1.6, -1.8], A1=[[-8e5, 7e5]], b1=[-0.4]
+        )
+        x, grad, lines = self._solve_logged(caplog, p, np.array([1.6]), 0.1)
+        rhs = -p.c + p.A1.T @ (0.1 * p.b1 - 1.6)
         assert grad <= 1e-10 * (1.0 + np.linalg.norm(rhs))
         assert [line.split(":")[0] for line in lines] == ["subproblem refines"]
         assert trisolve_calls == []
-        assert hieralm.alm._SETUP[p].dense is None
+        assert hieralm.alm._SETUP[p].chain is None
+
+    def test_setup_names_its_route(self, caplog):
+        # one line per instance, on its first solve, with the figures of the
+        # certification where there is one
+        grid, _ = build_instance(GridSpec(4, 4, kappa=0.5))
+        # a singular value whose square sits 3 bands above zero: kept, but within
+        # ten bands of K's round-off, so the spectrum does not certify
+        t = np.sqrt(6.0 * np.finfo(float).eps)
+        near = make_problem(Q=np.eye(2), c=[1.0, 1.0], A1=[[1.0, 0.0]], b1=[1.0],
+                            A2=[[0.0, t]], b2=[1.0])
+        expected = (
+            (grid, f"subproblem setup: eigenbasis route, r = {grid.m - 1}; Gram candidate k = 1,"),
+            (near, "subproblem setup: base-D SVD route; Gram candidate k = 0, "),
+            (_tridiagonal_q(grid), "subproblem setup: Q + A'A route"),
+        )
+        for p, start in expected:
+            with caplog.at_level(logging.DEBUG, logger="hieralm.alm"):
+                solve(p, SolverConfig(max_iter=3))
+                solve(p, SolverConfig(max_iter=3))
+            lines = [rec.message for rec in caplog.records if "setup" in rec.message]
+            caplog.clear()
+            assert len(lines) == 1 and lines[0].startswith(start), lines
+        assert hieralm.alm._SETUP[grid].chain is None
+        assert hieralm.alm._SETUP[near].U is None
+        assert hieralm.alm._SETUP[near].chain.V is not None
 
     def test_debug_lines_name_the_fallback(self, caplog):
         # refinement still misses, so lstsq on the formed H takes over
@@ -445,16 +478,22 @@ class TestRefinement:
             "subproblem falls back to lstsq",
         ]
         assert lines[1].startswith("subproblem falls back to lstsq: refined residual ")
-        # on base D both passes miss, so the solve switches to the Q + A'A chain,
-        # whose first pass meets the bound
-        p = make_problem(Q=np.diag([1.0, 1e-4]), c=[1.0, 1.0], A1=[[1e3, 1.0]], b1=[1.0])
-        _, grad, lines = self._solve_logged(caplog, p, np.ones(1), 1.0)
-        assert grad <= 1e-10 * (1.0 + np.linalg.norm(-p.c + p.A1.T @ (p.b1 - 1.0)))
+        # on a diagonal Q both eigenbasis passes miss, so the solve escalates to
+        # the base-D SVD chain; both of its passes miss too, so it switches to
+        # the Q + A'A chain, whose first pass meets the bound
+        p = make_problem(Q=np.diag([1.0, 1e-4]), c=[1.0, 1.0], A1=[[1e6, 1.0]], b1=[1.0])
+        _, grad, lines = self._solve_logged(caplog, p, np.zeros(1), 1e-2)
+        assert grad <= 1e-10 * (1.0 + np.linalg.norm(-p.c + 1e-2 * (p.A1.T @ p.b1)))
         assert [line.split(":")[0] for line in lines] == [
+            "subproblem refines",
+            "subproblem escalates from the eigenbasis to the base-D SVD chain",
             "subproblem refines",
             "subproblem switches from base D to Q + A'A",
         ]
         assert lines[1].startswith(
+            "subproblem escalates from the eigenbasis to the base-D SVD chain: refined residual "
+        )
+        assert lines[3].startswith(
             "subproblem switches from base D to Q + A'A: refined residual "
         )
         # Q + A'A singular: no range-space factors, so straight to lstsq
@@ -719,19 +758,26 @@ class TestIterateAndSolve:
         )
         assert clipped
 
-    def test_one_factorization_per_instance(self, factor_calls, svd_calls):
-        # the grid's Q = I is the base of its setup, which factors nothing; a Q
-        # with entries off its diagonal is factored once
+    def test_one_factorization_per_instance(self, factor_calls, svd_calls, eigh_calls):
+        # the grid's Q = I gives a setup of one m x m eigh, with no svd and no
+        # factor; a Q with entries off its diagonal is factored once, and given
+        # one n x m svd
         grid, _ = build_instance(GridSpec(4, 4, kappa=0.5))
-        for p, factored in ((grid, []), (_tridiagonal_q(grid), [(grid.n, grid.n)])):
+        n, m = grid.n, grid.m
+        for p, factored, svds, eighs in (
+            (grid, [], [], [(m, m)]),
+            (_tridiagonal_q(grid), [(n, n)], [(n, m)], []),
+        ):
             factor_calls.clear()
             svd_calls.clear()
+            eigh_calls.clear()
             runs = [run_with_states(p, SolverConfig(mode=mode)) for mode in Mode]
             report = solve(p)
             # the factors must serve several penalties
             assert len({st.rho_used for st in runs[0]}) >= 3
             assert factor_calls == factored
-            assert svd_calls == [(p.n, p.m)]
+            assert svd_calls == svds
+            assert eigh_calls == eighs
             assert report.trace == tuple(st.record for st in runs[0])
             # the cached factors give the bits that factors built for a fresh copy give
             fresh = ProblemData(Q=p.Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
@@ -743,14 +789,15 @@ class TestIterateAndSolve:
                     assert grad == st.record.subproblem_grad_norm
                     l1, l2 = st.lambda1_hat, st.lambda2_hat
             assert factor_calls == factored * 2
-            assert svd_calls == [(p.n, p.m)] * 2
+            assert svd_calls == svds * 2
+            assert eigh_calls == eighs * 2
 
-    def test_equal_instances_do_not_share_factors(self, factor_calls, svd_calls):
+    def test_equal_instances_do_not_share_factors(self, factor_calls, svd_calls, eigh_calls):
         p, _ = build_instance(GridSpec(3, 3, kappa=0.5))
         q = ProblemData(Q=p.Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
         a, b = solve(p), solve(q)
-        assert len(svd_calls) == 2  # one setup each, on base D
-        assert factor_calls == []
+        assert eigh_calls == [(p.m, p.m)] * 2  # one eigenbasis setup each
+        assert svd_calls == factor_calls == []
         assert hieralm.alm._SETUP[p] is not hieralm.alm._SETUP[q]
         assert a.trace == b.trace
 

@@ -249,6 +249,16 @@ class TestConfigFile:
         assert (code, out) == (1, "")
         assert err == "hieralm: error: eta_cap must be finite and >= 1, got inf\n"
 
+    def test_starting_ratio_below_the_normal_range_rejected(self, tmp_path, capsys):
+        # rejected with the config, before the instance is built or solved
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"sigma1_0": 1e-300, "sigma2_0": 1e300}')
+        code, out, err = run_cli(
+            capsys, "solve", "--grid", "3x3", "--kappa", "0.5", "--config", str(cfg_path)
+        )
+        assert (code, out) == (1, "")
+        assert err == "hieralm: error: sigma1 / sigma2 must be a normal number, got 0.0\n"
+
     def test_invalid_json_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{")
@@ -389,7 +399,7 @@ class TestCompare:
 
     def test_setup_runs_once_for_both_modes(self, tmp_path, capsys, monkeypatch):
         calls = []
-        for name in ("cho_factor", "svd", "validate_problem"):
+        for name in ("cho_factor", "eigh", "svd", "validate_problem"):
             original = getattr(hieralm.alm, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
@@ -400,8 +410,8 @@ class TestCompare:
         code, out, _ = run_cli(capsys, "compare", "--grid", "4x4", "--kappa", "0.5")
         assert code == 0
         assert "DivergenceSuspected" in out
-        # the grid's Q = I is the setup's base: one SVD and no n x n factor
-        assert sorted(calls) == ["svd", "validate_problem"]
+        # the grid's Q = I gives a setup of one m x m eigh: no SVD and no n x n factor
+        assert sorted(calls) == ["eigh", "validate_problem"]
         # a Q with entries off its diagonal is factored, once for both modes
         p, _ = build_instance(GridSpec(4, 4, kappa=0.5))
         Q = np.eye(p.n) + 0.25 * (np.eye(p.n, k=1) + np.eye(p.n, k=-1))

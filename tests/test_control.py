@@ -94,6 +94,18 @@ class TestSigmaSchedule:
             warnings.simplefilter("error", RuntimeWarning)
             assert sigma_at(sched, 400) == sigma_at(SigmaSchedule(), 400) == SigmaPair(1e12, 1.0)
 
+    def test_rejects_a_starting_ratio_below_the_normal_range(self):
+        # eta is least at k = 0; sigma_at would reject this one at the first
+        # controlled iteration, with the same message
+        with pytest.raises(ValueError) as exc:
+            SigmaSchedule(sigma1_0=1e-300, sigma2_0=1e300)
+        assert str(exc.value) == "sigma1 / sigma2 must be a normal number, got 0.0"
+        # the least normal ratio is accepted, and so is a ratio past the double
+        # range, which the cap brings back to eta_cap at k = 0
+        tiny = np.finfo(float).tiny
+        assert sigma_at(SigmaSchedule(sigma1_0=tiny, sigma2_0=1.0), 0).eta == tiny
+        assert sigma_at(SigmaSchedule(sigma1_0=1e300, sigma2_0=1e-10), 0).eta == 1e12
+
     def test_largest_finite_eta_cap_keeps_sigma2_positive(self):
         # sigma2 >= sigma1 / eta_cap > 0 where the cap binds; without a finite
         # cap the scaled sigma2 underflows to 0 from about k = 352

@@ -1,10 +1,11 @@
-"""Diagonal Q: the base-D range-space setup, its switch to Q + A'A, and the O(n) check of Q.
+"""Diagonal Q: the eigenbasis setup, its escalation to the range-space chain, the O(n) check of Q.
 
-A definite diagonal Q = D is the base of the range-space setup in place of the
-Cholesky factor of Q + A'A. Where both base-D passes miss the bound, the solve
-runs the Q + A'A chain unchanged, so a diagonal-Q solve never raises where that
-chain answers. Here the dense chain is run for reference on the same instance
-by building its setup directly.
+A definite diagonal Q = D is solved through one eigendecomposition of
+K = A D^-1 A' in place of a range-space setup. Where K's spectrum does not
+certify, or both eigenbasis passes miss the bound, the solve runs the
+range-space chain unchanged: base D, then Q + A'A, then lstsq. So a
+diagonal-Q solve never raises where that chain answers. Here the chains are
+run for reference on the same instance by building their setups directly.
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ class TestReference:
                 assert err <= 1e-8, f"solution off by {err} relative"
 
     def test_recipe_reaches_base_d_in_both_regimes(self):
-        # the battery's recipe must hold some base-D answers to the 1e-8 agreement,
-        # leave others to the bound alone, and send some instances to the dense setup
+        # the battery's recipe must hold some diagonal-Q answers to the 1e-8
+        # agreement, leave others to the bound alone, and send some instances to
+        # the dense setup
         conds, bases = [], set()
         for seed in range(60):
             rng = np.random.default_rng(seed)
@@ -139,23 +141,27 @@ class TestVerdicts:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_no_solve_raises_where_the_dense_chain_answers(self, seed):
         # ill-conditioned on purpose: 2,000 solves per seed, half with d per entry and
-        # half with q I, where cond(H) runs past 1e16
+        # half with q I, where cond(H) runs past 1e16. The reference is the
+        # range-space chain on base D, which switches to Q + A'A on its own misses
         rng = np.random.default_rng(seed)
-        answered = dense_answered = switched = 0
+        answered = chain_answered = certified = escalated = 0
         for i in range(2000):
             p, lam_hat, s = _draw(rng, (-4.0, 4.0), (-6.0, 6.0), scalar=bool(i % 2))
             rho = 10.0 ** rng.uniform(-2.0, 10.0)
             system = hieralm.alm._setup(p)
             assert system.d is not None  # d within 1e+-4 always meets the margin
             ours = _answers(system, p, lam_hat, rho, s)
-            dense = _answers(hieralm.alm._RangeSpace(p, None), p, lam_hat, rho, s)
-            assert ours or not dense, f"draw {i}: the dense chain answers, base D raises"
+            chain = _answers(hieralm.alm._RangeSpace(p, None, system.d), p, lam_hat, rho, s)
+            assert ours or not chain, f"draw {i}: the base-D chain answers, the eigenbasis raises"
             answered += ours
-            dense_answered += dense
-            switched += system.dense is not None
-        # the switch is exercised, and base D answers some solves the dense chain cannot
-        assert 0 < switched < 2000
-        assert answered >= dense_answered
+            chain_answered += chain
+            certified += system.U is not None
+            escalated += system.U is not None and system.chain is not None
+        # both routes into the chain are exercised: a spectrum that does not
+        # certify, and a certified eigenbasis whose refined pass misses
+        assert 0 < certified < 2000
+        assert 0 < escalated < certified
+        assert answered >= chain_answered
 
 
 class TestThroughSolve:
@@ -214,14 +220,15 @@ class TestThroughSolve:
         assert factor_calls == ([] if base_d else [(2, 2)])
 
     def test_penalty_near_the_largest_double(self):
-        # sig^2 of A D^-1/2 is about 3e4 here, so rho sig^2 is far beyond the
-        # double range; the pass divides through by rho and overflows nowhere
+        # K = A D^-1 A' has an eigenvalue of about 3e4 here, so rho lam is far
+        # beyond the double range; the pass divides through by rho and overflows
+        # nowhere
         p = make_problem(
             Q=1e-4 * np.eye(3), c=[1.0, -1.0, 0.5], A1=[[1.0, 1.0, 0.0]], b1=[0.5],
             A2=[[0.0, 1.0, 1.0]], b2=[-0.25],
         )
         system = hieralm.alm._setup(p)
-        assert system.d is not None and system.sig2.max() > 1e4
+        assert system.U is not None and system.lam.max() > 1e4
         rho = np.finfo(float).max / 8
         lam_hat, s = np.zeros(2), np.zeros(2)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -229,14 +236,15 @@ class TestThroughSolve:
         rhs = p.A.T @ (rho * p.b) - p.c
         assert np.isfinite(x).all()
         assert grad <= 1e-10 * (1.0 + scipy.linalg.norm(rhs))
-        assert system.dense is None
+        assert system.chain is None
         # at this penalty x is the minimizer under A x = b, to round-off
         kkt = np.block([[p.Q, p.A.T], [p.A, np.zeros((2, 2))]])
         x_ref = np.linalg.solve(kkt, np.concatenate((-p.c, p.b)))[:3]
         assert np.abs(x - x_ref).max() <= 1e-8 * np.abs(x_ref).max()
 
     def test_penalty_overflow_raises_no_floating_point_error(self):
-        # q = 1e-3 puts sig^2 in the thousands, so rho sig^2 overflows long before rho
+        # q = 1e-3 puts K's eigenvalues in the thousands, so rho lam overflows long
+        # before rho
         p, _ = build_instance(GridSpec(3, 3, kappa=0.5, q_scale=1e-3))
         cfg = SolverConfig(mode=Mode.STANDARD_AL, rho_cap=np.inf, rho0=1e300)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -245,7 +253,7 @@ class TestThroughSolve:
             while not states or np.isfinite(states[-1].rho):
                 states.append(next(gen))
         setup = hieralm.alm._SETUP[p]
-        assert setup.d is not None and setup.sig2.max() > 1e3
+        assert setup.U is not None and setup.lam.max() > 1e3 and setup.chain is None
         assert states[-1].rho_used > 1e307
         for st_ in states:
             assert np.isfinite(st_.x).all()
@@ -306,18 +314,43 @@ class TestCheckOfQ:
 
 
 class TestGrids:
-    def test_no_factor_and_no_n_by_n_array(self, factor_calls, monkeypatch):
+    def test_no_factor_and_no_n_by_n_array(self, factor_calls, svd_calls, monkeypatch):
         p, _ = build_instance(GridSpec(5, 5, kappa=0.5))
         monkeypatch.setattr(
             hieralm.problem, "cholesky", lambda *a, **k: pytest.fail("Q was factored")
         )
         for mode in Mode:
             solve(p, SolverConfig(mode=mode))
-        assert factor_calls == []
+        assert factor_calls == svd_calls == []
         setup = hieralm.alm._SETUP[p]
-        assert setup.d is not None and setup.factor is None and setup.dense is None
+        assert setup.chain is None  # no escalation, so no range-space chain
+        # the grid is connected: rank(A) = m - 1, and U is all that grows with m^2
+        assert setup.U.shape == (p.m, p.m - 1) and setup.lam.shape == (p.m - 1,)
         arrays = [v for v in vars(setup).values() if isinstance(v, np.ndarray)]
-        assert max(a.size for a in arrays) == p.n * p.m  # V
+        assert p.n < p.m**2
+        assert max(a.size for a in arrays) == setup.U.size <= p.m**2
+
+
+    @pytest.mark.parametrize("size", [10, 20])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_eigenbasis_matches_the_range_space_chain(self, size, kappa):
+        # the reference is the range-space chain on base D, set up directly on
+        # an equal instance: one thin SVD of A'/sqrt(d) and its n x m factor
+        for mode in Mode:
+            p, _ = build_instance(GridSpec(size, size, kappa=kappa))
+            q, _ = build_instance(GridSpec(size, size, kappa=kappa))
+            hieralm.alm._SETUP[q] = hieralm.alm._RangeSpace(q, None, q.q_diagonal)
+            cfg = SolverConfig(mode=mode)
+            a, b = solve(p, cfg), solve(q, cfg)
+            assert hieralm.alm._SETUP[p].chain is None
+            assert a.status is b.status
+            assert [r.rho for r in a.trace] == [r.rho for r in b.trace]
+            err = np.abs(a.x_final - b.x_final).max() / np.abs(b.x_final).max()
+            assert err <= 1e-13, err
+            for name in ("norm_lambda1", "norm_lambda2"):
+                ours = np.array([getattr(r, name) for r in a.trace])
+                ref = np.array([getattr(r, name) for r in b.trace])
+                assert (np.abs(ours - ref) <= 5e-12 * ref).all(), name
 
 
 def _outcome(p: ProblemData, cfg: SolverConfig):
@@ -348,8 +381,8 @@ class TestStoredDiagonal:
         assert "Q" not in vars(p)
 
     def test_base_d_switch_builds_no_dense_q(self, caplog):
-        # base D misses here, so the Q + A'A chain is built; at rho = 1 its lstsq
-        # try finds the system inconsistent, though H is definite
+        # the eigenbasis and base D miss here, so the Q + A'A chain is built; at
+        # rho = 1 its lstsq try finds the system inconsistent, though H is definite
         p = make_problem(Q=np.eye(2), c=[1.0, 1.0], A1=[[1e8, 1.0]], b1=[1.0])
         with caplog.at_level(logging.DEBUG, logger="hieralm.alm"):
             for mode in Mode:
@@ -357,9 +390,10 @@ class TestStoredDiagonal:
             with pytest.raises(SubproblemUnboundedError):
                 solve_subproblem(p, np.ones(1), np.zeros(0), 1.0, HierarchicalShift.zero(1, 0))
         messages = [rec.message for rec in caplog.records]
+        assert any("escalates from the eigenbasis" in m for m in messages)
         assert any("switches from base D" in m for m in messages)
         assert any("falls back to lstsq" in m for m in messages)
-        assert hieralm.alm._SETUP[p].dense.factor is not None
+        assert hieralm.alm._SETUP[p].chain.dense.factor is not None
         assert "Q" not in vars(p)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
