@@ -16,34 +16,31 @@ subproblem sees the stacked system A = [A1; A2], b = [b1; b2]: with
 v = rho (b - s) - lh, its matrix is H(rho) = Q + rho A'A and its right-hand
 side A'v - c. H depends on rho only through the rank-m term A'A, so its
 factors are built once and serve every penalty, and no iteration forms an
-n x n matrix. For a definite diagonal Q = D, such as every grid instance's
-q I, the instance says so (``ProblemData.q_diagonal``), and the setup is one
-eigendecomposition of the m x m K = A D^-1 A' (``_Eigenbasis``): an iteration
-then makes two passes over its m x r eigenvector block, r = rank(A), and
-forms no n x m array; the check of Q is O(n) and Q x is d * x, with the dense
-product's bits. A spectrum that does not certify, or a solve whose refined
-pass still misses its bound, hands the solve to the range-space chain built on
-first need (``_RangeSpace``): one thin SVD of A'/sqrt(d), then, on its own
-miss, the Cholesky factor of Q + A'A and one thin SVD (the setup of any other
-Q), then lstsq. That chain adds a diagonal Q to the diagonal of A'A, so no
-solve reads the n x n ``p.Q`` of an instance that stores Q as its diagonal.
-For a sparse A, such as every grid's incidence matrix, the instance keeps CSR
-copies of A and A' (``ProblemData.a_csr``): the products with A, K and the
-chain's A'A then cost O(nnz(A)), an iteration with a diagonal Q
-O(nnz(A) + mr), and a product's last bits can differ from dense. Q x and A x
-are formed once, at the accepted x, and shared between the residual check,
-the constraint residuals and E; a refinement pass runs only when the first
-pass misses its bound. The factors and the check of Q depend on the instance
-alone, so they are built on the first solve of a ProblemData and reused by
-every later solve of it, in any mode or config, until the instance is garbage
-collected. The ``ProblemData`` docstring gives the size of what the cache
-retains per live instance. The setup names its route at DEBUG level, as
-``left_null`` does, and so does each escalation.
+n x n matrix. The factors form one escalation ladder per instance
+(``_Ladder``, which states its rungs and the rule that climbs them). For a
+definite diagonal Q = D, such as every grid instance's q I, the instance says
+so (``ProblemData.q_diagonal``), and the first rung is one eigendecomposition
+of the m x m K = A D^-1 A' (``_Eigenbasis``): an iteration then makes two
+passes over its m x r eigenvector block, r = rank(A), and forms no n x m
+array; the check of Q is O(n) and Q x is d * x, with the dense product's bits.
+Where a diagonal Q meets A'A, it is added to A'A's diagonal, so no solve reads
+the n x n ``p.Q`` of an instance that stores Q as its diagonal. For a sparse
+A, such as every grid's incidence matrix, the instance keeps CSR copies of A
+and A' (``ProblemData.a_csr``): the products with A, K and the Q + A'A rung's
+A'A then cost O(nnz(A)), an iteration with a diagonal Q O(nnz(A) + mr), and a
+product's last bits can differ from dense. Q x and A x are formed once, at the
+accepted x, and shared between the residual check, the constraint residuals
+and E. The ladder and the check of Q depend on the instance alone, so they are
+built on the first solve of a ProblemData and reused by every later solve of
+it, in any mode or config, until the instance is garbage collected. The
+``ProblemData`` docstring gives the size of what the cache retains per live
+instance. The setup names its route at DEBUG level, as ``left_null`` does,
+and so does each refinement and escalation.
 
 SciPy is imported on the first solve, by its setup: the BLAS norm that E and
-the residual check use, the CSR copies of a sparse A, and, where the chain
-runs, its SVD and its Cholesky factor and solves. Importing this module, and
-the shifts of :mod:`hieralm.control`, do not load it.
+the residual check use, the CSR copies of a sparse A, and, where a range-space
+rung is built, its SVD and its Cholesky factor and solves. Importing this
+module, and the shifts of :mod:`hieralm.control`, do not load it.
 """
 
 from __future__ import annotations
@@ -52,6 +49,7 @@ import enum
 import logging
 import weakref
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -96,7 +94,7 @@ logger = logging.getLogger(__name__)
 # validate_problem's logger; its singular-Q warning is repeated on cached solves
 _problem_logger = logging.getLogger("hieralm.problem")
 
-# the range-space chain's SVD and Cholesky load SciPy on their first call, like _nrm2
+# the range-space rungs' SVD and Cholesky load SciPy on their first call, like _nrm2
 cho_factor, cho_solve, solve_triangular, svd = map(
     _scipy_linalg, ("cho_factor", "cho_solve", "solve_triangular", "svd")
 )
@@ -307,18 +305,10 @@ def solve_subproblem(
 ) -> tuple[np.ndarray, float]:
     """Minimize the shifted augmented Lagrangian in x.
 
-    The minimizer solves H x = rhs with H = Q + rho A'A, A = [A1; A2]. For a
-    diagonal Q = D with min(d) > 2e-10 (1 + max|d|), one eigendecomposition of
-    K = A D^-1 A' solves it (see ``_Eigenbasis``); any other Q takes a
-    range-space solve on the base Q + A'A (see ``_RangeSpace``). Either x is
-    accepted if it meets the bound below, and refined once only if it does not.
-    A refined eigenbasis pass that still misses hands the call to the
-    range-space chain on base D, then Q + A'A, unchanged, so a diagonal-Q call
-    raises only where that chain raises. A minimum-norm least-squares solve on
-    the formed H handles what is still left, the singular-but-consistent case.
-    The first call on an instance checks Q and builds the rho-independent
-    factors; later calls, and :func:`iterate`, reuse them for as long as ``p``
-    lives.
+    The minimizer solves H x = rhs with H = Q + rho A'A, A = [A1; A2], on the
+    instance's escalation ladder (``_Ladder``). The first call on an instance
+    checks Q and builds the ladder's first rung; later calls, and
+    :func:`iterate`, reuse it for as long as ``p`` lives.
 
     Returns:
         (x, grad_norm) with grad_norm = ||Q x + rho A'(A x) - rhs||
@@ -336,23 +326,21 @@ def solve_subproblem(
 
 # one entry per live instance; a weak key drops the entry when the instance goes.
 # Two threads that miss at once each build an equal setup, and either may stay.
-_SETUP: weakref.WeakKeyDictionary[ProblemData, _Eigenbasis | _RangeSpace] = (
-    weakref.WeakKeyDictionary()
-)
+_SETUP: weakref.WeakKeyDictionary[ProblemData, _Ladder] = weakref.WeakKeyDictionary()
 
 
-def _setup(p: ProblemData) -> _Eigenbasis | _RangeSpace:
-    """The config-independent setup of ``p``: Q checked, factors built, once per instance."""
+def _setup(p: ProblemData) -> _Ladder:
+    """The config-independent setup of ``p``: Q checked, ladder built, once per instance."""
     system = _SETUP.get(p)
     if system is None:
         q_warning = validate_problem(p)
         d = _definite_diagonal(p)
         if d is None:
             logger.debug("subproblem setup: Q + A'A route")
-            system = _RangeSpace(p, q_warning)
+            rungs = (_RangeSpace,)
         else:
-            system = _Eigenbasis(p, q_warning, d)
-        _SETUP[p] = system
+            rungs = (partial(_Eigenbasis, d=d), partial(_RangeSpace, d=d), _RangeSpace)
+        system = _SETUP[p] = _Ladder(p, q_warning, rungs)
     elif system.q_warning is not None:
         _problem_logger.warning("%s", system.q_warning)
     return system
@@ -372,18 +360,79 @@ def _residual_norm(p: ProblemData, x, rho: float, rhs) -> tuple[float, _Products
     return _nrm2(prod.qx + rho * (At @ prod.ax) - rhs), prod
 
 
-def _right_hand_side(p: ProblemData, lam_hat, rho: float, s) -> tuple:
-    """(v, rhs, bound): v = rho (b - s) - lam_hat, rhs = A'v - c and the residual
-    bound 1e-10 (1 + ||rhs||) that a solve must meet."""
-    v = rho * (p.b - s) - lam_hat
-    rhs = _a_operators(p)[1] @ v - p.c
-    # BLAS nrm2 scales as it sums, so a rho-sized rhs cannot make the bound inf
-    return v, rhs, 1e-10 * (1.0 + _nrm2(rhs))
+class _Ladder:
+    """The subproblem's rungs for one instance, climbed by one rule.
+
+    For a definite diagonal Q = D, min(d) > 2e-10 (1 + max|d|), the rungs are
+    the eigenbasis of K = A D^-1 A' (``_Eigenbasis``), then the range space on
+    base D, then the range space on base Q + A'A (``_RangeSpace``); any other Q
+    has the Q + A'A rung alone. With v = rho (b - s) - lam_hat, rhs = A'v - c
+    and the bound 1e-10 (1 + ||rhs||), a rung makes its first pass and x is
+    accepted if its residual meets the bound. On a miss the rung refines once,
+    on the residual split as rhs is, g = -c - Q x and w = v - rho A x, and on a
+    second miss the solve escalates to the next rung. A rung that cannot serve,
+    a K whose spectrum does not certify or a Q + A'A that is not definite, is
+    skipped. After the last rung, a minimum-norm lstsq solve on the formed H
+    handles the singular-but-consistent case, and a miss there raises
+    ``SubproblemUnboundedError``. So a diagonal-Q solve raises only where the
+    Q + A'A rung and lstsq raise too.
+
+    ``builds`` makes each rung from the instance; the first is built with the
+    ladder, the others in their own slot on first need, and kept. Two threads
+    that escalate at once may each build a rung, but never into another's slot.
+    ``q_warning`` is validate_problem's verdict on Q. Nothing here or in a rung
+    refers to the instance, so a cached entry never keeps its weak key alive;
+    :meth:`solve` takes the instance as an argument instead.
+    """
+
+    def __init__(self, p: ProblemData, q_warning: str | None, builds: tuple):
+        self.q_warning, self.builds = q_warning, builds
+        self.rungs = [builds[0](p)] + [None] * (len(builds) - 1)
+
+    def _rung(self, p: ProblemData, i: int) -> _Eigenbasis | _RangeSpace:
+        if self.rungs[i] is None:
+            self.rungs[i] = self.builds[i](p)
+        return self.rungs[i]
+
+    def solve(self, p, lam_hat, rho, s) -> tuple[np.ndarray, float, _Products]:
+        """(x, grad_norm, products at x); ``lam_hat`` and ``s`` are stacked."""
+        v = rho * (p.b - s) - lam_hat
+        rhs = _a_operators(p)[1] @ v - p.c
+        # BLAS nrm2 scales as it sums, so a rho-sized rhs cannot make the bound inf
+        bound = 1e-10 * (1.0 + _nrm2(rhs))
+        for i in range(len(self.rungs)):
+            rung = self._rung(p, i)
+            why = rung.unfit
+            if why is None:
+                x = rung.first(p, v, rho)
+                # the check's Q x and A x also serve a refinement and the caller
+                grad_norm, prod = _residual_norm(p, x, rho, rhs)
+                if grad_norm <= bound:
+                    return x, grad_norm, prod
+                logger.debug("subproblem refines: residual %.3e > bound %.3e", grad_norm, bound)
+                # split as rhs is: the base solve of a rho-sized residual cancels badly
+                x = rung.refine(p, x, -p.c - prod.qx, v - rho * prod.ax, rho)
+                grad_norm, prod = _residual_norm(p, x, rho, rhs)
+                if grad_norm <= bound:
+                    return x, grad_norm, prod
+                why = f"refined residual {grad_norm:.3e} > bound {bound:.3e}"
+            to = self._rung(p, i + 1).name if i + 1 < len(self.rungs) else "lstsq"
+            logger.debug("subproblem escalates from %s to %s: %s", rung.name, to, why)
+        H = rho * (p.A.T @ p.A)
+        _add_q(p, H)
+        x, *_ = np.linalg.lstsq(H, rhs, rcond=None)
+        grad_norm, prod = _residual_norm(p, x, rho, rhs)
+        if grad_norm > bound:
+            raise SubproblemUnboundedError(
+                "subproblem unbounded below: singular system is inconsistent "
+                f"(residual {grad_norm:.3e} > {bound:.3e})"
+            )
+        return x, grad_norm, prod
 
 
 class _Eigenbasis:
-    """H(rho)^-1 for a definite diagonal Q = D, from one eigendecomposition of
-    the m x m K = A D^-1 A' = U diag(lam) U'.
+    """The ladder's eigenbasis rung for a definite diagonal Q = D: one
+    eigendecomposition of the m x m K = A D^-1 A' = U diag(lam) U'.
 
     By the push-through identity, (D + rho A'A)^-1 A' = D^-1 A'(I + rho K)^-1,
     and by Woodbury's, H(rho)^-1 = D^-1 - rho D^-1 A'(I + rho K)^-1 A D^-1
@@ -395,20 +444,17 @@ class _Eigenbasis:
     Only the eigenpairs above K's rounding band are kept: the others span
     null(A'), which D^-1 A' maps to zero. K = B B' with B = A D^-1/2, and they
     are kept only if they certify B's rank (``_certified_gram``, the rule
-    ``left_null`` follows); ``U`` is then m x r with r = rank(A), else None.
-    The quotient is divided through by k = max(rho, 1), so that rho lam cannot
-    overflow; with the rho-sized w = rho (b - s) - lh, the rho-sized parts of
-    its numerator cancel as rho grows, as Tikhonov's filter factors do. A first
-    pass has g = -c and w = v, its h fixed once (``h_c``); a refinement has
-    g = -c - Q x and w = v - rho A x, the residual at x, split alike. A spectrum
-    that does not certify, or a refined pass that still misses its bound,
-    hands the solve to ``chain``, the base-D ``_RangeSpace`` with its own
-    escalations, built on first need. Nothing here refers to the instance, so
-    a cached entry never keeps its weak key alive.
+    ``left_null`` follows); ``U`` is then m x r with r = rank(A), else None and
+    the rung is ``unfit``. The quotient is divided through by k = max(rho, 1),
+    so that rho lam cannot overflow; with the rho-sized w = v, the rho-sized
+    parts of its numerator cancel as rho grows, as Tikhonov's filter factors do.
+    The first pass's h is fixed once (``h_c``).
     """
 
-    def __init__(self, p: ProblemData, q_warning: str | None, d: np.ndarray):
-        self.q_warning, self.d, self.chain = q_warning, d, None
+    name = "the eigenbasis"
+
+    def __init__(self, p: ProblemData, d: np.ndarray):
+        self.d, self.unfit = d, None
         self.U = self.lam = self.x_c = self.h_c = None
         A, At = _a_operators(p)
         with np.errstate(over="ignore"):  # an overflow shows in the band
@@ -419,6 +465,7 @@ class _Eigenbasis:
         spectrum, figures = _certified_gram(K, p.n, lambda N: np.linalg.norm(Bt @ N), eigh)
         if spectrum is None:
             logger.debug("subproblem setup: base-D SVD route; %s", figures)
+            self.unfit = "K's spectrum does not certify"
             return
         w, V, k = spectrum
         self.U, self.lam = V[:, k:].copy(), w[k:].copy()  # V and w go with K
@@ -426,53 +473,29 @@ class _Eigenbasis:
         self.x_c = -p.c / d
         self.h_c = self.U.T @ (A @ self.x_c)
 
-    def _chain(self, p: ProblemData) -> _RangeSpace:
-        if self.chain is None:
-            self.chain = _RangeSpace(p, self.q_warning, self.d)
-        return self.chain
-
     def _push(self, p: ProblemData, w, h, rho: float) -> np.ndarray:
         """D^-1 A' U [(U'w - rho h) / (1 + rho lam)], the quotient divided by max(rho, 1)."""
         k = max(rho, 1.0)
         y = (self.U.T @ w / k - (rho / k) * h) / (1.0 / k + (rho / k) * self.lam)
         return (_a_operators(p)[1] @ (self.U @ y)) / self.d
 
-    def solve(self, p, lam_hat, rho, s) -> tuple[np.ndarray, float, _Products]:
-        """(x, grad_norm, products at x), as ``_RangeSpace.solve`` returns them.
+    def first(self, p: ProblemData, v, rho: float) -> np.ndarray:
+        return self.x_c + self._push(p, v, self.h_c, rho)
 
-        The tries are the eigenbasis pass and that pass refined once, each run
-        only when the one before it misses; then the chain's tries.
-        """
-        if self.U is None:
-            return self._chain(p).solve(p, lam_hat, rho, s)
-        v, rhs, bound = _right_hand_side(p, lam_hat, rho, s)
-        x = self.x_c + self._push(p, v, self.h_c, rho)
-        # the check's Q x and A x also serve a refinement and the caller
-        grad_norm, prod = _residual_norm(p, x, rho, rhs)
-        if grad_norm <= bound:
-            return x, grad_norm, prod
-        logger.debug("subproblem refines: residual %.3e > bound %.3e", grad_norm, bound)
-        x_g = (-p.c - prod.qx) / self.d
-        h = self.U.T @ (_a_operators(p)[0] @ x_g)
-        x = x + x_g + self._push(p, v - rho * prod.ax, h, rho)
-        grad_norm, prod = _residual_norm(p, x, rho, rhs)
-        if grad_norm <= bound:
-            return x, grad_norm, prod
-        logger.debug("subproblem escalates from the eigenbasis to the base-D SVD chain: "
-                     "refined residual %.3e > bound %.3e", grad_norm, bound)
-        return self._chain(p).solve(p, lam_hat, rho, s)
+    def refine(self, p: ProblemData, x, g, w, rho: float) -> np.ndarray:
+        x_g = g / self.d
+        return x + x_g + self._push(p, w, self.U.T @ (_a_operators(p)[0] @ x_g), rho)
 
 
 class _RangeSpace:
-    """The range-space factors of H(rho) = Q + rho A'A that do not depend on rho.
+    """The ladder's range-space rung: the factors of H(rho) = Q + rho A'A that
+    do not depend on rho.
 
-    This is the setup of a Q that is not a definite diagonal, and the chain
-    that ``_Eigenbasis`` escalates to. It keeps the n x m V below (4.9 MB at
-    the 20x20 grid), an m x m U and, on base Q + A'A, the n x n R.
-    H(rho) = B + (rho - a) A'A with the base B = Q + a A'A = R'R: the offset is
-    a = 1, or a = 0 and R = D^1/2 for a definite diagonal Q = D (``d``). With
-    the thin SVD R^-T A' = W diag(sig) U', V = R^-1 W and
-    den = (1 - a sig^2) + rho sig^2, positive for every rho > 0,
+    It keeps the n x m V below (4.9 MB at the 20x20 grid), an m x m U and, on
+    base Q + A'A, the n x n R. H(rho) = B + (rho - a) A'A with the base
+    B = Q + a A'A = R'R: the offset is a = 1, or a = 0 and R = D^1/2 for a
+    definite diagonal Q = D (``d``). With the thin SVD R^-T A' = W diag(sig) U',
+    V = R^-1 W and den = (1 - a sig^2) + rho sig^2, positive for every rho > 0,
 
         H(rho)^-1 = B^-1 + V diag((a - rho) sig^2 / den) V',
         H(rho)^-1 A'v = V (sig U'v / den),
@@ -481,15 +504,13 @@ class _RangeSpace:
     part of the right-hand side, so rho cancels in it exactly. sig <= 1 for
     a = 1; for a = 0 it is unbounded, so the quotients are divided through by
     max(rho, 1), where rho sig^2 could overflow. ``factor`` is R' for a = 1, or
-    None when B is not definite, that is when null(Q) and null(A) meet and every
-    H(rho) is singular. ``dense`` is the a = 1 setup that base D falls back to.
-    ``q_warning`` is validate_problem's verdict on Q. Nothing here refers to the
-    instance itself, so a cached entry never keeps its weak key alive;
-    :meth:`solve` takes the instance as an argument instead.
+    None, and the rung ``unfit``, when B is not definite, that is when null(Q)
+    and null(A) meet and every H(rho) is singular.
     """
 
-    def __init__(self, p: ProblemData, q_warning: str | None, d: np.ndarray | None = None):
-        self.q_warning, self.d, self.dense, self.factor, self.V = q_warning, d, None, None, None
+    def __init__(self, p: ProblemData, d: np.ndarray | None = None):
+        self.name = "Q + A'A" if d is None else "base D"
+        self.d, self.unfit, self.factor, self.V = d, None, None, None
         if d is None:
             A, At = _a_operators(p)
             G = At @ A  # O(nnz) work from the CSR pair, whose sums on the grids are exact
@@ -499,6 +520,7 @@ class _RangeSpace:
             try:
                 self.factor = cho_factor(G.T, lower=True, overwrite_a=True, check_finite=False)
             except LinAlgError:
+                self.unfit = "Q + A'A is not definite"
                 return
             L = self.factor[0]
             # p.A is shared and read-only; the solve overwrites this copy with R^-T A'
@@ -528,67 +550,19 @@ class _RangeSpace:
         """B^-1 g."""
         return cho_solve(self.factor, g, check_finite=False) if self.d is None else g / self.d
 
-    def solve(self, p, lam_hat, rho, s) -> tuple[np.ndarray, float, _Products]:
-        """(x, grad_norm, products at x) from the first of three tries that meets the bound.
+    def _push(self, w, h, rho: float) -> np.ndarray:
+        """V (shrink h + sig U'w / den), with h = V'g: the rho A'A part of H^-1 (g + A'w)."""
+        # k = 1 on base Q + A'A, where each quotient keeps its bits
+        k = 1.0 if self.d is None else max(rho, 1.0)
+        den = self.one_minus_sig2 / k + (rho / k) * self.sig2
+        shrink = ((self.offset - rho) / k) * self.sig2 / den
+        return self.V @ (shrink * h + self.sig * (self.Ut @ w / k) / den)
 
-        ``lam_hat`` and ``s`` are the stacked multiplier estimate and shift. The
-        tries are the range-space pass, that pass refined once, and lstsq on the
-        formed H; each runs only when the one before it misses. On base D, a
-        refined pass that misses hands the solve to the dense setup's three tries.
-        """
-        v, rhs, bound = _right_hand_side(p, lam_hat, rho, s)
-        if self.V is not None:
-            # k = 1 on base Q + A'A, where each quotient keeps its bits
-            k = 1.0 if self.d is None else max(rho, 1.0)
-            den = self.one_minus_sig2 / k + (rho / k) * self.sig2
-            shrink = ((self.offset - rho) / k) * self.sig2 / den
-            # rhs = -c + A'v; the A'v part goes through U coordinates, where rho cancels
-            x = self.x_c + self.V @ (shrink * self.h_c + self.sig * (self.Ut @ v / k) / den)
-            # the check's Q x and A x also serve a refinement and the caller
-            grad_norm, prod = _residual_norm(p, x, rho, rhs)
-            if grad_norm <= bound:
-                return x, grad_norm, prod
-            logger.debug("subproblem refines: residual %.3e > bound %.3e", grad_norm, bound)
-            # one refinement pass brings a missed residual back toward the backward-stable
-            # floor; the residual rhs - H x = (-c - Q x) + A'(v - rho A x) is split the same
-            # way as rhs, because B^-1 applied to a rho-sized residual cancels badly for
-            # huge rho
-            g = -p.c - prod.qx
-            w = v - rho * prod.ax
-            x = (
-                x
-                + self._base_solve(g)
-                + self.V @ (shrink * (self.V.T @ g) + self.sig * (self.Ut @ w / k) / den)
-            )
-            grad_norm, prod = _residual_norm(p, x, rho, rhs)
-            if grad_norm <= bound:
-                return x, grad_norm, prod
-            if self.d is not None:
-                logger.debug("subproblem switches from base D to Q + A'A: refined residual "
-                             "%.3e > bound %.3e", grad_norm, bound)
-                if self.dense is None:
-                    self.dense = _RangeSpace(p, self.q_warning)
-                return self.dense.solve(p, lam_hat, rho, s)
-            logger.debug(
-                "subproblem falls back to lstsq: refined residual %.3e > bound %.3e",
-                grad_norm,
-                bound,
-            )
-        else:
-            logger.debug(
-                "subproblem falls back to lstsq: Q + A'A is not definite (bound %.3e)", bound
-            )
-        # singular (or numerically indefinite) system: minimum-norm solution if consistent
-        H = rho * (p.A.T @ p.A)
-        _add_q(p, H)
-        x, *_ = np.linalg.lstsq(H, rhs, rcond=None)
-        grad_norm, prod = _residual_norm(p, x, rho, rhs)
-        if grad_norm > bound:
-            raise SubproblemUnboundedError(
-                "subproblem unbounded below: singular system is inconsistent "
-                f"(residual {grad_norm:.3e} > {bound:.3e})"
-            )
-        return x, grad_norm, prod
+    def first(self, p: ProblemData, v, rho: float) -> np.ndarray:
+        return self.x_c + self._push(v, self.h_c, rho)
+
+    def refine(self, p: ProblemData, x, g, w, rho: float) -> np.ndarray:
+        return x + self._base_solve(g) + self._push(w, self.V.T @ g, rho)
 
 
 def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
@@ -611,8 +585,9 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
     lo, hi = _stacked_box(cfg, p)
     exact = hierarchical_shift(p).shift
     s1_star, s2_star = exact.s1, exact.s2
-    # after the oracle, so its first-call SVD temporaries are freed before the
-    # retained factors are built, not stacked on them
+    # after the oracle, so the temporaries of its left null basis (an m x m Gram
+    # eigh, or an SVD on its fallback route) are freed before the ladder's first
+    # rung is built, not stacked on them
     system = _setup(p)
 
     m1 = p.m1

@@ -134,9 +134,9 @@ class ProblemData:
     24 nnz(A) + 4 (m + n + 2) bytes: 81 KB at the 20x20 grid) here, and in
     :mod:`hieralm.alm` the check of Q and the solver's factors: for a definite
     diagonal Q, about m r + n doubles with r = rank(A) (1.3 MB at the 20x20
-    grid and 6.5 MB at 30x30), and nm + m^2 more if the range-space chain is
-    built for an escalation (6.1 MB and 32 MB); for any other Q, that chain's
-    nm + m^2 and n^2 more (25 MB and 128 MB).
+    grid and 6.5 MB at 30x30), and nm + m^2 more if an escalation builds the
+    base-D rung of ``hieralm.alm._Ladder`` (6.1 MB and 32 MB); for any other Q,
+    or once the Q + A'A rung is built, nm + m^2 and n^2 more (25 MB and 128 MB).
     That is sound only because the arrays are read-only and never change after
     construction; code that forces them writable breaks that contract.
 

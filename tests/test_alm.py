@@ -390,7 +390,8 @@ class TestSolveSubproblem:
 
 
 class TestRefinement:
-    """The range-space solve refines only when its first pass misses the bound."""
+    """A rung refines only when its first pass misses the bound, and the solve
+    escalates only when the refined pass misses too."""
 
     @staticmethod
     def _solve_logged(caplog, p, l1, rho):
@@ -430,7 +431,7 @@ class TestRefinement:
         assert "> bound " in lines[0]
         # on a diagonal Q the eigenbasis pass misses by about 100x, and its
         # refinement, whose base solve is g / d, meets the bound by about 25x: the
-        # solve stays on the eigenbasis, with no chain and no n x n factor built
+        # solve stays on the eigenbasis, with no other rung and no n x n factor built
         trisolve_calls.clear()
         p = make_problem(
             Q=np.diag([1.0, 1e-3]), c=[1.6, -1.8], A1=[[-8e5, 7e5]], b1=[-0.4]
@@ -440,7 +441,7 @@ class TestRefinement:
         assert grad <= 1e-10 * (1.0 + np.linalg.norm(rhs))
         assert [line.split(":")[0] for line in lines] == ["subproblem refines"]
         assert trisolve_calls == []
-        assert hieralm.alm._SETUP[p].chain is None
+        assert hieralm.alm._SETUP[p].rungs[1:] == [None, None]
 
     def test_setup_names_its_route(self, caplog):
         # one line per instance, on its first solve, with the figures of the
@@ -463,9 +464,9 @@ class TestRefinement:
             lines = [rec.message for rec in caplog.records if "setup" in rec.message]
             caplog.clear()
             assert len(lines) == 1 and lines[0].startswith(start), lines
-        assert hieralm.alm._SETUP[grid].chain is None
-        assert hieralm.alm._SETUP[near].U is None
-        assert hieralm.alm._SETUP[near].chain.V is not None
+        assert hieralm.alm._SETUP[grid].rungs[1:] == [None, None]
+        assert hieralm.alm._SETUP[near].rungs[0].U is None
+        assert hieralm.alm._SETUP[near].rungs[1].V is not None
 
     def test_debug_lines_name_the_fallback(self, caplog):
         # refinement still misses, so lstsq on the formed H takes over
@@ -475,31 +476,31 @@ class TestRefinement:
         assert grad <= 1e-10 * (1.0 + np.sqrt(2.0))
         assert [line.split(":")[0] for line in lines] == [
             "subproblem refines",
-            "subproblem falls back to lstsq",
+            "subproblem escalates from Q + A'A to lstsq",
         ]
-        assert lines[1].startswith("subproblem falls back to lstsq: refined residual ")
+        assert lines[1].startswith("subproblem escalates from Q + A'A to lstsq: refined residual ")
         # on a diagonal Q both eigenbasis passes miss, so the solve escalates to
-        # the base-D SVD chain; both of its passes miss too, so it switches to
-        # the Q + A'A chain, whose first pass meets the bound
+        # base D; both of its passes miss too, so it escalates to Q + A'A, whose
+        # first pass meets the bound
         p = make_problem(Q=np.diag([1.0, 1e-4]), c=[1.0, 1.0], A1=[[1e6, 1.0]], b1=[1.0])
         _, grad, lines = self._solve_logged(caplog, p, np.zeros(1), 1e-2)
         assert grad <= 1e-10 * (1.0 + np.linalg.norm(-p.c + 1e-2 * (p.A1.T @ p.b1)))
         assert [line.split(":")[0] for line in lines] == [
             "subproblem refines",
-            "subproblem escalates from the eigenbasis to the base-D SVD chain",
+            "subproblem escalates from the eigenbasis to base D",
             "subproblem refines",
-            "subproblem switches from base D to Q + A'A",
+            "subproblem escalates from base D to Q + A'A",
         ]
         assert lines[1].startswith(
-            "subproblem escalates from the eigenbasis to the base-D SVD chain: refined residual "
+            "subproblem escalates from the eigenbasis to base D: refined residual "
         )
         assert lines[3].startswith(
-            "subproblem switches from base D to Q + A'A: refined residual "
+            "subproblem escalates from base D to Q + A'A: refined residual "
         )
         # Q + A'A singular: no range-space factors, so straight to lstsq
         p = make_problem(Q=np.diag([1.0, 0.0]), c=[-1.0, 0.0])
         assert self._solve_logged(caplog, p, np.zeros(0), 1.0)[2] == [
-            "subproblem falls back to lstsq: Q + A'A is not definite (bound 2.000e-10)"
+            "subproblem escalates from Q + A'A to lstsq: Q + A'A is not definite"
         ]
         # a well-conditioned solve logs nothing, on either base
         for Q in (np.eye(2), [[1.0, 0.5], [0.5, 1.0]]):
@@ -605,7 +606,7 @@ class TestSparseA:
         # grid's Q = I would be the base, so Q gets entries off its diagonal
         p = _tridiagonal_q(build_instance(GridSpec(4, 4, kappa=0.5))[0])
         q = _forced_dense(p)
-        sparse, dense = hieralm.alm._setup(p), hieralm.alm._setup(q)
+        sparse, dense = hieralm.alm._setup(p).rungs[0], hieralm.alm._setup(q).rungs[0]
         assert np.array_equal(sparse.factor[0], dense.factor[0])
         assert np.array_equal(sparse.V, dense.V)
 
@@ -810,6 +811,19 @@ class TestIterateAndSolve:
         assert ref() is None
         assert entry() is None  # the factors go with the instance
 
+    def test_cache_does_not_keep_instance_alive_after_an_escalation(self):
+        # this solve climbs to Q + A'A (see test_debug_lines_name_the_fallback),
+        # so the rungs built on first need must not hold the instance either
+        p = make_problem(Q=np.diag([1.0, 1e-4]), c=[1.0, 1.0], A1=[[1e6, 1.0]], b1=[1.0])
+        solve_subproblem(p, np.zeros(1), np.zeros(0), 1e-2, HierarchicalShift.zero(1, 0))
+        ladder = hieralm.alm._SETUP[p]
+        assert len(ladder.rungs) == 3 and None not in ladder.rungs
+        ref, entry = weakref.ref(p), weakref.ref(ladder)
+        del p, ladder
+        gc.collect()
+        assert ref() is None
+        assert entry() is None
+
     def test_singular_q_warns_on_every_solve(self, caplog, factor_calls):
         # Q + A'A is definite here, so the singular Q still takes the range-space path
         p = make_problem(Q=np.diag([1.0, 0.0]), c=[-1.0, 0.0], A1=[[0.0, 1.0]], b1=[2.0])
@@ -831,6 +845,17 @@ class TestIterateAndSolve:
             assert st.record.subproblem_grad_norm <= 1e-10
         # the failed factorization is remembered, not retried
         assert len(factor_calls) == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SubproblemUnboundedError,
+        reason="d = 1e-8 I meets the definiteness margin, so every H(rho) is definite, but "
+        "the absolute acceptance bound calls it unbounded (ROADMAP item 7)",
+    )
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_definite_grid_is_not_called_unbounded(self, mode):
+        p, _ = build_instance(GridSpec(4, 4, kappa=0.5, q_scale=1e-8, c_scale=1e8))
+        solve(p, SolverConfig(mode=mode))
 
     def test_unbounded_subproblem_carries_iteration(self):
         p = make_problem(

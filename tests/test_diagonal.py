@@ -1,17 +1,15 @@
-"""Diagonal Q: the eigenbasis setup, its escalation to the range-space chain, the O(n) check of Q.
+"""Diagonal Q: the eigenbasis rung, the ladder above it, the O(n) check of Q.
 
-A definite diagonal Q = D is solved through one eigendecomposition of
-K = A D^-1 A' in place of a range-space setup. Where K's spectrum does not
-certify, or both eigenbasis passes miss the bound, the solve runs the
-range-space chain unchanged: base D, then Q + A'A, then lstsq. So a
-diagonal-Q solve never raises where that chain answers. Here the chains are
-run for reference on the same instance by building their setups directly.
+``hieralm.alm._Ladder`` gives the rungs of a definite diagonal Q and the rule
+that climbs them. Here ladders without the eigenbasis rung (``_reference``)
+are built directly on the same instance and run for reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -67,6 +65,14 @@ def _draw(rng: np.random.Generator, log_d: tuple, log_row: tuple, scalar: bool):
     return p, lam_hat, s
 
 
+def _reference(p: ProblemData, d: np.ndarray | None = None) -> hieralm.alm._Ladder:
+    """The ladder of base D then Q + A'A for a diagonal ``d``, or of Q + A'A alone."""
+    rungs = (hieralm.alm._RangeSpace,)
+    if d is not None:
+        rungs = (partial(hieralm.alm._RangeSpace, d=d), *rungs)
+    return hieralm.alm._Ladder(p, None, rungs)
+
+
 def _answers(system, p, lam_hat, rho, s) -> bool:
     try:
         system.solve(p, lam_hat, rho, s)
@@ -90,7 +96,7 @@ class TestReference:
         # The solver checks its bound in float64, so the 50-digit residual may
         # exceed the bound by that check's own rounding error, the componentwise
         # (n + m + 4) eps (|Q||x| + rho |A'|(|A||x|) + |A'||v| + |c|); on this
-        # recipe the Q + A'A chain needs that slack as often as base D does
+        # recipe the Q + A'A rung needs that slack as often as base D does
         p, lam_hat, s = _draw(np.random.default_rng(seed), (-8.0, 8.0), (-6.0, 6.0), scalar)
         rho = 10.0**log_rho
         with mpmath.workdps(50):
@@ -104,8 +110,8 @@ class TestReference:
                     p, lam_hat[: p.m1], lam_hat[p.m1 :], rho, HierarchicalShift(s[: p.m1], s[p.m1 :])
                 )
             except SubproblemUnboundedError:
-                # only where the Q + A'A chain raises on the same instance too
-                assert not _answers(hieralm.alm._RangeSpace(p, None), p, lam_hat, rho, s)
+                # only where the Q + A'A rung and lstsq raise on the same instance too
+                assert not _answers(_reference(p), p, lam_hat, rho, s)
                 return
             residual = mpmath.norm(H * _mp(x) - rhs)
             bound = 1e-10 * (1 + mpmath.norm(rhs))
@@ -128,7 +134,7 @@ class TestReference:
         for seed in range(60):
             rng = np.random.default_rng(seed)
             p, _, _ = _draw(rng, (-8.0, 8.0), (-6.0, 6.0), bool(seed % 2))
-            base_d = hieralm.alm._setup(p).d is not None
+            base_d = hieralm.alm._setup(p).rungs[0].d is not None
             bases.add(base_d)
             if base_d:
                 rho = 10.0 ** rng.uniform(-2.0, 14.0)
@@ -142,23 +148,24 @@ class TestVerdicts:
     def test_no_solve_raises_where_the_dense_chain_answers(self, seed):
         # ill-conditioned on purpose: 2,000 solves per seed, half with d per entry and
         # half with q I, where cond(H) runs past 1e16. The reference is the
-        # range-space chain on base D, which switches to Q + A'A on its own misses
+        # ladder of base D, then Q + A'A, then lstsq
         rng = np.random.default_rng(seed)
         answered = chain_answered = certified = escalated = 0
         for i in range(2000):
             p, lam_hat, s = _draw(rng, (-4.0, 4.0), (-6.0, 6.0), scalar=bool(i % 2))
             rho = 10.0 ** rng.uniform(-2.0, 10.0)
             system = hieralm.alm._setup(p)
-            assert system.d is not None  # d within 1e+-4 always meets the margin
+            eigenbasis = system.rungs[0]
+            assert eigenbasis.d is not None  # d within 1e+-4 always meets the margin
             ours = _answers(system, p, lam_hat, rho, s)
-            chain = _answers(hieralm.alm._RangeSpace(p, None, system.d), p, lam_hat, rho, s)
-            assert ours or not chain, f"draw {i}: the base-D chain answers, the eigenbasis raises"
+            chain = _answers(_reference(p, eigenbasis.d), p, lam_hat, rho, s)
+            assert ours or not chain, f"draw {i}: the base-D ladder answers, the eigenbasis raises"
             answered += ours
             chain_answered += chain
-            certified += system.U is not None
-            escalated += system.U is not None and system.chain is not None
-        # both routes into the chain are exercised: a spectrum that does not
-        # certify, and a certified eigenbasis whose refined pass misses
+            certified += eigenbasis.U is not None
+            escalated += eigenbasis.U is not None and system.rungs[1] is not None
+        # both ways up to base D are exercised: a spectrum that does not certify,
+        # and a certified eigenbasis whose refined pass misses
         assert 0 < certified < 2000
         assert 0 < escalated < certified
         assert answered >= chain_answered
@@ -181,7 +188,7 @@ class TestThroughSolve:
             assert [r.rho for r in a.trace] == [r.rho for r in b.trace]
             scale = max(np.abs(b.x_final).max(), 1.0)
             assert np.abs(a.x_final - b.x_final).max() <= 1e-12 * scale
-        assert hieralm.alm._SETUP[p].d is not None
+        assert hieralm.alm._SETUP[p].rungs[0].d is not None
         assert factor_calls == [(5, 5)]  # the forced-dense copy's alone
 
     def test_singular_diagonal_takes_the_dense_path(self, caplog, factor_calls):
@@ -191,7 +198,7 @@ class TestThroughSolve:
             assert solve(p).status is Status.CONVERGED
         warnings = [rec.message for rec in caplog.records if rec.name == "hieralm.problem"]
         assert warnings == ["Q is singular (min eigenvalue 0.000e+00)"]
-        assert hieralm.alm._SETUP[p].d is None
+        assert hieralm.alm._SETUP[p].rungs[0].d is None
         assert factor_calls == [(3, 3)]
 
     @pytest.mark.parametrize(
@@ -216,7 +223,7 @@ class TestThroughSolve:
             report = solve(p)
         assert report.status is Status.CONVERGED
         assert bool(caplog.records) is warns
-        assert (hieralm.alm._SETUP[p].d is not None) is base_d
+        assert (hieralm.alm._SETUP[p].rungs[0].d is not None) is base_d
         assert factor_calls == ([] if base_d else [(2, 2)])
 
     def test_penalty_near_the_largest_double(self):
@@ -228,7 +235,8 @@ class TestThroughSolve:
             A2=[[0.0, 1.0, 1.0]], b2=[-0.25],
         )
         system = hieralm.alm._setup(p)
-        assert system.U is not None and system.lam.max() > 1e4
+        eigenbasis = system.rungs[0]
+        assert eigenbasis.U is not None and eigenbasis.lam.max() > 1e4
         rho = np.finfo(float).max / 8
         lam_hat, s = np.zeros(2), np.zeros(2)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -236,7 +244,7 @@ class TestThroughSolve:
         rhs = p.A.T @ (rho * p.b) - p.c
         assert np.isfinite(x).all()
         assert grad <= 1e-10 * (1.0 + scipy.linalg.norm(rhs))
-        assert system.chain is None
+        assert system.rungs[1:] == [None, None]
         # at this penalty x is the minimizer under A x = b, to round-off
         kkt = np.block([[p.Q, p.A.T], [p.A, np.zeros((2, 2))]])
         x_ref = np.linalg.solve(kkt, np.concatenate((-p.c, p.b)))[:3]
@@ -252,8 +260,9 @@ class TestThroughSolve:
             gen = iterate(p, cfg)
             while not states or np.isfinite(states[-1].rho):
                 states.append(next(gen))
-        setup = hieralm.alm._SETUP[p]
-        assert setup.U is not None and setup.lam.max() > 1e3 and setup.chain is None
+        ladder = hieralm.alm._SETUP[p]
+        setup = ladder.rungs[0]
+        assert setup.U is not None and setup.lam.max() > 1e3 and ladder.rungs[1:] == [None, None]
         assert states[-1].rho_used > 1e307
         for st_ in states:
             assert np.isfinite(st_.x).all()
@@ -322,8 +331,9 @@ class TestGrids:
         for mode in Mode:
             solve(p, SolverConfig(mode=mode))
         assert factor_calls == svd_calls == []
-        setup = hieralm.alm._SETUP[p]
-        assert setup.chain is None  # no escalation, so no range-space chain
+        ladder = hieralm.alm._SETUP[p]
+        assert ladder.rungs[1:] == [None, None]  # no escalation, so no range-space rung
+        setup = ladder.rungs[0]
         # the grid is connected: rank(A) = m - 1, and U is all that grows with m^2
         assert setup.U.shape == (p.m, p.m - 1) and setup.lam.shape == (p.m - 1,)
         arrays = [v for v in vars(setup).values() if isinstance(v, np.ndarray)]
@@ -334,15 +344,15 @@ class TestGrids:
     @pytest.mark.parametrize("size", [10, 20])
     @pytest.mark.parametrize("kappa", [0.0, 0.5])
     def test_eigenbasis_matches_the_range_space_chain(self, size, kappa):
-        # the reference is the range-space chain on base D, set up directly on
-        # an equal instance: one thin SVD of A'/sqrt(d) and its n x m factor
+        # the reference is the ladder from base D, set up directly on an equal
+        # instance: one thin SVD of A'/sqrt(d) and its n x m factor
         for mode in Mode:
             p, _ = build_instance(GridSpec(size, size, kappa=kappa))
             q, _ = build_instance(GridSpec(size, size, kappa=kappa))
-            hieralm.alm._SETUP[q] = hieralm.alm._RangeSpace(q, None, q.q_diagonal)
+            hieralm.alm._SETUP[q] = _reference(q, q.q_diagonal)
             cfg = SolverConfig(mode=mode)
             a, b = solve(p, cfg), solve(q, cfg)
-            assert hieralm.alm._SETUP[p].chain is None
+            assert hieralm.alm._SETUP[p].rungs[1:] == [None, None]
             assert a.status is b.status
             assert [r.rho for r in a.trace] == [r.rho for r in b.trace]
             err = np.abs(a.x_final - b.x_final).max() / np.abs(b.x_final).max()
@@ -377,12 +387,12 @@ class TestStoredDiagonal:
             else:
                 with pytest.raises(SubproblemUnboundedError):
                     solve(p)
-        assert any("falls back to lstsq" in rec.message for rec in caplog.records)
+        assert any("escalates from Q + A'A to lstsq" in rec.message for rec in caplog.records)
         assert "Q" not in vars(p)
 
     def test_base_d_switch_builds_no_dense_q(self, caplog):
-        # the eigenbasis and base D miss here, so the Q + A'A chain is built; at
-        # rho = 1 its lstsq try finds the system inconsistent, though H is definite
+        # the eigenbasis and base D miss here, so the Q + A'A rung is built; at
+        # rho = 1 lstsq finds the system inconsistent, though H is definite
         p = make_problem(Q=np.eye(2), c=[1.0, 1.0], A1=[[1e8, 1.0]], b1=[1.0])
         with caplog.at_level(logging.DEBUG, logger="hieralm.alm"):
             for mode in Mode:
@@ -390,10 +400,10 @@ class TestStoredDiagonal:
             with pytest.raises(SubproblemUnboundedError):
                 solve_subproblem(p, np.ones(1), np.zeros(0), 1.0, HierarchicalShift.zero(1, 0))
         messages = [rec.message for rec in caplog.records]
-        assert any("escalates from the eigenbasis" in m for m in messages)
-        assert any("switches from base D" in m for m in messages)
-        assert any("falls back to lstsq" in m for m in messages)
-        assert hieralm.alm._SETUP[p].chain.dense.factor is not None
+        assert any("escalates from the eigenbasis to base D" in m for m in messages)
+        assert any("escalates from base D to Q + A'A" in m for m in messages)
+        assert any("escalates from Q + A'A to lstsq" in m for m in messages)
+        assert hieralm.alm._SETUP[p].rungs[2].factor is not None
         assert "Q" not in vars(p)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
