@@ -443,11 +443,12 @@ class _Eigenbasis:
 
     Only the eigenpairs above K's rounding band are kept: the others span
     null(A'), which D^-1 A' maps to zero. K = B B' with B = A D^-1/2, and they
-    are kept only if they certify B's rank (``_certified_gram``, the rule
-    ``left_null`` follows); ``U`` is then m x r with r = rank(A), else None and
-    the rung is ``unfit``. The quotient is divided through by k = max(rho, 1),
-    so that rho lam cannot overflow; with the rho-sized w = v, the rho-sized
-    parts of its numerator cancel as rho grows, as Tikhonov's filter factors do.
+    are kept only if they certify B's rank (``_certified_gram``, whose two
+    checks ``left_null`` makes too); ``U`` is then m x r with r = rank(A),
+    else None and the rung is ``unfit``. The quotient is divided through by
+    k = max(rho, 1), so that rho lam cannot overflow; with the rho-sized w = v,
+    the rho-sized parts of its numerator cancel as rho grows, as Tikhonov's
+    filter factors do.
     The first pass's h is fixed once (``h_c``).
     """
 
@@ -586,8 +587,8 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
     exact = hierarchical_shift(p).shift
     s1_star, s2_star = exact.s1, exact.s2
     # after the oracle, so the temporaries of its left null basis (an m x m Gram
-    # eigh, or an SVD on its fallback route) are freed before the ladder's first
-    # rung is built, not stacked on them
+    # and its Cholesky factors, or an SVD on its fallback route) are freed before
+    # the ladder's first rung is built, not stacked on them
     system = _setup(p)
 
     m1 = p.m1

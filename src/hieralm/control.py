@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,14 +213,30 @@ def sigma_at(schedule: SigmaSchedule, k: int) -> SigmaPair:
     return SigmaPair(sigma1, sigma2)
 
 
+# one entry per live instance, read-only; a weak key drops the entry with the
+# instance, which is as long as its left_null stays cached
+_COORDINATES: weakref.WeakKeyDictionary[ProblemData, tuple] = weakref.WeakKeyDictionary()
+
+
 def _cs_coordinates(p: ProblemData):
-    """N1, N2, their squared column norms a1, a2, and t = N'b. A column with
-    a2 <= _NULL_TOL^2 lies in null(A1'): its N2 part is dropped (also from a2
-    and t), else a filter dividing by a2 or by 1/eta would amplify its round-off."""
-    N = p.left_null.copy()
+    """N1, N2, their squared column norms a1, a2, and t = N'b, computed on the
+    first call for an instance and kept. A column with a2 <= _NULL_TOL^2 lies
+    in null(A1'): its N2 part is dropped (also from a2 and t), else a filter
+    dividing by a2 or by 1/eta would amplify its round-off. N is copied only
+    when a column is dropped; otherwise N1 and N2 are views of left_null."""
+    if (found := _COORDINATES.get(p)) is not None:
+        return found
+    N = p.left_null
+    drop = np.einsum("ij,ij->j", N[p.m1 :], N[p.m1 :]) <= _NULL_TOL**2
+    if drop.any():
+        N = N.copy()
+        N[p.m1 :, drop] = 0.0
     N1, N2 = N[: p.m1], N[p.m1 :]  # views, so that t sees the dropped parts as zero
-    N2[:, np.einsum("ij,ij->j", N2, N2) <= _NULL_TOL**2] = 0.0
-    return N1, N2, np.einsum("ij,ij->j", N1, N1), np.einsum("ij,ij->j", N2, N2), N.T @ p.b
+    found = (N1, N2, np.einsum("ij,ij->j", N1, N1), np.einsum("ij,ij->j", N2, N2), N.T @ p.b)
+    for array in found:
+        array.flags.writeable = False
+    _COORDINATES[p] = found
+    return found
 
 
 def approximate_shift(p: ProblemData, sigma: SigmaPair) -> HierarchicalShift:

@@ -128,15 +128,18 @@ class ProblemData:
     An instance is its own identity: it hashes and compares by ``id``, so two
     instances with equal arrays are different keys. Work derived from the data
     is cached against the instance until it is garbage collected: ``left_null``
-    (m k doubles; building it forms a transient m x m Gram A A' and its
-    eigenvectors, 1.3 MB each at the 20x20 grid and 6.5 MB at 30x30),
-    ``q_diagonal`` and ``a_csr`` (for a sparse A, CSR copies of A and A',
-    24 nnz(A) + 4 (m + n + 2) bytes: 81 KB at the 20x20 grid) here, and in
-    :mod:`hieralm.alm` the check of Q and the solver's factors: for a definite
-    diagonal Q, about m r + n doubles with r = rank(A) (1.3 MB at the 20x20
-    grid and 6.5 MB at 30x30), and nm + m^2 more if an escalation builds the
-    base-D rung of ``hieralm.alm._Ladder`` (6.1 MB and 32 MB); for any other Q,
-    or once the Q + A'A rung is built, nm + m^2 and n^2 more (25 MB and 128 MB).
+    (m k doubles; building it forms a transient m x m Gram A A', which then
+    becomes the certificate's matrix, and one m x m Cholesky factor at a time,
+    1.3 MB each at the 20x20 grid and 6.5 MB at 30x30), ``q_diagonal`` and
+    ``a_csr`` (for a sparse A, CSR copies of A and A', 24 nnz(A) + 4 (m + n + 2)
+    bytes: 81 KB at the 20x20 grid) here; in :mod:`hieralm.control` the shifts'
+    coordinates on N (views of it and 3k doubles, and a copy of N where a
+    column lies in null(A1')); and in :mod:`hieralm.alm` the check of Q and the
+    solver's factors: for a definite diagonal Q, about m r + n doubles with
+    r = rank(A) (1.3 MB at the 20x20 grid and 6.5 MB at 30x30), and nm + m^2
+    more if an escalation builds the base-D rung of ``hieralm.alm._Ladder``
+    (6.1 MB and 32 MB); for any other Q, or once the Q + A'A rung is built,
+    nm + m^2 and n^2 more (25 MB and 128 MB).
     That is sound only because the arrays are read-only and never change after
     construction; code that forces them writable breaks that contract.
 
@@ -225,13 +228,14 @@ class ProblemData:
 
         Rows split like the blocks: N[:m1] belongs to A1, N[m1:] to A2. The rank
         follows lstsq's rule, singular values above max(m, n) * eps * s_max
-        (``_rank_cutoff``). N is first read from one eigendecomposition of the
-        m x m Gram G = A A' (a transient 1.3 MB at the 20x20 grid, 6.5 MB at
-        30x30) and kept only if that candidate is certified (``_gram_left_null``);
-        otherwise it comes from the SVD of the R factor of A' (``_svd_left_null``),
-        which also resolves the singular values that G's squared condition number
-        cannot, as when no gap separates A's spectrum from the cutoff. Each build
-        logs its route at DEBUG. N is then rotated by the right singular vectors
+        (``_rank_cutoff``). N is first read from two Cholesky factorizations of
+        shifts of the m x m Gram G = A A', with no eigendecomposition (G and
+        one factor at a time are transient, 1.3 MB each at the 20x20 grid and
+        6.5 MB at 30x30), and kept only if that candidate is certified
+        (``_gram_left_null``); otherwise it comes from the SVD of the R factor
+        of A' (``_svd_left_null``), which also resolves the singular values
+        that G's squared condition number cannot, as when no gap separates A's
+        spectrum from the cutoff. Each build logs its route at DEBUG. N is then rotated by the right singular vectors
         of N2 (an SVD of m2 x k; its U and the unrotated N, at most m k doubles
         each, are transient), so that N1 and N2 each have orthogonal columns.
         The cache cannot go stale because the arrays are read-only.
@@ -317,24 +321,148 @@ def _svd_left_null(A: np.ndarray) -> np.ndarray:
     return Vt[int(np.count_nonzero(s > tol)):].T.copy()
 
 
+# the Gram route's inverse iteration: one pass leaves ||A'N|| at 0.7 of the
+# cutoff on the 50x50 grid, two at 2e-4
+_PASSES = 2
+_POWER_STEPS = 6  # towards s_max, from G's largest column
+_BLOCK = 32  # rows per diagonal block of a substitution
+
+
 def _gram_left_null(A: np.ndarray) -> tuple[np.ndarray | None, str]:
-    """(N, figures): N from eigh(A A') if certified (``_certified_gram`` with
-    B = A), else None; figures words the candidate."""
+    """(N, figures): N from two Cholesky factorizations of the m x m Gram
+    G = A A' if certified, else None; figures words the candidate.
+
+    G has the squared singular values of A and null(G) = null(A'). Each of its
+    eigenvalues is known to within the rounding band max(m, n) eps trace(G),
+    as in ``_certified_gram``, and ``_gram_candidate`` reads N off a
+    factorization of G + band I: a basis of the eigenvectors whose eigenvalues
+    lie within the band. N is certified, as eigh's candidate was, only when
+
+    (a) G has no eigenvalue beyond those k at or below ten bands: then
+        G - tau I + c N N' factors, for c = trace(G) / m. A Cholesky
+        factorization that completes is exact for a matrix within
+        gamma_(m+1) trace of the one factored (Higham, Accuracy and Stability
+        of Numerical Algorithms, 2nd ed., Theorem 10.3, with ||R||_F^2 its
+        trace); with k + 3 more for forming it, tau = 10 band +
+        gamma_(m+k+4) (trace(G) + c k) leaves G + c N N' definite above ten
+        bands, and by interlacing a rank-k update lifts at most k eigenvalues;
+    (b) ||A'N||_F is at most a tenth of lstsq's cutoff (``_rank_cutoff``),
+        taken at a lower bound on s_max: the Rayleigh quotient of G after
+        _POWER_STEPS power steps from its largest column. By Courant-Fischer
+        the k dropped singular values are then below the cutoff, and by the
+        sin theta theorem N is within a tenth of the SVD route's Wedin bound.
+
+    The band must be a normal number: an overflow in G makes it inf, and
+    A = 0, m = 0 or a G lost whole to underflow make it 0 or subnormal; nothing
+    is factored then. G is scaled by a power of two, exactly, so that trace(G)
+    lies in [1/2, 1) and no solve overflows. The transients are G, which
+    becomes the certificate's matrix in place, and one factor at a time, m^2
+    doubles each.
+    """
+    m, n = A.shape
     with np.errstate(over="ignore"):  # an overflow shows in the band
         G = A @ A.T  # numpy computes a product with its own transpose as one syrk
-    spectrum, figures = _certified_gram(G, A.shape[1], lambda N: np.linalg.norm(N.T @ A))
-    if spectrum is None:
-        return None, figures
-    _, V, k = spectrum
-    return np.ascontiguousarray(V[:, :k]), figures
+        trace = np.trace(G)
+    band = max(m, n) * _EPS * trace
+    if not np.finfo(float).tiny <= band < np.inf:
+        return None, f"Gram rounding band {band:.2e} is not a normal number"
+    scale = np.ldexp(1.0, -int(np.frexp(trace)[1]))
+    G *= scale
+    band, trace = band * scale, trace * scale
+    N = _gram_candidate(G, band)
+    if N is None:
+        return None, "G + band I does not factor"
+    k = N.shape[1]
+
+    x = G[np.argmax(G.diagonal())]
+    for _ in range(_POWER_STEPS):
+        u = x / np.linalg.norm(x)
+        x = G @ u
+    residual = np.linalg.norm(N.T @ A) / _rank_cutoff(m, n, np.sqrt(u @ x / scale))
+
+    c = trace / m
+    gamma = (m + k + 4) * _EPS / (1.0 - (m + k + 4) * _EPS)
+    if k:
+        G += (c * N) @ N.T
+    G.flat[:: m + 1] -= 10.0 * band + gamma * (trace + c * k)
+    try:
+        np.linalg.cholesky(G)
+        certified = True
+    except LinAlgError:
+        certified = False
+    figures = (
+        f"Gram candidate k = {k}, ||A'N|| / cutoff = {residual:.2e}, "
+        f"ten-band certificate {'holds' if certified else 'fails'}"
+    )
+    return (N if certified and residual <= 0.1 else None), figures
 
 
-def _certified_gram(G: np.ndarray, n: int, dropped_norm, eigh=np.linalg.eigh):
+def _gram_candidate(G: np.ndarray, band: float) -> np.ndarray | None:
+    """N, orthonormal, from G + band I = L L' (None if that does not factor);
+    G is left as it was.
+
+    A pivot L_jj^2 that fell a tenth of the way or more, on a log scale, from
+    its row's diagonal G_jj + band towards the band ends a row that (nearly)
+    depends on the rows before it. Starting from L'^-1 e_j at those pivots,
+    _PASSES inverse-iteration passes with L L' turn the block towards the
+    eigenvectors of G's least eigenvalues, and a Rayleigh-Ritz step on G keeps
+    the Ritz vectors whose values lie within the band. A null direction that
+    no such pivot starts is left out, and check (a) of ``_gram_left_null``
+    then fails.
+    """
+    m = G.shape[0]
+    diag = G.diagonal().copy()
+    G.flat[:: m + 1] += band
+    try:
+        L = np.linalg.cholesky(G)
+    except LinAlgError:
+        return None
+    finally:
+        G.flat[:: m + 1] = diag
+    # within a factor 2, so that a zero row, whose pivot is the band, counts
+    small = np.flatnonzero(L.diagonal() ** 2 <= 2.0 * band**0.1 * (diag + band) ** 0.9)
+    lower, upper = _triangular_solves(L)
+    X = np.zeros((m, small.size))
+    X[small, np.arange(small.size)] = 1.0
+    X = upper(X)
+    for _ in range(_PASSES):
+        X = upper(lower(X / np.linalg.norm(X, axis=0)))
+    X = np.linalg.qr(X)[0]
+    ritz, W = np.linalg.eigh(X.T @ (G @ X))
+    return X @ W[:, : np.count_nonzero(ritz <= band)]
+
+
+def _triangular_solves(L: np.ndarray):
+    """(lower, upper): B -> L^-1 B and B -> L'^-1 B for a lower triangular L.
+
+    numpy has no triangular solve, so both substitute by blocks of _BLOCK rows:
+    each diagonal block is inverted once, and the rest of a block row is one
+    product with the rows already solved."""
+    m = L.shape[0]
+    spans = [(s, min(s + _BLOCK, m)) for s in range(0, m, _BLOCK)]
+    inverses = [np.linalg.inv(L[s:e, s:e]) for s, e in spans]
+
+    def lower(B):
+        X = np.empty_like(B)
+        for (s, e), inverse in zip(spans, inverses):
+            X[s:e] = inverse @ (B[s:e] - L[s:e, :s] @ X[:s])
+        return X
+
+    def upper(B):
+        X = np.empty_like(B)
+        for (s, e), inverse in zip(reversed(spans), reversed(inverses)):
+            X[s:e] = inverse.T @ (B[s:e] - L[e:, s:e].T @ X[e:])
+        return X
+
+    return lower, upper
+
+
+def _certified_gram(G: np.ndarray, n: int, dropped_norm, eigh):
     """((w, V, k), figures) from eigh(G) if it certifies the rank of B, else (None, figures).
 
     G = B B' is the m x m Gram matrix of an m x n matrix B; it has the squared
-    singular values of B and null(G) = null(B'). ``eigh`` (LAPACK syevd by
-    default) gives G = V diag(w) V' with w ascending, and ``dropped_norm(N)`` is
+    singular values of B and null(G) = null(B'). ``eigh`` (numpy's, LAPACK
+    syevd) gives G = V diag(w) V' with w ascending, and ``dropped_norm(N)`` is
     ||B'N||_F for N, the first k columns of V. Each computed eigenvalue of G errs
     by at most about the band max(m, n) * eps * ||B||_F^2 (the rounding of B B'
     is bounded by n eps |B||B'|, whose norm is at most ||B||_F^2 = trace(G) >=
@@ -352,9 +480,10 @@ def _certified_gram(G: np.ndarray, n: int, dropped_norm, eigh=np.linalg.eigh):
 
     The band must be a normal number: an overflow in G makes it inf, and B = 0,
     m = 0 or a G lost whole to underflow make it 0 or subnormal; eigh is then
-    not called. :attr:`ProblemData.left_null` takes N with B = A, and the
-    solver's setup for a diagonal Q = D keeps the other columns with
-    B = A D^-1/2.
+    not called. The solver's setup for a diagonal Q = D, which needs the whole
+    spectrum, keeps the other columns with B = A D^-1/2.
+    :attr:`ProblemData.left_null` needs N alone and certifies it by the same
+    two checks without eigh (``_gram_left_null``).
     """
     m = G.shape[0]
     band = max(m, n) * _EPS * np.trace(G)

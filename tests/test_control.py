@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import logging
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
@@ -11,13 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hieralm.control
 from conftest import make_problem, random_problem, reference_battery, stacked_weighted_shift
 from hieralm import (
+    GridSpec,
     ProblemData,
     SigmaPair,
     SigmaSchedule,
     approximate_shift,
     approximate_shift_sequence,
+    build_instance,
     hierarchical_shift,
     sigma_at,
 )
@@ -262,6 +267,33 @@ class TestApproximateShift:
         for build in problems:
             with pytest.raises(ValueError, match="has non-finite entries"):
                 build()
+
+    def test_coordinates_are_computed_once_per_instance(self):
+        # both shifts read N's coordinates from one read-only entry per live
+        # instance, with the bits of computing them afresh; N is copied only
+        # where a column lies in null(A1'), as the repeated row's does
+        grid = build_instance(GridSpec(4, 4, kappa=0.5))[0]
+        repeated = make_problem(
+            Q=np.eye(2), c=[0.0, 0.0], A1=[[1.0, 0.0], [1.0, 0.0]], b1=[1.0, 2.0],
+            A2=[[0.0, 1.0]], b2=[1.0],
+        )
+        for p, copied in ((grid, False), (repeated, True)):
+            first = hieralm.control._cs_coordinates(p)
+            approximate_shift(p, SigmaPair(10.0, 1.0))
+            hierarchical_shift(p)
+            assert hieralm.control._cs_coordinates(p) is first
+            assert not any(a.flags.writeable for a in first)
+            assert np.shares_memory(first[0], p.left_null) is not copied
+            N = p.left_null.copy()
+            N1, N2 = N[: p.m1], N[p.m1 :]
+            N2[:, np.einsum("ij,ij->j", N2, N2) <= NULL_TOL**2] = 0.0
+            fresh = (N1, N2, np.einsum("ij,ij->j", N1, N1), np.einsum("ij,ij->j", N2, N2), N.T @ p.b)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(first, fresh))
+        # the entry does not keep its instance alive
+        ref = weakref.ref(grid)
+        del grid, p, first
+        gc.collect()
+        assert ref() is None
 
 
 class TestShiftSequence:

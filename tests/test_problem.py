@@ -99,6 +99,24 @@ def _mp_left_null(A: np.ndarray):
     return rank, s, P
 
 
+def _left_null_line(caplog, A1: np.ndarray, A2: np.ndarray) -> str:
+    """The DEBUG line that building left_null logs for the blocks A1 and A2."""
+    n = A1.shape[1]
+    p = make_problem(
+        Q=np.ones(n), c=np.zeros(n), A1=A1, b1=np.zeros(len(A1)), A2=A2, b2=np.zeros(len(A2))
+    )
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="hieralm.problem"):
+        p.left_null
+    (line,) = [r.getMessage() for r in caplog.records if "left_null" in r.getMessage()]
+    return line
+
+
+def _residual(line: str) -> float:
+    """||A'N|| / cutoff, as a left_null line words it."""
+    return float(line.split("||A'N|| / cutoff = ")[1].split(",")[0])
+
+
 class TestProblemData:
     def test_dimensions_and_stacking(self):
         p = make_problem(
@@ -332,6 +350,83 @@ assert not loaded, loaded
         rank = m - ref.shape[1]
         err = np.abs(N @ N.T - ref @ ref.T).max()
         assert err <= 8 * max(m, n) * EPS * s[0] / s[rank - 1], err
+
+    @pytest.mark.parametrize("size", [10, 20, 30])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_grids_take_the_gram_route(self, caplog, size, kappa):
+        p, _ = build_instance(GridSpec(size, size, kappa=kappa))
+        line = _left_null_line(caplog, p.A1, p.A2)
+        assert line.startswith("left_null: gram route, k = 1; Gram candidate k = 1,"), line
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_permuted_grid_takes_the_gram_route(self, caplog, seed):
+        # the benchmark's seeds 1-3: rows permuted within each block, columns at random
+        p, _ = build_instance(GridSpec(20, 20, kappa=0.5))
+        rng = np.random.default_rng(seed)
+        r1, r2, col = rng.permutation(p.m1), rng.permutation(p.m2), rng.permutation(p.n)
+        line = _left_null_line(caplog, p.A1[np.ix_(r1, col)], p.A2[np.ix_(r2, col)])
+        assert line.startswith("left_null: gram route, k = 1; Gram candidate k = 1,"), line
+
+    def test_a_candidate_that_misses_a_null_direction_fails_the_factorization(
+        self, caplog, monkeypatch
+    ):
+        # two grids have two null directions; a candidate holding one of them
+        # meets ||A'N|| <= cutoff / 10 exactly, so only G - tau I + c N N',
+        # which keeps the other at zero, can reject it
+        A1, A2 = _left_null_cases()["two-grids"]
+        first = np.zeros(len(A1) + len(A2))
+        first[:9] = 1.0 / 3.0  # the 3x3 grid's nodes come first
+        monkeypatch.setattr(hieralm.problem, "_gram_candidate", lambda G, band: first[:, None])
+        line = _left_null_line(caplog, A1, A2)
+        assert line.startswith("left_null: qr-svd route, k = 2; Gram candidate k = 1,"), line
+        assert _residual(line) <= 0.1 and line.endswith("ten-band certificate fails"), line
+
+    def test_a_candidate_that_keeps_a_kept_direction_fails_the_residual(self, caplog):
+        # 254 orthonormal rows beside the pair (e0, e0 + eps e255) / 2, whose
+        # least singular value sits 1.3 times above lstsq's cutoff at s_max = 1:
+        # its square lies deep inside G's band, so the candidate keeps it, and
+        # only ||A'N|| <= cutoff / 10 rejects it. An s_max read off trace(G) in
+        # place of lambda_max would put the cutoff 16 times higher and pass it.
+        m = 256
+        A = np.eye(m)
+        A[0, 0] = 0.5
+        A[-1, [0, -1]] = 0.5, 0.5 * 2.0 * np.sqrt(2.0) * 1.3 * m * EPS
+        assert np.linalg.svd(A, compute_uv=False)[-1] / (m * EPS) == pytest.approx(1.3)
+        line = _left_null_line(caplog, A[:-1], A[-1:])
+        assert line.startswith("left_null: qr-svd route, k = 0; Gram candidate k = 1,"), line
+        assert 1.0 < _residual(line) < 2.0 and line.endswith("certificate holds"), line
+        # the near-dependent pair 100x above the cutoff, likewise
+        line = _left_null_line(caplog, *_left_null_cases()["near-dependent-above"])
+        assert line.startswith("left_null: qr-svd route, k = 1; Gram candidate k = 2,"), line
+        assert _residual(line) > 0.1 and line.endswith("certificate holds"), line
+
+    @pytest.mark.parametrize("bands, route", [(3, "qr-svd"), (9, "qr-svd"), (12, "gram")])
+    def test_an_eigenvalue_within_ten_bands_fails_the_factorization(self, caplog, bands, route):
+        # G = diag(1, t^2, 0) with t^2 at 3, 9 and 12 rounding bands: the
+        # candidate is the exact null vector, so ||A'N|| = 0, and only the
+        # factorization can tell the first two from the third. n = 40 keeps the
+        # factorization's own error term at a quarter of a band
+        n = 40
+        t = np.sqrt(bands * n * EPS / (1.0 - bands * n * EPS))  # t^2 = bands * n eps (1 + t^2)
+        A1 = np.zeros((2, n))
+        A1[0, 0], A1[1, 1] = 1.0, t
+        line = _left_null_line(caplog, A1, np.zeros((1, n)))
+        verdict = "holds" if route == "gram" else "fails"
+        assert line == (
+            f"left_null: {route} route, k = 1; Gram candidate k = 1, "
+            f"||A'N|| / cutoff = 0.00e+00, ten-band certificate {verdict}"
+        )
+
+    def test_one_inverse_iteration_pass_is_not_enough_on_a_long_path(self, caplog):
+        # a 600-node path's second eigenvalue sits 1.7e5 bands above zero, as the
+        # 50x50 grid's does; after one pass ||A'N|| would be at the cutoff
+        m = 600
+        A = np.zeros((m, m - 1))
+        A[np.arange(m - 1), np.arange(m - 1)] = 1.0
+        A[np.arange(1, m), np.arange(m - 1)] = -1.0
+        line = _left_null_line(caplog, A[:-1], A[-1:])
+        assert line.startswith("left_null: gram route, k = 1; Gram candidate k = 1,"), line
+        assert _residual(line) <= 0.05, line
 
     def test_rejects_wrong_rank_arrays(self):
         # a 1-D Q is its diagonal
