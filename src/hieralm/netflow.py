@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import _require_integer, _require_real
-from .problem import ProblemData, _dense_zeros
+from .problem import ProblemData, _frozen_triplets, _refuse_beyond_memory, _Triplets
 
 __all__ = ["GridSpec", "build_instance", "grid_incidence"]
 
@@ -48,6 +48,30 @@ class GridSpec:
             raise ValueError(f"c_scale must be finite, got {self.c_scale}")
 
 
+def _incidence(rows: int, cols: int) -> _Triplets:
+    """The node-edge incidence matrix of the bidirectional grid, as triplets.
+
+    Node (r, c) is row r * cols + c. Edges are ordered rightward, leftward,
+    downward, upward, each group in row-major order of the tail's grid
+    position. A grid whose dense A could not fit in memory is refused before
+    anything is built.
+    """
+    m, n = rows * cols, 2 * (rows * (cols - 1) + (rows - 1) * cols)
+    _refuse_beyond_memory(m, n, "A")
+    node = np.arange(m).reshape(rows, cols)
+    pairs = (
+        (node[:, :-1], node[:, 1:]),  # rightward
+        (node[:, 1:], node[:, :-1]),  # leftward
+        (node[:-1], node[1:]),  # downward
+        (node[1:], node[:-1]),  # upward
+    )
+    tail, head = (np.concatenate([pair[i].ravel() for pair in pairs]) for i in (0, 1))
+    at = np.concatenate((head, tail))  # +1 at the head, -1 at the tail
+    edge = np.tile(np.arange(n), 2)
+    order = np.lexsort((edge, at))  # row-major
+    return _frozen_triplets(at[order], edge[order], np.repeat([1.0, -1.0], n)[order], (m, n))
+
+
 def grid_incidence(rows: int, cols: int) -> tuple[np.ndarray, dict[tuple[int, int], int]]:
     """Dense node-edge incidence matrix of the bidirectional grid.
 
@@ -59,20 +83,8 @@ def grid_incidence(rows: int, cols: int) -> tuple[np.ndarray, dict[tuple[int, in
     """
     if rows * cols < 2:
         raise ValueError("grid needs at least two nodes")
-    m = rows * cols
-    n = 2 * (rows * (cols - 1) + (rows - 1) * cols)
-    A = _dense_zeros(m, n, "A")
+    A = _incidence(rows, cols).dense()
     node = {(r, c): r * cols + c for r in range(rows) for c in range(cols)}
-    col = 0
-    for dr, dc in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        for r in range(rows):
-            for c in range(cols):
-                head = (r + dr, c + dc)
-                if head in node:
-                    A[node[head], col] += 1.0
-                    A[node[r, c], col] -= 1.0
-                    col += 1
-    assert col == n
     return A, node
 
 
@@ -82,20 +94,22 @@ def build_instance(spec: GridSpec) -> tuple[ProblemData, dict]:
     The balance targets are -1 at supply nodes and +1 at demand nodes; the
     low-priority targets get +kappa each. Row order inside each block follows
     node row-major order, so the supply block is exactly the first ``cols``
-    incidence rows.
+    incidence rows. The instance gets the incidence matrix as its triplets
+    (2 per edge), with no dense array; a grid whose dense A could not fit in
+    memory is still refused, as ``grid_incidence`` refuses it, before anything
+    is built.
     """
-    A, node = grid_incidence(spec.rows, spec.cols)
-    m = spec.rows * spec.cols
+    A = _incidence(spec.rows, spec.cols)
+    m, n = A.shape
     b = np.zeros(m)
     b[:spec.cols] = -1.0
     b[m - spec.cols:] = 1.0
-    n = A.shape[1]
     p = ProblemData(
         Q=np.full(n, spec.q_scale),  # the diagonal of q_scale I
         c=spec.c_scale * np.ones(n),
-        A1=A[spec.cols:],
+        A1=A.block(spec.cols, m),
         b1=b[spec.cols:],
-        A2=A[:spec.cols],
+        A2=A.block(0, spec.cols),
         b2=b[:spec.cols] + spec.kappa,
     )
     meta = {

@@ -23,6 +23,12 @@ diagonal, which is also what a file's sparse Q with entries on the diagonal
 alone loads as. :func:`validate_problem` checks Q itself: it raises for an
 asymmetric or indefinite Q and warns for a singular one.
 
+A sparse constraint matrix, one with at most a quarter of its cells nonzero
+(the COO rule of the file format), is kept as its COO triplets when it comes
+as COO, from a file or a grid: the CSR copies, the file writer and, where its
+columns are short enough, the left null basis read them, and the dense A is
+built only if something reads it.
+
 This module runs on numpy alone, except in two places that import SciPy on
 first use: validate_problem's Cholesky test of a Q that is not diagonal, and
 the CSR copies of a sparse A (``ProblemData.a_csr``), which the solver and
@@ -39,6 +45,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -105,6 +112,121 @@ class HierarchicalShift:
         return cls(np.zeros(m1), np.zeros(m2))
 
 
+class _Triplets(NamedTuple):
+    """A sparse matrix as its stored entries, the ones that the file format
+    writes (nonzero or -0.0), in row-major order: the read-only arrays ``rows``,
+    ``cols`` and ``values``, and ``shape``. Instance files and grids hand a
+    sparse constraint block to :class:`ProblemData` in this form."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+    def dense(self) -> np.ndarray:
+        out = _dense_zeros(*self.shape, "A")
+        out[self.rows, self.cols] = self.values
+        return out
+
+    def block(self, lo: int, hi: int) -> _Triplets:
+        """Rows lo to hi - 1, as triplets of their own."""
+        first, last = np.searchsorted(self.rows, (lo, hi))
+        return _frozen_triplets(
+            self.rows[first:last] - lo, self.cols[first:last], self.values[first:last],
+            (hi - lo, self.shape[1]),
+        )
+
+    def gram_fits(self) -> bool:
+        """Whether ``gram``'s transients fit in the m n doubles of the dense A.
+
+        ``gram`` forms a pair for every two entries that share a column:
+        sum_j p_j^2 pairs for p_j entries in column j, 4 per column on a grid,
+        but up to nnz m on long columns. It holds about five doubles per pair
+        at its peak. Where those do not fit, the dense A and its syrk take
+        less memory and time.
+        """
+        m, n = self.shape
+        return 6 * int((np.bincount(self.cols, minlength=n) ** 2).sum()) <= m * n
+
+    def gram(self) -> np.ndarray:
+        """The dense m x m product A A', in O(sum_j p_j^2 + m^2) work and memory
+        for p_j entries in column j (see ``gram_fits``).
+
+        Entry (i, j) sums the products of the pairs of entries in rows i and j
+        that share a column, one np.bincount over all such pairs: a column with
+        p entries gives p^2 pairs, 4 on a grid. Each sum runs in column order,
+        so G is symmetric bit for bit, and on +-1 entries, as in every grid's
+        incidence matrix, it holds small integers, the bits of a dense syrk.
+        """
+        m, n = self.shape
+        by_column = np.argsort(self.cols, kind="stable")
+        rows, values, cols = self.rows[by_column], self.values[by_column], self.cols[by_column]
+        count = np.bincount(cols, minlength=n)
+        per = count[cols]  # the entries in each entry's column
+        first = np.cumsum(count)[cols] - per  # where that column starts
+        left = np.repeat(np.arange(cols.size), per)
+        # each left entry's partners: its column's entries, in order
+        right = np.repeat(first - (np.cumsum(per) - per), per) + np.arange(left.size)
+        return np.bincount(
+            rows[left] * m + rows[right], weights=values[left] * values[right], minlength=m * m
+        ).reshape(m, m)
+
+    def t_times(self, N: np.ndarray) -> np.ndarray:
+        """N'A, k x n, for an m x k N."""
+        return self._sums(self.cols, self.shape[1], N, self.rows)
+
+    def times(self, Y: np.ndarray) -> np.ndarray:
+        """A Y, m x k, for an n x k Y."""
+        return self._sums(self.rows, self.shape[0], Y, self.cols).T
+
+    def _sums(self, into: np.ndarray, size: int, X: np.ndarray, source: np.ndarray) -> np.ndarray:
+        """S, k x size, with S[c, t] the sum of values[e] X[source[e], c] over
+        the entries e with into[e] = t: one np.bincount over the products of a
+        block of X's k columns, blocks of at most m n / (4 nnz) columns, so that
+        the four transients of nnz entries per column fit in the m n doubles of
+        the dense A. Each sum adds its entries in their order, whatever the blocks."""
+        k = X.shape[1]
+        step = max(1, self.shape[0] * self.shape[1] // (4 * max(into.size, 1)))
+        blocks = []
+        for s in range(0, max(k, 1), step):  # k = 0 makes one empty block
+            b = min(step, k - s)
+            at = into + size * np.arange(b)[:, None]
+            weights = self.values * X[source, s : s + b].T
+            sums = np.bincount(at.ravel(), weights=weights.ravel(), minlength=b * size)
+            blocks.append(sums.reshape(b, size))
+        return np.concatenate(blocks)
+
+
+def _scanned(a: np.ndarray) -> _Triplets:
+    """The triplets of a dense matrix, made read-only."""
+    rows, cols = np.nonzero((a != 0) | np.signbit(a))
+    return _frozen_triplets(rows, cols, a[rows, cols], a.shape)
+
+
+def _frozen_triplets(rows, cols, values, shape) -> _Triplets:
+    for arr in (rows, cols, values):
+        arr.flags.writeable = False
+    return _Triplets(rows, cols, values, shape)
+
+
+def _stacked_triplets(top, bottom) -> _Triplets:
+    """The triplets of [top; bottom], either block given as triplets or dense."""
+    top, bottom = (b if isinstance(b, _Triplets) else _scanned(b) for b in (top, bottom))
+    return _frozen_triplets(
+        np.concatenate((top.rows, bottom.rows + top.shape[0])),
+        np.concatenate((top.cols, bottom.cols)),
+        np.concatenate((top.values, bottom.values)),
+        (top.shape[0] + bottom.shape[0], top.shape[1]),
+    )
+
+
+def _is_sparse(a) -> bool:
+    """nnz(a) <= _COO_DENSITY m n, for a dense matrix or triplets: the rule by
+    which instance files store a matrix as COO; a -0.0 does not count."""
+    m, n = a.shape
+    return np.count_nonzero(a.values if isinstance(a, _Triplets) else a) <= _COO_DENSITY * m * n
+
+
 @dataclass(frozen=True, eq=False)
 class ProblemData:
     """Immutable, well-formed problem data. Arrays are copied and made read-only.
@@ -114,6 +236,25 @@ class ProblemData:
     The blocks are stored once, stacked high priority first: ``A`` (m x n) and
     ``b`` (m,), built straight from the inputs, and ``A1``, ``A2``, ``b1`` and
     ``b2`` are read-only row views of them.
+
+    A is sparse when nnz(A) <= _COO_DENSITY m n (``_is_sparse``), the rule by
+    which instance files store a matrix as COO; a -0.0 does not count. A sparse
+    A whose blocks come as triplets (``_Triplets``, the private path by which
+    load_problem hands in a COO block and build_instance a grid) is stored as
+    one stacked set of read-only triplets alone: every stored entry, -0.0
+    included, in row-major order, 24 bytes each (73 KB at the 20x20 grid).
+    ``A``, ``A1`` and ``A2`` are then built on their first read (m n doubles,
+    4.9 MB at the 20x20 grid and 196 MB at 50x50) and kept, so ``p.A is p.A``
+    and the blocks are views of it. ``a_csr``, ``m``, the file writer and the
+    solver's eigenbasis route never read it, nor does ``left_null`` on its
+    Gram route where the pairs of entries that share a column fit in m n
+    doubles (``_Triplets.gram_fits``, as on every grid of 24 nodes or more),
+    so the oracle, the shift sweep and a grid solve build no m x n array.
+    Where the OS does not report its memory, loading a COO block allocates
+    its dense form once and drops it, so that a block that cannot be
+    allocated is refused at load, as it was when it was filled densely. A
+    sparse A given dense is kept dense, and scanned once for its triplets on
+    their first use, which are then cached like ``a_csr``.
 
     A diagonal Q is stored as its diagonal d, a contiguous read-only (n,)
     array: a 1-D ``Q`` is taken as d, and so is a 2-D n x n ``Q`` whose every
@@ -128,11 +269,13 @@ class ProblemData:
     An instance is its own identity: it hashes and compares by ``id``, so two
     instances with equal arrays are different keys. Work derived from the data
     is cached against the instance until it is garbage collected: ``left_null``
-    (m k doubles; building it forms a transient m x m Gram A A', which then
-    becomes the certificate's matrix, and one m x m Cholesky factor at a time,
-    1.3 MB each at the 20x20 grid and 6.5 MB at 30x30), ``q_diagonal`` and
-    ``a_csr`` (for a sparse A, CSR copies of A and A', 24 nnz(A) + 4 (m + n + 2)
-    bytes: 81 KB at the 20x20 grid) here; in :mod:`hieralm.control` the shifts'
+    (m k doubles; building it forms a transient m x m Gram A A', from the
+    triplets for a sparse A whose pairs fit, with at most m n doubles of
+    transients, which then becomes the certificate's matrix, and one m x m
+    Cholesky factor at a time, 1.3 MB each at the 20x20 grid and
+    6.5 MB at 30x30), ``q_diagonal``, ``a_csr`` (for a sparse A, CSR copies of
+    A and A', 24 nnz(A) + 4 (m + n + 2) bytes: 81 KB at the 20x20 grid) and,
+    for a sparse A given dense, its triplets here; in :mod:`hieralm.control` the shifts'
     coordinates on N (views of it and 3k doubles, and a copy of N where a
     column lies in null(A1')); and in :mod:`hieralm.alm` the check of Q and the
     solver's factors: for a definite diagonal Q, about m r + n doubles with
@@ -181,9 +324,11 @@ class ProblemData:
         # the inputs themselves, not copies, so that stacking makes the only copy
         arrays = {"Q": q, "c": self.c}
         for mat, vec in (("A1", "b1"), ("A2", "b2")):
-            a = _float_array(getattr(self, mat), 2, mat)
+            a = getattr(self, mat)
+            if not isinstance(a, _Triplets):
+                a = _float_array(a, 2, mat)
             if a.shape[0] == 0:
-                a = a.reshape(0, n)
+                a = a._replace(shape=(0, n)) if isinstance(a, _Triplets) else a.reshape(0, n)
             elif a.shape[1] != n:
                 errors.append(f"dimension mismatch: {mat} has {a.shape[1]} columns, expected {n}")
             b = _float_array(getattr(self, vec), 1, vec)
@@ -194,17 +339,31 @@ class ProblemData:
                 )
             arrays[mat], arrays[vec] = a, b
         for name, arr in arrays.items():
-            if not np.isfinite(arr).all():
+            if not np.isfinite(arr.values if isinstance(arr, _Triplets) else arr).all():
                 errors.append(f"{name} has non-finite entries")
         if errors:
             raise ValueError("; ".join(errors))
-        m1 = arrays["A1"].shape[0]
-        for whole, top, bottom in (("A", "A1", "A2"), ("b", "b1", "b2")):
-            stacked = np.concatenate((arrays[top], arrays[bottom]))
-            stacked.flags.writeable = False
-            object.__setattr__(self, whole, stacked)
-            object.__setattr__(self, top, stacked[:m1])
-            object.__setattr__(self, bottom, stacked[m1:])
+        m1 = arrays["b1"].shape[0]
+        stacked = {"b": np.concatenate((arrays["b1"], arrays["b2"]))}
+        blocks = (arrays["A1"], arrays["A2"])
+        if _Triplets not in map(type, blocks):
+            stacked["A"] = np.concatenate(blocks)
+        elif _is_sparse(A := _stacked_triplets(*blocks)):
+            # kept as its triplets alone; A, A1 and A2 are built on first read
+            object.__setattr__(self, "_a_triplets", A)
+            object.__delattr__(self, "A1")
+            object.__delattr__(self, "A2")
+        else:
+            stacked["A"] = A.dense()
+        for whole, array in stacked.items():
+            self._keep_stacked(whole, array, m1)
+
+    def _keep_stacked(self, whole: str, array: np.ndarray, m1: int) -> None:
+        """Stores ``array``, made read-only, as ``whole`` and its blocks as row views."""
+        array.flags.writeable = False
+        object.__setattr__(self, whole, array)
+        object.__setattr__(self, f"{whole}1", array[:m1])
+        object.__setattr__(self, f"{whole}2", array[m1:])
 
     @property
     def n(self) -> int:
@@ -212,15 +371,15 @@ class ProblemData:
 
     @property
     def m1(self) -> int:
-        return self.A1.shape[0]
+        return self.b1.shape[0]
 
     @property
     def m2(self) -> int:
-        return self.A2.shape[0]
+        return self.b2.shape[0]
 
     @property
     def m(self) -> int:
-        return self.A.shape[0]
+        return self.b.shape[0]
 
     @cached_property
     def left_null(self) -> np.ndarray:
@@ -232,15 +391,21 @@ class ProblemData:
         shifts of the m x m Gram G = A A', with no eigendecomposition (G and
         one factor at a time are transient, 1.3 MB each at the 20x20 grid and
         6.5 MB at 30x30), and kept only if that candidate is certified
-        (``_gram_left_null``); otherwise it comes from the SVD of the R factor
-        of A' (``_svd_left_null``), which also resolves the singular values
-        that G's squared condition number cannot, as when no gap separates A's
-        spectrum from the cutoff. Each build logs its route at DEBUG. N is then rotated by the right singular vectors
-        of N2 (an SVD of m2 x k; its U and the unrotated N, at most m k doubles
-        each, are transient), so that N1 and N2 each have orthogonal columns.
+        (``_gram_left_null``). A sparse A forms G and ||A'N|| from its
+        triplets and builds no m x n array, as long as the pairs of entries
+        that share a column fit in the m n doubles of the dense A
+        (``_Triplets.gram_fits``: a grid's 4 n do from 24 nodes up); any other A
+        forms G as A @ A.T. Otherwise N comes from the SVD of the R factor of
+        the dense A' (``_svd_left_null``), which also resolves the singular
+        values that G's squared condition number cannot, as when no gap
+        separates A's spectrum from the cutoff. Each build logs its route at
+        DEBUG. N is then rotated by the right singular vectors of N2 (an SVD
+        of m2 x k; its U and the unrotated N, at most m k doubles each, are
+        transient), so that N1 and N2 each have orthogonal columns.
         The cache cannot go stale because the arrays are read-only.
         """
-        N, figures = _gram_left_null(self.A)
+        A = self._a_triplets
+        N, figures = _gram_left_null(A if A is not None and A.gram_fits() else self.A)
         route = "gram"
         if N is None:
             N, route = _svd_left_null(self.A), "qr-svd"
@@ -250,13 +415,18 @@ class ProblemData:
         return N
 
     def __getattr__(self, name: str):
-        # reached only when lookup fails: Q, stored as its diagonal and not read yet
-        if name != "Q" or self._d is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        Q = np.diag(self._d)
-        Q.flags.writeable = False
-        object.__setattr__(self, "Q", Q)  # later reads find it, so p.Q is p.Q
-        return Q
+        # reached only when lookup fails: Q stored as its diagonal, or A, A1 and
+        # A2 stored as triplets, and not read yet; later reads find what is
+        # built here, so p.Q is p.Q and p.A is p.A
+        if name == "Q" and self._d is not None:
+            Q = np.diag(self._d)
+            Q.flags.writeable = False
+            object.__setattr__(self, "Q", Q)
+            return Q
+        if name in ("A", "A1", "A2") and "_a_triplets" in vars(self):
+            self._keep_stacked("A", self._a_triplets.dense(), self.m1)
+            return getattr(self, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __repr__(self) -> str:
         # the generated repr would build Q; a stored diagonal shows as the 1-D Q
@@ -283,18 +453,41 @@ class ProblemData:
         return _frozen_copy(d, 1, "Q") if np.count_nonzero(self.Q) == np.count_nonzero(d) else None
 
     @cached_property
+    def _a_triplets(self) -> _Triplets | None:
+        """A's triplets if A is sparse (``_is_sparse``), else None.
+
+        An A given as triplets stores them here at construction; one given
+        dense is scanned on the first read.
+        """
+        if not _is_sparse(self.A):
+            return None
+        return _scanned(self.A)
+
+    @cached_property
     def a_csr(self) -> tuple | None:
         """Read-only CSR copies (A, A') if A is sparse; else None.
 
         A is sparse when nnz(A) <= _COO_DENSITY m n, the rule by which instance
-        files store a matrix as COO. A CSR row adds its nonzeros in another order
+        files store a matrix as COO. The copies are built from A's triplets,
+        with the bytes that SciPy gives a dense A: no -0.0 entry, and int32
+        indices where they fit. A CSR row adds its nonzeros in another order
         than a dense product, so a product's last bits can differ.
         """
-        if np.count_nonzero(self.A) > _COO_DENSITY * self.m * self.n:
+        A = self._a_triplets
+        if A is None:
             return None
         from scipy.sparse import csr_array  # here, so that importing hieralm does not load it
 
-        copies = (csr_array(self.A), csr_array(self.A.T))
+        m, n = A.shape
+        kept = A.values != 0  # csr_array(dense) stores no -0.0
+        values = A.values[kept]
+        index = np.int32 if max(values.size, m, n) <= np.iinfo(np.int32).max else np.int64
+        rows, cols = A.rows[kept].astype(index), A.cols[kept].astype(index)
+        # entries in row-major order leave each row's indices sorted, in A and in A'
+        copies = (
+            csr_array((values, (rows, cols)), shape=(m, n)),
+            csr_array((values, (cols, rows)), shape=(n, m)),
+        )
         for csr in copies:
             for arr in (csr.data, csr.indices, csr.indptr):
                 arr.flags.writeable = False
@@ -328,9 +521,17 @@ _POWER_STEPS = 6  # towards s_max, from G's largest column
 _BLOCK = 32  # rows per diagonal block of a substitution
 
 
-def _gram_left_null(A: np.ndarray) -> tuple[np.ndarray | None, str]:
+def _gram_left_null(A: np.ndarray | _Triplets) -> tuple[np.ndarray | None, str]:
     """(N, figures): N from two Cholesky factorizations of the m x m Gram
     G = A A' if certified, else None; figures words the candidate.
+
+    A dense A forms G as one syrk, A @ A.T. A sparse one, given as its
+    triplets, forms it from them (``_Triplets.gram``) in O(sum_j p_j^2 + m^2)
+    for p_j entries in column j, and A'N as a sparse product: on +-1 entries
+    G has the syrk's bits, and otherwise it differs from it by at most
+    2 gamma_q |A||A'|, q the most nonzeros in a row of A, far inside the band
+    below. ``ProblemData.left_null`` hands in triplets only where those pairs
+    fit (``_Triplets.gram_fits``).
 
     G has the squared singular values of A and null(G) = null(A'). Each of its
     eigenvalues is known to within the rounding band max(m, n) eps trace(G),
@@ -352,6 +553,11 @@ def _gram_left_null(A: np.ndarray) -> tuple[np.ndarray | None, str]:
         the k dropped singular values are then below the cutoff, and by the
         sin theta theorem N is within a tenth of the SVD route's Wedin bound.
 
+    Where ||A'N|| lands above that tenth but not above the cutoff, a third
+    pass corrects N by its residual (``_gram_correction``), and (b) is read
+    again. A third inverse-iteration pass would not do: its error comes from
+    forming G, not from the passes.
+
     The band must be a normal number: an overflow in G makes it inf, and
     A = 0, m = 0 or a G lost whole to underflow make it 0 or subnormal; nothing
     is factored then. G is scaled by a power of two, exactly, so that trace(G)
@@ -361,7 +567,10 @@ def _gram_left_null(A: np.ndarray) -> tuple[np.ndarray | None, str]:
     """
     m, n = A.shape
     with np.errstate(over="ignore"):  # an overflow shows in the band
-        G = A @ A.T  # numpy computes a product with its own transpose as one syrk
+        if isinstance(A, _Triplets):
+            G, t_times, times = A.gram(), A.t_times, A.times
+        else:  # numpy computes a product with its own transpose as one syrk
+            G, t_times, times = A @ A.T, (lambda N: N.T @ A), (lambda Y: A @ Y)
         trace = np.trace(G)
     band = max(m, n) * _EPS * trace
     if not np.finfo(float).tiny <= band < np.inf:
@@ -369,16 +578,23 @@ def _gram_left_null(A: np.ndarray) -> tuple[np.ndarray | None, str]:
     scale = np.ldexp(1.0, -int(np.frexp(trace)[1]))
     G *= scale
     band, trace = band * scale, trace * scale
-    N = _gram_candidate(G, band)
-    if N is None:
+    candidate = _gram_candidate(G, band)
+    if candidate is None:
         return None, "G + band I does not factor"
-    k = N.shape[1]
+    N, solve = candidate
 
     x = G[np.argmax(G.diagonal())]
     for _ in range(_POWER_STEPS):
         u = x / np.linalg.norm(x)
         x = G @ u
-    residual = np.linalg.norm(N.T @ A) / _rank_cutoff(m, n, np.sqrt(u @ x / scale))
+    cutoff = _rank_cutoff(m, n, np.sqrt(u @ x / scale))
+    NtA = t_times(N)
+    residual = np.linalg.norm(NtA) / cutoff
+    if 0.1 < residual <= 1.0:
+        N = _gram_correction(G, band, N, scale * times(NtA.T), solve)
+        residual = np.linalg.norm(t_times(N)) / cutoff
+    del candidate, solve  # frees L, m^2 doubles, before the certificate's factorization
+    k = N.shape[1]
 
     c = trace / m
     gamma = (m + k + 4) * _EPS / (1.0 - (m + k + 4) * _EPS)
@@ -397,9 +613,16 @@ def _gram_left_null(A: np.ndarray) -> tuple[np.ndarray | None, str]:
     return (N if certified and residual <= 0.1 else None), figures
 
 
-def _gram_candidate(G: np.ndarray, band: float) -> np.ndarray | None:
-    """N, orthonormal, from G + band I = L L' (None if that does not factor);
-    G is left as it was.
+def _ritz(G: np.ndarray, X: np.ndarray, band: float) -> np.ndarray:
+    """The Ritz vectors of G on span(X) whose values lie within the band, orthonormal."""
+    X = np.linalg.qr(X)[0]
+    ritz, W = np.linalg.eigh(X.T @ (G @ X))
+    return X @ W[:, : np.count_nonzero(ritz <= band)]
+
+
+def _gram_candidate(G: np.ndarray, band: float):
+    """(N, solve): N, orthonormal, from G + band I = L L', and solve, B ->
+    (L L')^-1 B; None if that does not factor. G is left as it was.
 
     A pivot L_jj^2 that fell a tenth of the way or more, on a log scale, from
     its row's diagonal G_jj + band towards the band ends a row that (nearly)
@@ -422,14 +645,27 @@ def _gram_candidate(G: np.ndarray, band: float) -> np.ndarray | None:
     # within a factor 2, so that a zero row, whose pivot is the band, counts
     small = np.flatnonzero(L.diagonal() ** 2 <= 2.0 * band**0.1 * (diag + band) ** 0.9)
     lower, upper = _triangular_solves(L)
+
+    def solve(B):
+        return upper(lower(B))
+
     X = np.zeros((m, small.size))
     X[small, np.arange(small.size)] = 1.0
     X = upper(X)
     for _ in range(_PASSES):
-        X = upper(lower(X / np.linalg.norm(X, axis=0)))
-    X = np.linalg.qr(X)[0]
-    ritz, W = np.linalg.eigh(X.T @ (G @ X))
-    return X @ W[:, : np.count_nonzero(ritz <= band)]
+        X = solve(X / np.linalg.norm(X, axis=0))
+    return _ritz(G, X, band), solve
+
+
+def _gram_correction(G: np.ndarray, band: float, N: np.ndarray, AAtN: np.ndarray, solve):
+    """N less (G + band I)^-1 A A'N, with the candidate's ``solve``, then the
+    Rayleigh-Ritz step of ``_gram_candidate``.
+
+    A A'N is formed from A, not from G, so it carries no error of forming G:
+    the step removes N's part in range(A) up to G's relative error on those
+    eigenvalues, as iterative refinement does.
+    """
+    return _ritz(G, N - solve(AAtN), band)
 
 
 def _triangular_solves(L: np.ndarray):
@@ -646,15 +882,31 @@ _DENSE_MAX_ENTRIES = 256
 _COO_DENSITY = 0.25
 
 
+def _coo_encoded(size: int, stored: int) -> bool:
+    """Whether a matrix of ``size`` cells with ``stored`` stored entries is written as COO."""
+    return size > _DENSE_MAX_ENTRIES and stored <= _COO_DENSITY * size
+
+
 def _encode_matrix(a: np.ndarray):
-    size = a.size
     # -0.0 compares equal to 0 but is stored, so it round-trips bit exactly
     stored = (a != 0) | np.signbit(a)
-    nnz = int(np.count_nonzero(stored))
-    if size <= _DENSE_MAX_ENTRIES or nnz > _COO_DENSITY * size:
+    if not _coo_encoded(a.size, int(np.count_nonzero(stored))):
         return a.tolist()
     rows, cols = np.nonzero(stored)
     return _encode_coo(rows, cols, a[rows, cols])
+
+
+def _encode_rows(p: ProblemData, lo: int, hi: int):
+    """_encode_matrix(p.A[lo:hi]), read off A's triplets where A is sparse, so
+    that no m x n array is formed: the block's stored entries are its triplets,
+    in the order np.nonzero lists them."""
+    A = p._a_triplets
+    if A is None:
+        return _encode_matrix(p.A[lo:hi])
+    block = A.block(lo, hi)
+    if not _coo_encoded((hi - lo) * p.n, block.values.size):
+        return block.dense().tolist()
+    return _encode_coo(block.rows, block.cols, block.values)
 
 
 def _encode_coo(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> dict:
@@ -683,9 +935,9 @@ def problem_document(p: ProblemData, meta: dict | None = None) -> dict:
         "m2": p.m2,
         "Q": _encode_q(p),
         "c": p.c.tolist(),
-        "A1": _encode_matrix(p.A1),
+        "A1": _encode_rows(p, 0, p.m1),
         "b1": p.b1.tolist(),
-        "A2": _encode_matrix(p.A2),
+        "A2": _encode_rows(p, p.m1, p.m),
         "b2": p.b2.tolist(),
     }
     if meta is not None:
@@ -765,22 +1017,38 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _dense_zeros(rows: int, cols: int, name: str) -> np.ndarray:
-    """The dense rows x cols array that a COO matrix fills, refused if it cannot fit."""
+def _refuse_beyond_memory(rows: int, cols: int, name: str, allocate: bool = False):
+    """Raise if a dense rows x cols matrix cannot fit; return it, zeroed, if ``allocate``.
+
+    The size is compared with the machine's physical memory, which allocates
+    nothing. Where the OS does not report its memory, the array is allocated
+    all the same, and dropped unless ``allocate``: a failure is then the only
+    sign, and is refused in the same words.
+    """
     need = rows * cols * np.dtype(float).itemsize
     have = _physical_memory()
     too_big = f"{name}: a dense {rows}x{cols} matrix needs {need} bytes"
     if have is not None and need > have:
         raise ProblemFormatError(f"{too_big}, more than this machine's {have} bytes of memory")
-    try:
-        return np.zeros((rows, cols))
-    except MemoryError as exc:
-        raise ProblemFormatError(f"{too_big}, which could not be allocated") from exc
+    if allocate or have is None:
+        try:
+            out = np.zeros((rows, cols))
+        except MemoryError as exc:
+            raise ProblemFormatError(f"{too_big}, which could not be allocated") from exc
+        return out if allocate else None
+    return None
 
 
-def _decode_matrix(value, rows: int, cols: int, name: str, diagonal: bool = False) -> np.ndarray:
-    """The matrix ``value`` encodes; with ``diagonal``, a COO matrix whose entries
-    all lie on the diagonal comes back as that diagonal, 1-D."""
+def _dense_zeros(rows: int, cols: int, name: str) -> np.ndarray:
+    """The dense rows x cols array that a COO matrix fills, refused if it cannot fit."""
+    return _refuse_beyond_memory(rows, cols, name, allocate=True)
+
+
+def _decode_matrix(value, rows: int, cols: int, name: str, q: bool = False):
+    """The matrix ``value`` encodes. A COO Q (``q``) whose entries all lie on
+    the diagonal comes back as that diagonal, 1-D, and any other as a dense
+    array; a COO constraint block comes back as its triplets, with no dense
+    array, but refused as a dense one is if its dense form cannot fit in memory."""
     if isinstance(value, dict):
         if set(value) != {"coo"} or not isinstance(value["coo"], dict):
             raise ProblemFormatError(f"{name}: matrix object must hold a single 'coo' entry")
@@ -793,19 +1061,28 @@ def _decode_matrix(value, rows: int, cols: int, name: str, diagonal: bool = Fals
         if not len(ri) == len(ci) == len(vals):
             raise ProblemFormatError(f"{name}.coo: rows, cols, values differ in length")
         # Python ints compare exactly, so == decides whether every entry is on the diagonal
-        on_diagonal = diagonal and ri == ci
-        out = np.zeros(rows) if on_diagonal else _dense_zeros(rows, cols, name)
+        on_diagonal = q and ri == ci
+        if on_diagonal:
+            out = np.zeros(rows)
+        elif q:
+            out = _dense_zeros(rows, cols, name)
+        else:
+            _refuse_beyond_memory(rows, cols, name)
+            out = None
         r = _decode_indices(ri, rows, lambda t: f"{name}.coo.rows[{t}]")
         c = _decode_indices(ci, cols, lambda t: f"{name}.coo.cols[{t}]")
+        # with no repeat, first sorts the entries in row-major order
         _, first = np.unique(r * cols + c, return_index=True)
         if first.size < r.size:
             repeat = np.ones(r.size, dtype=bool)
             repeat[first] = False
             t = int(np.argmax(repeat))
             raise ProblemFormatError(f"{name}.coo: duplicate entry at ({r[t]}, {c[t]})")
-        out[r if on_diagonal else (r, c)] = _decode_numbers(
-            vals, lambda t: f"{name}.coo.values[{t}]"
-        )
+        v = _decode_numbers(vals, lambda t: f"{name}.coo.values[{t}]")
+        if out is None:
+            first = first[(v[first] != 0) | np.signbit(v[first])]  # a +0.0 is not stored
+            return _frozen_triplets(r[first], c[first], v[first], (rows, cols))
+        out[r if on_diagonal else (r, c)] = v
         return out
     if not isinstance(value, list):
         raise ProblemFormatError(f"{name}: expected an array of rows or a coo object")
@@ -871,7 +1148,7 @@ def load_problem(path: str | Path) -> ProblemData:
     # from a declared dimension that the file's own data has not confirmed
     arrays = {
         "c": _decode_vector(doc["c"], n, "c"),
-        "Q": _decode_matrix(doc["Q"], n, n, "Q", diagonal=True),
+        "Q": _decode_matrix(doc["Q"], n, n, "Q", q=True),
         "b1": _decode_vector(doc["b1"], m1, "b1"),
         "A1": _decode_matrix(doc["A1"], m1, n, "A1"),
         "b2": _decode_vector(doc["b2"], m2, "b2"),

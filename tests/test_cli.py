@@ -528,3 +528,40 @@ class TestGridBeyondMemory:
             "hieralm: error: A: a dense 400x1520 matrix needs 4864000 bytes, "
             "more than this machine's 1048576 bytes of memory\n"
         )
+
+
+class TestNoDenseA:
+    @pytest.mark.parametrize("source", ["file", "grid"])
+    @pytest.mark.parametrize("command", ["oracle", "shift-sweep"])
+    def test_oracle_and_sweep_build_no_dense_a(
+        self, tmp_path, capsys, monkeypatch, command, source
+    ):
+        # the 20x20 grid's A is 400 x 1520; any numpy allocation with 1520
+        # columns or 1520 rows fails, as would building A, a block of it or A'
+        path = tmp_path / "grid.json"
+        save_problem(build_instance(GridSpec(20, 20, kappa=0.5))[0], path)
+
+        def refusing(allocate):
+            def guarded(shape, *args, **kwargs):
+                if np.ndim(shape) and len(shape) == 2 and 1520 in tuple(shape):
+                    raise MemoryError(f"a dense {tuple(shape)} array")
+                return allocate(shape, *args, **kwargs)
+
+            return guarded
+
+        for name in ("zeros", "empty", "ones", "full"):
+            monkeypatch.setattr(np, name, refusing(getattr(np, name)))
+        built = []
+        for name in ("load_problem", "build_instance"):
+            original = getattr(hieralm.cli, name)
+            monkeypatch.setattr(
+                hieralm.cli, name, lambda *a, _f=original: built.append(_f(*a)) or built[-1]
+            )
+        if source == "file":
+            argv = [command, "--problem", str(path)]
+        else:
+            argv = [command, "--grid", "20x20", "--kappa", "0.5"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        (p,) = [b[0] if isinstance(b, tuple) else b for b in built]
+        assert not {"A", "A1", "A2"} & set(vars(p))

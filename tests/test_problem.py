@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -115,6 +117,47 @@ def _left_null_line(caplog, A1: np.ndarray, A2: np.ndarray) -> str:
 def _residual(line: str) -> float:
     """||A'N|| / cutoff, as a left_null line words it."""
     return float(line.split("||A'N|| / cutoff = ")[1].split(",")[0])
+
+
+def _grid(size: int, seed: int = 0) -> ProblemData:
+    """The size x size grid at kappa 0.5, kept as triplets; seeds 1-3 permute its
+    rows within each block and its columns as the benchmark does, and give it dense."""
+    p, _ = build_instance(GridSpec(size, size, kappa=0.5))
+    if seed == 0:
+        return p
+    rng = np.random.default_rng(seed)
+    r1, r2, col = rng.permutation(p.m1), rng.permutation(p.m2), rng.permutation(p.n)
+    return ProblemData(
+        Q=p.q_diagonal[col], c=p.c[col], A1=p.A1[np.ix_(r1, col)], b1=p.b1[r1],
+        A2=p.A2[np.ix_(r2, col)], b2=p.b2[r2],
+    )
+
+
+def _sparse_matrix(seed: int, scale: float) -> np.ndarray:
+    """A random m x n matrix, m <= 30 and n <= 60, with at most a quarter of its
+    cells nonzero, standard normal times ``scale``: sparse by the COO rule."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 31)), int(rng.integers(1, 61))
+    A = np.zeros((m, n))
+    cells = rng.choice(m * n, int(rng.integers(1, m * n // 4 + 2)) - 1, replace=False)
+    A.flat[cells] = scale * rng.standard_normal(cells.size)
+    return A
+
+
+def _with_triplets(p: ProblemData) -> ProblemData:
+    """``p``'s data, with A handed in as the triplets of its blocks."""
+    scanned = hieralm.problem._scanned
+    return ProblemData(
+        Q=p.Q, c=p.c, A1=scanned(p.A1), b1=p.b1, A2=scanned(p.A2), b2=p.b2
+    )
+
+
+def _with_dense_gram(p: ProblemData) -> ProblemData:
+    """``p``'s data given dense, in an instance that never reads A's triplets:
+    its left null basis forms G = A @ A.T and the writer encodes dense blocks."""
+    q = ProblemData(Q=p.Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
+    vars(q)["_a_triplets"] = None  # fills the cached_property before its first read
+    return q
 
 
 class TestProblemData:
@@ -376,7 +419,9 @@ assert not loaded, loaded
         A1, A2 = _left_null_cases()["two-grids"]
         first = np.zeros(len(A1) + len(A2))
         first[:9] = 1.0 / 3.0  # the 3x3 grid's nodes come first
-        monkeypatch.setattr(hieralm.problem, "_gram_candidate", lambda G, band: first[:, None])
+        # (N, solve): the residual check passes, so the third pass and its solve go unused
+        candidate = (first[:, None], None)
+        monkeypatch.setattr(hieralm.problem, "_gram_candidate", lambda G, band: candidate)
         line = _left_null_line(caplog, A1, A2)
         assert line.startswith("left_null: qr-svd route, k = 2; Gram candidate k = 1,"), line
         assert _residual(line) <= 0.1 and line.endswith("ten-band certificate fails"), line
@@ -428,6 +473,89 @@ assert not loaded, loaded
         assert line.startswith("left_null: gram route, k = 1; Gram candidate k = 1,"), line
         assert _residual(line) <= 0.05, line
 
+    @pytest.mark.parametrize("size, seed", [(10, 0), (20, 0), (30, 0), (20, 1), (20, 2), (20, 3)])
+    def test_triplet_gram_has_the_dense_products_bits_on_grids(self, size, seed):
+        # +-1 entries: every product and sum is exact, in any order
+        p = _grid(size, seed)
+        G = p._a_triplets.gram()
+        assert G.tobytes() == (p.A @ p.A.T).tobytes()
+        N = p.left_null
+        assert p._a_triplets.t_times(N).tobytes() == (N.T @ p.A).tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-8, 1.0, 1e8]))
+    def test_triplet_gram_is_within_the_summation_bound(self, seed, scale):
+        # both sums add the same q nonzero products, q at most the nonzeros of
+        # a row of A, in their own orders: each is within gamma_q |A||A'| of
+        # the exact G (Higham, 2nd ed., 3.1), so they are within twice that
+        A = _sparse_matrix(seed, scale)
+        G = hieralm.problem._scanned(A).gram()
+        q = max(int(np.count_nonzero(A, axis=1).max()), 1)
+        gamma = q * EPS / (1.0 - q * EPS)
+        assert (np.abs(G - A @ A.T) <= 2.0 * gamma * (np.abs(A) @ np.abs(A).T)).all()
+        assert G.tobytes() == G.T.copy().tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-8, 1.0, 1e8]))
+    def test_triplet_route_matches_the_dense_input(self, seed, scale):
+        # an instance given A's blocks dense scans them once, into the triplets
+        # that an instance given them as triplets keeps: the same route, k and N
+        A = _sparse_matrix(seed, scale)
+        m1 = int(np.random.default_rng(seed).integers(0, A.shape[0] + 1))
+        n = A.shape[1]
+        dense = make_problem(
+            Q=np.ones(n), c=np.zeros(n), A1=A[:m1], b1=np.zeros(m1), A2=A[m1:],
+            b2=np.zeros(len(A) - m1),
+        )
+        sparse = _with_triplets(dense)
+        assert "A" not in vars(sparse)
+        N, M = sparse.left_null, dense.left_null
+        assert N.tobytes() == M.tobytes() and N.shape == M.shape
+        built = "A" in vars(sparse)
+        fits = sparse._a_triplets.gram_fits()
+        gram, _ = hieralm.problem._gram_left_null(sparse._a_triplets if fits else sparse.A)
+        # the dense A is read only where gram's pairs do not fit, or by the qr-svd fallback
+        assert built == (not fits or gram is None)
+        # against the route from A @ A.T: the two G differ in their last bits,
+        # which can move ||A'N|| across a tenth of the cutoff, so each route
+        # may certify where the other falls back; the null space is the same
+        reference = _with_dense_gram(dense).left_null
+        s = np.linalg.svd(A, compute_uv=False)
+        rank = len(A) - N.shape[1]
+        assert reference.shape == N.shape
+        bound = 8 * max(A.shape) * EPS * s[0] / s[rank - 1] if rank else 0.0
+        assert np.abs(N @ N.T - reference @ reference.T).max(initial=0.0) <= bound
+
+    @pytest.mark.parametrize(
+        "A, before",
+        [
+            # a 2-node graph: the candidate misses (1, 1) / sqrt(2) by an ulp
+            (np.array([[1.0], [-1.0]]), 3.54e-1),
+            # test_certified_gram_basis_matches_the_svd_route's dense recipe at seed 97
+            ("dense-97", 2.02e-1),
+        ],
+        ids=["two-nodes", "dense-97"],
+    )
+    def test_a_residual_above_a_tenth_takes_a_correcting_third_pass(
+        self, caplog, monkeypatch, A, before
+    ):
+        # ||A'N|| between a tenth of the cutoff and the cutoff: a third pass
+        # subtracts (G + band I)^-1 A (A'N) and keeps the Gram route; without it,
+        # the same candidate falls back
+        if isinstance(A, str):
+            rng = np.random.default_rng(97)
+            n = int(rng.integers(1, 41))
+            base = rng.standard_normal((int(rng.integers(1, min(n, 12) + 1)), n))
+            A = np.vstack((base, base[rng.integers(0, len(base), int(rng.integers(1, 9)))]))
+            A = A[rng.permutation(len(A))]
+        line = _left_null_line(caplog, A[:1], A[1:])
+        assert line.startswith("left_null: gram route,"), line
+        assert _residual(line) <= 0.1 and line.endswith("certificate holds"), line
+        monkeypatch.setattr(hieralm.problem, "_gram_correction", lambda G, band, N, AAtN, solve: N)
+        line = _left_null_line(caplog, A[:1], A[1:])
+        assert line.startswith("left_null: qr-svd route,"), line
+        assert f"cutoff = {before:.2e}," in line and line.endswith("certificate holds"), line
+
     def test_rejects_wrong_rank_arrays(self):
         # a 1-D Q is its diagonal
         with pytest.raises(ValueError, match=r"Q must be 1-D \(its diagonal\) or 2-D, got ndim=3"):
@@ -458,6 +586,226 @@ assert not loaded, loaded
                 with pytest.raises(ValueError) as exc:
                     ProblemData(**{**arrays, name: bad})
                 assert str(exc.value) == f"{name} has non-finite entries", (name, value)
+
+
+class TestSparseA:
+    """A sparse A handed in as triplets is kept as them, and built dense only when read."""
+
+    def test_grid_is_kept_as_triplets_and_built_once_on_first_read(self):
+        p = _grid(20)
+        assert not {"A", "A1", "A2"} & set(vars(p))
+        A = p._a_triplets
+        assert (p.m1, p.m2, p.m, A.shape) == (380, 20, 400, (400, 1520))
+        assert np.all(np.diff(A.rows * p.n + A.cols) > 0)  # row-major, no repeat
+        for arr in (A.rows, A.cols, A.values):
+            assert not arr.flags.writeable
+        dense, _ = grid_incidence(20, 20)
+        whole = p.A
+        assert p.A is whole and not whole.flags.writeable
+        assert whole.tobytes() == np.vstack((dense[20:], dense[:20])).tobytes()
+        assert p.A1.base is whole and p.A2.base is whole
+        assert p.A1.shape == (380, 1520) and p.A2.shape == (20, 1520)
+        # A2 first: any of the three builds all of them
+        q = _grid(20)
+        assert q.A2.base is q.A and q.A1.base is q.A
+
+    def test_loaded_coo_blocks_stay_triplets(self, tmp_path):
+        p, meta = build_instance(GridSpec(5, 6, kappa=0.5))
+        path = tmp_path / "grid.json"
+        save_problem(p, path, meta=meta)
+        q = load_problem(path)
+        assert "A" not in vars(q)
+        for name in ("rows", "cols", "values"):
+            assert getattr(q._a_triplets, name).tobytes() == getattr(p._a_triplets, name).tobytes()
+        assert q.A.tobytes() == p.A.tobytes()
+
+    def test_a_coo_file_in_any_order_loads_in_row_major_order(self, tmp_path):
+        # entries listed backwards, a +0.0 (not stored, as a dense A would not
+        # keep it) and a -0.0 (stored); a dense block beside the coo one
+        n = 20
+        rows, cols, values = [2, 1, 1, 0, 0], [3, 7, 2, 9, 0], [4.0, 0.0, -0.0, 2.0, -1.0]
+
+        def mutate(doc):
+            doc.update(
+                n=n, m1=3, m2=1, Q=_coo([], [], []), c=[0.0] * n, b1=[0.0] * 3, b2=[1.0],
+                A1=_coo(rows, cols, values), A2=[[1.0] + [0.0] * (n - 1)],
+            )
+
+        q = load_problem(_write_doc(tmp_path, mutate))
+        assert "A" not in vars(q)
+        A = q._a_triplets
+        assert A.rows.tolist() == [0, 0, 1, 2, 3] and A.cols.tolist() == [0, 9, 2, 3, 0]
+        assert A.values.tobytes() == np.array([-1.0, 2.0, -0.0, 4.0, 1.0]).tobytes()
+        expected = np.zeros((4, n))
+        expected[A.rows, A.cols] = A.values
+        assert q.A.tobytes() == expected.tobytes()
+
+    def test_a_dense_coo_file_is_stored_dense(self, tmp_path):
+        # a COO block that is not sparse by the rule gives a dense A
+        n = 20
+        full = np.arange(1.0, 1.0 + 2 * n).reshape(2, n)
+        r, c = np.nonzero(full)
+
+        def mutate(doc):
+            doc.update(
+                n=n, m1=2, m2=0, Q=_coo([], [], []), c=[0.0] * n, b1=[0.0, 0.0], b2=[], A2=[],
+                A1=_coo(r.tolist(), c.tolist(), full[r, c].tolist()),
+            )
+
+        q = load_problem(_write_doc(tmp_path, mutate))
+        assert "A" in vars(q) and q._a_triplets is None and q.a_csr is None
+        assert q.A.tobytes() == full.tobytes()
+
+    def test_a_coo_block_beyond_memory_is_refused_without_allocating(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "grid.json"
+        save_problem(_grid(20), path)
+        zeros = np.zeros
+
+        def small_zeros(shape, *args, **kwargs):
+            assert np.prod(shape) < 380 * 1520, shape
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(hieralm.problem, "_physical_memory", lambda: 2**20)
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        with pytest.raises(ProblemFormatError) as exc:
+            load_problem(path)
+        assert str(exc.value) == (
+            "A1: a dense 380x1520 matrix needs 4620800 bytes, "
+            "more than this machine's 1048576 bytes of memory"
+        )
+
+    def test_long_columns_keep_the_transients_within_the_dense_a(self):
+        # 28 entries in each column of a 120 x 480 A, under a quarter of its
+        # cells: the triplet Gram would pair about 380,000 entries, some 15 MB
+        # against the 0.46 MB of the dense A, so left_null forms G from the
+        # dense A, with its bits
+        rng = np.random.default_rng(0)
+        m, n = 120, 480
+        A = np.zeros((m, n))
+        for j in range(n):
+            A[rng.choice(m, 28, replace=False), j] = rng.standard_normal(28)
+        A[5] = A[1] - A[2]  # k = 1
+        dense = make_problem(
+            Q=np.ones(n), c=np.zeros(n), A1=A[:100], b1=np.zeros(100), A2=A[100:],
+            b2=np.zeros(m - 100),
+        )
+        sparse = _with_triplets(dense)
+        assert not sparse._a_triplets.gram_fits()
+        tracemalloc.start()
+        try:
+            N = sparse.left_null
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert N.shape == (m, 1) and N.tobytes() == dense.left_null.tobytes()
+        # the dense A, kept, and a few m x m arrays: G, a factor, a working copy
+        assert peak <= 8 * (2 * m * n + 8 * m * m), peak
+
+    def test_products_with_many_columns_go_by_blocks(self):
+        # at a quarter of the cells, a block is one column of N: the four
+        # transients of nnz entries each stay within the m n doubles of the
+        # dense A, and each sum keeps its order, so the bits are those of
+        # one column at a time
+        rng = np.random.default_rng(1)
+        m, n, k = 40, 80, 40
+        A = np.where(rng.random((m, n)) < 0.25, rng.standard_normal((m, n)), 0.0)
+        T = hieralm.problem._scanned(A)
+        N, Y = rng.standard_normal((m, k)), rng.standard_normal((n, k))
+        assert T.values.size * 4 > m * n // 2  # so blocks of one column
+        for product, X in ((T.t_times, N), (T.times, Y)):
+            tracemalloc.start()
+            try:
+                product(X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the k n result, twice while its blocks are joined, and one block's
+            # transients: in one block, they would take 33 m n doubles
+            assert peak <= 8 * (2 * k * n + m * n), (product.__name__, peak)
+        by_column = np.vstack([T.t_times(N[:, [c]]) for c in range(k)])
+        assert T.t_times(N).tobytes() == by_column.tobytes()
+        by_column = np.hstack([T.times(Y[:, [c]]) for c in range(k)])
+        assert T.times(Y).tobytes() == by_column.tobytes()
+        assert np.allclose(T.t_times(N), N.T @ A) and np.allclose(T.times(Y), A @ Y)
+        assert T.t_times(N[:, :0]).shape == (0, 80) and T.times(Y[:, :0]).shape == (40, 0)
+
+    def test_a_coo_block_that_cannot_be_allocated_is_refused_at_load(
+        self, tmp_path, monkeypatch
+    ):
+        # where the OS does not report its memory, the COO A is allocated once
+        # at load, as the dense block it used to fill, and a failure is refused
+        # there, not when the solver first reads p.A
+        n = 200
+        zeros = np.zeros
+
+        def failing_zeros(shape, *args, **kwargs):
+            if np.prod(shape) > 10**4:
+                raise MemoryError("Unable to allocate")
+            return zeros(shape, *args, **kwargs)
+
+        def mutate(doc):
+            doc.update(
+                n=n, m1=100, m2=0, Q=_coo([], [], []), c=[0.0] * n, b1=[0.0] * 100, b2=[],
+                A1=_coo([0, 99], [3, 7], [1.0, -1.0]), A2=[],
+            )
+
+        path = _write_doc(tmp_path, mutate)
+        monkeypatch.setattr(hieralm.problem, "_physical_memory", lambda: None)
+        assert "A" not in vars(load_problem(path))
+        monkeypatch.setattr(np, "zeros", failing_zeros)
+        with pytest.raises(ProblemFormatError) as exc:
+            load_problem(path)
+        assert str(exc.value) == (
+            "A1: a dense 100x200 matrix needs 160000 bytes, which could not be allocated"
+        )
+
+    def test_csr_copies_have_the_bytes_of_scipy_on_the_dense_a(self, tmp_path):
+        from scipy.sparse import csr_array
+
+        path = tmp_path / "sparse.json"
+        negative_zero = _sparse_a_problems()[-1]  # given dense, with a -0.0 cell
+        save_problem(negative_zero, path)
+        instances = [_grid(10), _grid(20), _grid(20, 1), load_problem(path)]
+        instances += [_with_triplets(p) for p in _sparse_a_problems()] + _sparse_a_problems()
+        for i, p in enumerate(instances):
+            copies = p.a_csr  # before A is read, from the triplets
+            for csr, ref in zip(copies, (csr_array(p.A), csr_array(p.A.T))):
+                for name in ("data", "indices", "indptr"):
+                    got, want = getattr(csr, name), getattr(ref, name)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (i, name)
+                    assert not got.flags.writeable
+                assert csr.shape == ref.shape
+
+    def test_the_writer_gives_the_dense_writers_bytes(self):
+        # today's bytes for the grid file that gen-grid writes; and, on random
+        # sparse blocks with -0.0 cells, the bytes of the dense encoder
+        p, meta = build_instance(GridSpec(20, 20, kappa=0.5))
+        text = hieralm.problem._problem_text(p, meta)
+        digest = "7cf4c1aeeb8e0ebbf4ca47a3676635176e7a1ee015922aad871e756c4afae02a"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert not {"A", "A1", "A2"} & set(vars(p))
+        rng = np.random.default_rng(7)
+        for n, m1, m2 in ((30, 20, 16), (20, 1, 30), (17, 0, 2), (40, 3, 0), (1, 100, 2)):
+            A = np.where(rng.random((m1 + m2, n)) < 0.1, rng.standard_normal((m1 + m2, n)), 0.0)
+            A[rng.random(A.shape) < 0.02] = -0.0
+            p = make_problem(
+                Q=np.ones(n), c=np.zeros(n), A1=A[:m1], b1=np.zeros(m1), A2=A[m1:],
+                b2=np.zeros(m2),
+            )
+            want = hieralm.problem._problem_text(_with_dense_gram(p))
+            assert hieralm.problem._problem_text(p) == want
+            assert hieralm.problem._problem_text(_with_triplets(p)) == want
+
+    def test_repr_keeps_its_text(self):
+        p = _grid(4)
+        dense = _with_dense_gram(p)
+        assert repr(p) == repr(dense)
+        assert repr(p) == (
+            f"ProblemData(Q={p.q_diagonal!r}, c={p.c!r}, A1={p.A1!r}, b1={p.b1!r}, "
+            f"A2={p.A2!r}, b2={p.b2!r})"
+        )
 
 
 class TestValidateProblem:
