@@ -9,7 +9,8 @@ The HIERALM_LOG environment variable (error, warn, info, debug) sets verbosity.
 of ``solve`` and ``compare`` load SciPy.
 
 Each subcommand is a ``cmd_*`` function of the parsed arguments, bound to its
-parser by ``set_defaults(run=...)``. The library's own errors pass through
+parser by ``set_defaults(run=...)``; ``main`` builds the parser once per
+process. The library's own errors pass through
 unchanged: ``main`` prints a ``CliError``, a ``ValueError`` (a bad parameter, a
 malformed file, a grid too large for memory), an ``OSError`` or a
 ``SubproblemUnboundedError`` as one ``hieralm: error:`` line.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -355,6 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call and kept: parsing leaves
+    it as it was, and its help is formatted when printed, at the terminal's
+    width then."""
+    return build_parser()
+
+
 def _setup_logging() -> None:
     name = os.environ.get("HIERALM_LOG", "warn").lower()
     level = _LOG_LEVELS.get(name)
@@ -367,9 +377,8 @@ def _setup_logging() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.run(args)
     except (CliError, ValueError, OSError, SubproblemUnboundedError) as exc:
         print(f"hieralm: error: {exc}", file=sys.stderr)

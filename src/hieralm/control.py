@@ -49,6 +49,8 @@ _SIGMA1_CAP = 1e12
 # the ones that stand for exact zeros carry the error of N, about eps * cond(A)
 _NULL_TOL = math.sqrt(np.finfo(float).eps)
 
+_TINY = float(np.finfo(float).tiny)  # the least normal double
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -78,11 +80,23 @@ class SigmaPair:
 
     def __post_init__(self) -> None:
         _require_real(self, ("sigma1", "sigma2"))
-        for name in ("sigma1", "sigma2"):
-            v = getattr(self, name)
+        self._check_values()
+
+    @classmethod
+    def _of_floats(cls, sigma1: float, sigma2: float) -> SigmaPair:
+        """SigmaPair(sigma1, sigma2) for two Python floats, such as sigma_at
+        computes: the value checks, without the type checks."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "sigma1", sigma1)
+        object.__setattr__(pair, "sigma2", sigma2)
+        pair._check_values()
+        return pair
+
+    def _check_values(self) -> None:
+        for name, v in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-        if not np.finfo(float).tiny <= self.eta < math.inf:
+        if not _TINY <= self.eta < math.inf:
             raise ValueError(f"sigma1 / sigma2 must be a normal number, got {self.eta}")
 
     @property
@@ -118,7 +132,7 @@ class SigmaSchedule:
         # eta is least at k = 0, where sigma_at would reject a ratio below the
         # normal range with SigmaPair's message; a ratio past the double range
         # is capped at eta_cap
-        if (eta0 := self.sigma1_0 / self.sigma2_0) < np.finfo(float).tiny:
+        if (eta0 := self.sigma1_0 / self.sigma2_0) < _TINY:
             raise ValueError(f"sigma1 / sigma2 must be a normal number, got {eta0}")
         if not self.sigma1_factor > self.sigma2_factor >= 1.0:
             raise ValueError(
@@ -210,7 +224,7 @@ def sigma_at(schedule: SigmaSchedule, k: int) -> SigmaPair:
                 sigma2,
             )
         sigma2 = sigma1 / schedule.eta_cap
-    return SigmaPair(sigma1, sigma2)
+    return SigmaPair._of_floats(sigma1, sigma2)
 
 
 # one entry per live instance, read-only; a weak key drops the entry with the

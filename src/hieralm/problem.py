@@ -269,13 +269,14 @@ class ProblemData:
     An instance is its own identity: it hashes and compares by ``id``, so two
     instances with equal arrays are different keys. Work derived from the data
     is cached against the instance until it is garbage collected: ``left_null``
-    (m k doubles; building it forms a transient m x m Gram A A', from the
-    triplets for a sparse A whose pairs fit, with at most m n doubles of
-    transients, which then becomes the certificate's matrix, and one m x m
-    Cholesky factor at a time, 1.3 MB each at the 20x20 grid and
-    6.5 MB at 30x30), ``q_diagonal``, ``a_csr`` (for a sparse A, CSR copies of
-    A and A', 24 nnz(A) + 4 (m + n + 2) bytes: 81 KB at the 20x20 grid) and,
-    for a sparse A given dense, its triplets here; in :mod:`hieralm.control` the shifts'
+    (m k doubles; building it forms a transient m x m Gram A A', 1.3 MB at the
+    20x20 grid and 50 MB at 50x50, from the triplets for a sparse A whose
+    pairs fit, with at most m n doubles of transients, and the Cholesky
+    factors of windows of its level blocks, 0.45 MB and 3.4 MB; a G of one
+    block, as a dense one is, has an m x m factor), ``q_diagonal``, ``a_csr``
+    (for a sparse A, CSR copies of A and A', 24 nnz(A) + 4 (m + n + 2) bytes:
+    81 KB at the 20x20 grid) and, for a sparse A given dense, its triplets
+    here; in :mod:`hieralm.control` the shifts'
     coordinates on N (views of it and 3k doubles, and a copy of N where a
     column lies in null(A1')); and in :mod:`hieralm.alm` the check of Q and the
     solver's factors: for a definite diagonal Q, about m r + n doubles with
@@ -388,14 +389,18 @@ class ProblemData:
         Rows split like the blocks: N[:m1] belongs to A1, N[m1:] to A2. The rank
         follows lstsq's rule, singular values above max(m, n) * eps * s_max
         (``_rank_cutoff``). N is first read from two Cholesky factorizations of
-        shifts of the m x m Gram G = A A', with no eigendecomposition (G and
-        one factor at a time are transient, 1.3 MB each at the 20x20 grid and
-        6.5 MB at 30x30), and kept only if that candidate is certified
-        (``_gram_left_null``). A sparse A forms G and ||A'N|| from its
-        triplets and builds no m x n array, as long as the pairs of entries
-        that share a column fit in the m n doubles of the dense A
-        (``_Triplets.gram_fits``: a grid's 4 n do from 24 nodes up); any other A
-        forms G as A @ A.T. Otherwise N comes from the SVD of the R factor of
+        shifts of the m x m Gram G = A A', with no eigendecomposition, and
+        kept only if that candidate is certified (``_gram_left_null``). Both
+        run by windows of two adjacent level blocks of G's graph, in which G
+        is block-tridiagonal: G is transient, 1.3 MB at the 20x20 grid and
+        50 MB at 50x50, and so are its pattern, m^2 bytes, and the windows'
+        factors, 0.45 MB and 3.4 MB. A dense G is one block, whose factor is
+        m x m, and where the windowed certificate fails near its bound the
+        dense one runs, with an m x m factor. A sparse A forms G and ||A'N||
+        from its triplets and builds no m x n array, as long as the pairs of
+        entries that share a column fit in the m n doubles of the dense A
+        (``_Triplets.gram_fits``: a grid's 4 n do from 24 nodes up); any other
+        A forms G as A @ A.T. Otherwise N comes from the SVD of the R factor of
         the dense A' (``_svd_left_null``), which also resolves the singular
         values that G's squared condition number cannot, as when no gap
         separates A's spectrum from the cutoff. Each build logs its route at
@@ -518,12 +523,15 @@ def _svd_left_null(A: np.ndarray) -> np.ndarray:
 # cutoff on the 50x50 grid, two at 2e-4
 _PASSES = 2
 _POWER_STEPS = 6  # towards s_max, from G's largest column
-_BLOCK = 32  # rows per diagonal block of a substitution
+_LEVEL_ROWS = 32  # least rows per level block
+# rows per diagonal piece of a substitution: one piece per level block on
+# grids up to 50x50, and no m x m inverse for a dense G
+_BLOCK = 64
 
 
 def _gram_left_null(A: np.ndarray | _Triplets) -> tuple[np.ndarray | None, str]:
-    """(N, figures): N from two Cholesky factorizations of the m x m Gram
-    G = A A' if certified, else None; figures words the candidate.
+    """(N, figures): N from two Cholesky factorizations of shifts of the m x m
+    Gram G = A A' if certified, else None; figures words the candidate.
 
     A dense A forms G as one syrk, A @ A.T. A sparse one, given as its
     triplets, forms it from them (``_Triplets.gram``) in O(sum_j p_j^2 + m^2)
@@ -533,20 +541,41 @@ def _gram_left_null(A: np.ndarray | _Triplets) -> tuple[np.ndarray | None, str]:
     below. ``ProblemData.left_null`` hands in triplets only where those pairs
     fit (``_Triplets.gram_fits``).
 
+    Both factorizations run over the level blocks of G's graph
+    (``_level_order``, computed once), in which G is block-tridiagonal: each
+    factors windows of two adjacent blocks (``_level_cholesky``), so no m x m
+    factor is formed unless G is one block, as a dense G is, or the dense
+    certificate of check (a) runs.
+
     G has the squared singular values of A and null(G) = null(A'). Each of its
     eigenvalues is known to within the rounding band max(m, n) eps trace(G),
     as in ``_certified_gram``, and ``_gram_candidate`` reads N off a
     factorization of G + band I: a basis of the eigenvectors whose eigenvalues
     lie within the band. N is certified, as eigh's candidate was, only when
 
-    (a) G has no eigenvalue beyond those k at or below ten bands: then
-        G - tau I + c N N' factors, for c = trace(G) / m. A Cholesky
-        factorization that completes is exact for a matrix within
-        gamma_(m+1) trace of the one factored (Higham, Accuracy and Stability
-        of Numerical Algorithms, 2nd ed., Theorem 10.3, with ||R||_F^2 its
-        trace); with k + 3 more for forming it, tau = 10 band +
-        gamma_(m+k+4) (trace(G) + c k) leaves G + c N N' definite above ten
-        bands, and by interlacing a rank-k update lifts at most k eigenvalues;
+    (a) G has no eigenvalue beyond those k at or below ten bands, that is
+        lambda_(k+1)(G) > 10 band. A Cholesky factorization that completes is
+        exact for a matrix within gamma_(m+1) trace of the one factored
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        Theorem 10.3, with ||R||_F^2 its trace). That holds for the window
+        factorization too: every entry of its factor meets the Cholesky
+        recurrence, its inner product split into the sum carried from the
+        previous window and the one within the window, and the theorem
+        allows any order of evaluation. With k + 3 more for forming the
+        matrix, tau = 10 band + gamma_(m+k+4) (trace(G) + c k), for
+        c = trace(G) / m, covers both certificates:
+        - G_RR - tau I factors, with R the rows of G less k rows J of N,
+          picked by Gram-Schmidt with pivoting (``_pivot_rows``), so that
+          N_J is far from singular. Then lambda_min(G_RR) > 10 band, and
+          lambda_(k+1)(G) >= lambda_min(G_RR) by Cauchy interlacing, G_RR
+          being a principal submatrix of order m - k. This one runs over the
+          level blocks less J, and can fail near ten bands where the next
+          does not: lambda_min(G_RR) may lie below lambda_(k+1)(G) by a
+          factor of up to 1 + 1 / sigma_min(N_J)^2.
+        - Where it fails, G - tau I + c N N' factors, densely: G + c N N' is
+          then definite above ten bands, and by interlacing a rank-k update
+          lifts at most k eigenvalues. Both are sound, and every N that this
+          one certifies is certified;
     (b) ||A'N||_F is at most a tenth of lstsq's cutoff (``_rank_cutoff``),
         taken at a lower bound on s_max: the Rayleigh quotient of G after
         _POWER_STEPS power steps from its largest column. By Courant-Fischer
@@ -561,9 +590,11 @@ def _gram_left_null(A: np.ndarray | _Triplets) -> tuple[np.ndarray | None, str]:
     The band must be a normal number: an overflow in G makes it inf, and
     A = 0, m = 0 or a G lost whole to underflow make it 0 or subnormal; nothing
     is factored then. G is scaled by a power of two, exactly, so that trace(G)
-    lies in [1/2, 1) and no solve overflows. The transients are G, which
-    becomes the certificate's matrix in place, and one factor at a time, m^2
-    doubles each.
+    lies in [1/2, 1) and no solve overflows. The transients are G, its
+    pattern (m^2 bytes) while the levels are found, and the windows, each a
+    copy and its factor; so a G of one block has two m x m arrays beside it
+    in each factorization. The dense certificate, where it runs, makes G its
+    matrix in place and forms one m x m factor.
     """
     m, n = A.shape
     with np.errstate(over="ignore"):  # an overflow shows in the band
@@ -578,7 +609,8 @@ def _gram_left_null(A: np.ndarray | _Triplets) -> tuple[np.ndarray | None, str]:
     scale = np.ldexp(1.0, -int(np.frexp(trace)[1]))
     G *= scale
     band, trace = band * scale, trace * scale
-    candidate = _gram_candidate(G, band)
+    gram = _LevelGram(G, _level_order(G))
+    candidate = _gram_candidate(gram, band)
     if candidate is None:
         return None, "G + band I does not factor"
     N, solve = candidate
@@ -593,24 +625,123 @@ def _gram_left_null(A: np.ndarray | _Triplets) -> tuple[np.ndarray | None, str]:
     if 0.1 < residual <= 1.0:
         N = _gram_correction(G, band, N, scale * times(NtA.T), solve)
         residual = np.linalg.norm(t_times(N)) / cutoff
-    del candidate, solve  # frees L, m^2 doubles, before the certificate's factorization
+    del candidate, solve  # frees the candidate's factor before the certificate's
     k = N.shape[1]
 
     c = trace / m
     gamma = (m + k + 4) * _EPS / (1.0 - (m + k + 4) * _EPS)
-    if k:
-        G += (c * N) @ N.T
-    G.flat[:: m + 1] -= 10.0 * band + gamma * (trace + c * k)
-    try:
-        np.linalg.cholesky(G)
-        certified = True
-    except LinAlgError:
-        certified = False
+    tau = 10.0 * band + gamma * (trace + c * k)
+    keep = np.ones(m, dtype=bool)
+    keep[_pivot_rows(N)] = False
+    certified = (
+        _level_cholesky(gram, -tau, keep) is not None or _dense_certificate(G, c, N, tau)
+    )
     figures = (
         f"Gram candidate k = {k}, ||A'N|| / cutoff = {residual:.2e}, "
         f"ten-band certificate {'holds' if certified else 'fails'}"
     )
     return (N if certified and residual <= 0.1 else None), figures
+
+
+class _LevelGram(NamedTuple):
+    """The scaled Gram G and its level blocks (``_level_order``)."""
+
+    G: np.ndarray
+    blocks: list[np.ndarray]
+
+
+def _level_order(G: np.ndarray) -> list[np.ndarray]:
+    """G's rows in blocks of consecutive BFS levels of its graph, each block's
+    rows ascending; in the order of the blocks G is block-tridiagonal.
+
+    G_ij != 0 joins rows i and j. A breadth-first search from a least-degree
+    row of each component puts every row's neighbors in the level before its
+    own, its own or the next, so in level order only adjacent blocks meet.
+    Consecutive levels, across components too, are merged into blocks of at
+    least _LEVEL_ROWS rows, so that the windows of ``_level_cholesky`` are
+    few enough for numpy's per-call cost not to dominate: the 20x20 grid
+    gives 11 blocks of 21 to 45 rows. A dense G is one level beside its start
+    row, so one block: the rows in their order.
+    """
+    linked = G != 0
+    np.fill_diagonal(linked, False)
+    seen = np.zeros(G.shape[0], dtype=bool)
+    blocks, levels, size = [], [], 0
+    # each component is met first at a least-degree row
+    for start in np.argsort(np.count_nonzero(linked, axis=1), kind="stable"):
+        if seen[start]:
+            continue
+        frontier = np.array([start])
+        while frontier.size:
+            seen[frontier] = True
+            levels.append(frontier)
+            size += frontier.size
+            if size >= _LEVEL_ROWS:
+                blocks.append(np.sort(np.concatenate(levels)))
+                levels, size = [], 0
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~seen)
+    if levels:
+        blocks.append(np.sort(np.concatenate(levels)))
+    return blocks
+
+
+def _level_cholesky(gram: _LevelGram, shift: float, keep: np.ndarray | None = None):
+    """The Cholesky factor of G_KK + shift I, K the rows where ``keep`` is true
+    (all by default), as a list of (rows, L_bb, L_(b+1)b) by level block;
+    None if it does not factor.
+
+    The factor is block-bidiagonal, as G is block-tridiagonal. Each window
+    of two adjacent blocks is factored with np.linalg.cholesky, less C C' on
+    its first block, C the L_(b)(b-1) carried from the previous window; it
+    gives the first block's L_bb and the L_(b+1)b below it, and its second
+    block is factored again in the next window. No triangular solve is
+    needed, and every entry meets the Cholesky recurrence (see check (a) of
+    ``_gram_left_null``).
+    """
+    blocks = gram.blocks if keep is None else [rows[keep[rows]] for rows in gram.blocks]
+    blocks = [rows for rows in blocks if rows.size]
+    factor, carried = [], None
+    for b, rows in enumerate(blocks):
+        window = np.concatenate((rows, *blocks[b + 1 : b + 2]))
+        W = gram.G[window][:, window]
+        W.flat[:: window.size + 1] += shift
+        s = rows.size
+        if carried is not None:
+            W[:s, :s] -= carried @ carried.T
+        try:
+            L = np.linalg.cholesky(W)
+        except LinAlgError:
+            return None
+        carried = L[s:, :s]
+        factor.append((rows, L[:s, :s], carried))
+    return factor
+
+
+def _pivot_rows(N: np.ndarray) -> list[int]:
+    """k rows J of an m x k N by Gram-Schmidt with pivoting on its rows: each
+    the row of largest norm after its part along the ones before is removed,
+    so that N_J is as far from singular as k such steps find."""
+    R = N.copy()
+    picked = []
+    for _ in range(N.shape[1]):
+        j = int(np.argmax(np.einsum("ij,ij->i", R, R)))
+        picked.append(j)
+        q = R[j] / np.linalg.norm(R[j])
+        R -= np.outer(R @ q, q)
+    return picked
+
+
+def _dense_certificate(G: np.ndarray, c: float, N: np.ndarray, tau: float) -> bool:
+    """Whether G - tau I + c N N' factors; G becomes that matrix."""
+    m = G.shape[0]
+    if N.shape[1]:
+        G += (c * N) @ N.T
+    G.flat[:: m + 1] -= tau
+    try:
+        np.linalg.cholesky(G)
+    except LinAlgError:
+        return False
+    return True
 
 
 def _ritz(G: np.ndarray, X: np.ndarray, band: float) -> np.ndarray:
@@ -620,41 +751,41 @@ def _ritz(G: np.ndarray, X: np.ndarray, band: float) -> np.ndarray:
     return X @ W[:, : np.count_nonzero(ritz <= band)]
 
 
-def _gram_candidate(G: np.ndarray, band: float):
+def _gram_candidate(gram: _LevelGram, band: float):
     """(N, solve): N, orthonormal, from G + band I = L L', and solve, B ->
-    (L L')^-1 B; None if that does not factor. G is left as it was.
+    (L L')^-1 B; None if that does not factor.
 
-    A pivot L_jj^2 that fell a tenth of the way or more, on a log scale, from
-    its row's diagonal G_jj + band towards the band ends a row that (nearly)
-    depends on the rows before it. Starting from L'^-1 e_j at those pivots,
-    _PASSES inverse-iteration passes with L L' turn the block towards the
-    eigenvectors of G's least eigenvalues, and a Rayleigh-Ritz step on G keeps
-    the Ritz vectors whose values lie within the band. A null direction that
-    no such pivot starts is left out, and check (a) of ``_gram_left_null``
-    then fails.
+    L is ``_level_cholesky``'s factor. A pivot L_jj^2 that fell a tenth of
+    the way or more, on a log scale, from its row's diagonal G_jj + band
+    towards the band ends a row that (nearly) depends on the rows before it
+    in the level order. Starting from L'^-1 e_j at those rows, _PASSES
+    inverse-iteration passes with L L' turn the block towards the
+    eigenvectors of G's least eigenvalues, and a Rayleigh-Ritz step on G
+    keeps the Ritz vectors whose values lie within the band. A null
+    direction that no such pivot starts is left out, and check (a) of
+    ``_gram_left_null`` then fails.
     """
-    m = G.shape[0]
-    diag = G.diagonal().copy()
-    G.flat[:: m + 1] += band
-    try:
-        L = np.linalg.cholesky(G)
-    except LinAlgError:
+    factor = _level_cholesky(gram, band)
+    if factor is None:
         return None
-    finally:
-        G.flat[:: m + 1] = diag
-    # within a factor 2, so that a zero row, whose pivot is the band, counts
-    small = np.flatnonzero(L.diagonal() ** 2 <= 2.0 * band**0.1 * (diag + band) ** 0.9)
-    lower, upper = _triangular_solves(L)
+    diag = gram.G.diagonal()
+    # within a factor 2, so that a zero row, whose pivot is the band, counts;
+    # a block's pivots are those of its rows, which index G's rows
+    small = np.concatenate([
+        rows[L.diagonal() ** 2 <= 2.0 * band**0.1 * (diag[rows] + band) ** 0.9]
+        for rows, L, _ in factor
+    ])
+    lower, upper = _level_solves(factor)
 
     def solve(B):
         return upper(lower(B))
 
-    X = np.zeros((m, small.size))
+    X = np.zeros((gram.G.shape[0], small.size))
     X[small, np.arange(small.size)] = 1.0
     X = upper(X)
     for _ in range(_PASSES):
         X = solve(X / np.linalg.norm(X, axis=0))
-    return _ritz(G, X, band), solve
+    return _ritz(gram.G, X, band), solve
 
 
 def _gram_correction(G: np.ndarray, band: float, N: np.ndarray, AAtN: np.ndarray, solve):
@@ -668,11 +799,39 @@ def _gram_correction(G: np.ndarray, band: float, N: np.ndarray, AAtN: np.ndarray
     return _ritz(G, N - solve(AAtN), band)
 
 
+def _level_solves(factor):
+    """(lower, upper): B -> L^-1 B and B -> L'^-1 B for ``_level_cholesky``'s
+    factor L of all of G's rows, B's rows in G's order: block by block, each
+    diagonal block L_bb by ``_triangular_solves``, and the product with the
+    block solved before it subtracted first."""
+    solves = [_triangular_solves(L) for _, L, _ in factor]
+
+    def lower(B):
+        X, above = np.empty_like(B), None
+        for b, ((rows, _, _), (block_lower, _)) in enumerate(zip(factor, solves)):
+            part = B[rows]
+            if b:
+                part -= factor[b - 1][2] @ above  # L_b(b-1) times the block solved before
+            X[rows] = above = block_lower(part)
+        return X
+
+    def upper(B):
+        X, after = np.empty_like(B), None
+        for (rows, _, below), (_, block_upper) in zip(reversed(factor), reversed(solves)):
+            part = B[rows]
+            if after is not None:
+                part -= below.T @ after
+            X[rows] = after = block_upper(part)
+        return X
+
+    return lower, upper
+
+
 def _triangular_solves(L: np.ndarray):
     """(lower, upper): B -> L^-1 B and B -> L'^-1 B for a lower triangular L.
 
-    numpy has no triangular solve, so both substitute by blocks of _BLOCK rows:
-    each diagonal block is inverted once, and the rest of a block row is one
+    numpy has no triangular solve, so both substitute by pieces of _BLOCK rows:
+    each diagonal piece is inverted once, and the rest of a piece's row is one
     product with the rows already solved."""
     m = L.shape[0]
     spans = [(s, min(s + _BLOCK, m)) for s in range(0, m, _BLOCK)]

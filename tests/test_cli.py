@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hieralm.alm
+import hieralm.cli
 import hieralm.problem
 from hieralm import (
     TRACE_FIELDS,
@@ -453,6 +454,43 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1
+
+
+class TestParser:
+    ARGVS = (
+        ["--help"], ["solve", "--help"], ["shift-sweep", "--help"], [], ["frobnicate"],
+        ["oracle", "--grid"], ["solve", "--max-iter", "many"], ["gen-grid", "--rows", "3"],
+    )
+
+    def texts(self, capsys, monkeypatch, fresh):
+        """(exit code, stdout, stderr) of main on each argv, at two terminal
+        widths, with the parser built anew for each call or not."""
+        texts = []
+        for columns in ("60", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in self.ARGVS:
+                if fresh:
+                    hieralm.cli._parser.cache_clear()
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:  # --help exits from argparse
+                    code = exc.code
+                texts.append((code, *capsys.readouterr()))
+        return texts
+
+    def test_main_builds_the_parser_once_with_the_same_text(self, capsys, monkeypatch):
+        # help, usage and error text are those of a parser built for each
+        # call, at each terminal width
+        fresh = self.texts(capsys, monkeypatch, fresh=True)
+        assert fresh[0][1] != fresh[len(self.ARGVS)][1]  # the help wraps at the width
+        built = []
+        build = hieralm.cli.build_parser
+        monkeypatch.setattr(hieralm.cli, "build_parser", lambda: built.append(1) or build())
+        hieralm.cli._parser.cache_clear()
+        assert self.texts(capsys, monkeypatch, fresh=False) == fresh
+        assert len(built) == 1
+        code, out, _ = run_cli(capsys, "oracle", "--grid", "3x3")
+        assert code == 0 and out and len(built) == 1
 
 
 class TestErrorPrecedence:

@@ -588,6 +588,182 @@ assert not loaded, loaded
                 assert str(exc.value) == f"{name} has non-finite entries", (name, value)
 
 
+def _components(seed: int) -> np.ndarray:
+    """The incidence of paths of 10 to 40 nodes, a 4x5 grid and 5 zero rows
+    (isolated nodes), 160 rows shuffled: several level blocks, one null
+    direction per component."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for size in (40, 25, 17, 10, 38):
+        path = np.zeros((size, size - 1))
+        path[np.arange(size - 1), np.arange(size - 1)] = 1.0
+        path[np.arange(1, size), np.arange(size - 1)] = -1.0
+        parts.append(path)
+    parts += [grid_incidence(4, 5)[0], np.zeros((5, 1))]
+    A = block_diag(*parts)
+    return A[rng.permutation(len(A))]
+
+
+def _scaled_gram(A: np.ndarray):
+    """G = A A' scaled as ``_gram_left_null`` scales it, and its band."""
+    G = A @ A.T
+    trace = np.trace(G)
+    scale = np.ldexp(1.0, -int(np.frexp(trace)[1]))
+    return G * scale, max(A.shape) * EPS * trace * scale
+
+
+def _assembled(factor, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in level order, and the factor as one dense lower triangular matrix."""
+    order = np.concatenate([rows for rows, _, _ in factor])
+    L = np.zeros((m, m))
+    at = 0
+    for rows, diagonal, below in factor:
+        s = rows.size
+        L[at : at + s, at : at + s] = diagonal
+        L[at + s : at + s + below.shape[0], at : at + s] = below
+        at += s
+    return order, L
+
+
+class TestLevelBlocks:
+    """left_null's two factorizations run by windows of G's level blocks."""
+
+    def test_the_20x20_grid_gives_eleven_blocks(self):
+        G = _grid(20)._a_triplets.gram()
+        blocks = hieralm.problem._level_order(G)
+        assert [b.size for b in blocks] == [36, 42, 42, 33, 37, 39, 35, 45, 36, 34, 21]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), shift=st.sampled_from([0.0, 1e-3, -1e-3]))
+    def test_the_window_factor_meets_the_cholesky_bound(self, seed, shift):
+        # blocks partition the rows, ascending, and only adjacent ones meet; the
+        # assembled factor of G_KK + shift I, some rows dropped, is within
+        # gamma_(m+1) |L||L'| of it entry by entry (Higham, 2nd ed., Theorem
+        # 10.3), and forming L L' here adds at most as much again
+        rng = np.random.default_rng(seed)
+        nodes = int(rng.integers(2, 150))
+        A = np.zeros((nodes, int(rng.integers(1, 3 * nodes))))
+        for j in range(A.shape[1]):
+            A[rng.choice(nodes, 2, replace=False), j] = 1.0, -1.0
+        A *= 10.0 ** rng.uniform(-2, 2, (nodes, 1))
+        G, _ = _scaled_gram(A)
+        G += 0.01 * np.eye(nodes)  # definite, so that every shift factors
+        blocks = hieralm.problem._level_order(G)
+        order = np.concatenate(blocks)
+        assert np.array_equal(np.sort(order), np.arange(nodes))
+        assert all(np.all(np.diff(b) > 0) for b in blocks)
+        assert all(b.size >= 32 for b in blocks[:-1])
+        for i, j in zip(*np.triu_indices(len(blocks), 2)):
+            assert not G[np.ix_(blocks[i], blocks[j])].any()
+        keep = rng.random(nodes) < 0.9
+        gram = hieralm.problem._LevelGram(G, blocks)
+        factor = hieralm.problem._level_cholesky(gram, shift, keep)
+        order, L = _assembled(factor, int(keep.sum()))
+        assert np.array_equal(np.sort(order), np.flatnonzero(keep))
+        M = G[np.ix_(order, order)]
+        M.flat[:: order.size + 1] += shift
+        gamma = (order.size + 1) * EPS / (1.0 - (order.size + 1) * EPS)
+        assert (np.abs(L @ L.T - M) <= 2.0 * gamma * (np.abs(L) @ np.abs(L).T)).all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_dense_gram_is_one_block_factored_and_substituted_whole(self, seed):
+        # a dense G is one block, its rows in their order: its factor is that of
+        # one np.linalg.cholesky of G + band I, and up to 64 rows, one piece of
+        # the substitution, N is the one that factor and its inverse give, bit
+        # for bit
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 61))
+        base = rng.standard_normal((m - int(rng.integers(1, 3)), m + 5))
+        A = np.vstack((base, base[: m - len(base)]))[rng.permutation(m)]
+        G, band = _scaled_gram(A)
+        (block,) = hieralm.problem._level_order(G)
+        assert np.array_equal(block, np.arange(m))
+        gram = hieralm.problem._LevelGram(G, [block])
+        N, _ = hieralm.problem._gram_candidate(gram, band)
+        L = np.linalg.cholesky(G + band * np.eye(m))
+        ((_, diagonal, _),) = hieralm.problem._level_cholesky(gram, band)
+        assert diagonal.tobytes() == L.tobytes()
+        small = np.flatnonzero(L.diagonal() ** 2 <= 2.0 * band**0.1 * (G.diagonal() + band) ** 0.9)
+        inverse = np.linalg.inv(L)
+        X = np.zeros((m, small.size))
+        X[small, np.arange(small.size)] = 1.0
+        X = inverse.T @ X
+        for _ in range(hieralm.problem._PASSES):
+            X = inverse.T @ (inverse @ (X / np.linalg.norm(X, axis=0)))
+        want = hieralm.problem._ritz(G, X, band)
+        assert N.shape == want.shape == (m, m - len(base)) and N.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_component_and_isolated_row_gives_a_start_vector(
+        self, caplog, monkeypatch, seed
+    ):
+        # five paths, a grid and five zero rows, shuffled: eleven null
+        # directions, each started from a small pivot of its component (a
+        # long path has more than one), at that pivot's own row; a start
+        # vector put at another row's can miss a component
+        A = _components(seed)
+        starts = []
+        ritz = hieralm.problem._ritz
+        monkeypatch.setattr(
+            hieralm.problem, "_ritz", lambda G, X, band: starts.append(X.shape[1]) or ritz(G, X, band)
+        )
+        line = _left_null_line(caplog, A[:100], A[100:])
+        assert line.startswith("left_null: gram route, k = 11; Gram candidate k = 11,"), line
+        assert len(starts) == 1 and starts[0] >= 11
+        assert len(hieralm.problem._level_order(A @ A.T)) > 3
+
+    @pytest.mark.parametrize("case", ["30x30", 1, 2, 3])
+    def test_no_factor_of_the_whole_gram_on_grids(self, caplog, monkeypatch, case):
+        # the 30x30 grid and the permuted 20x20 seeds: every Cholesky call of
+        # left_null is a window of level blocks, and the level-block
+        # certificate holds, so the dense one never runs
+        p = _grid(30) if case == "30x30" else _grid(20, case)
+        shapes = []
+        cholesky = np.linalg.cholesky
+
+        def windows_only(a):
+            assert a.shape != (p.m, p.m), "an m x m Cholesky factorization"
+            shapes.append(a.shape[0])
+            return cholesky(a)
+
+        sizes = [b.size for b in hieralm.problem._level_order(p._a_triplets.gram())]
+        monkeypatch.setattr(np.linalg, "cholesky", windows_only)
+        monkeypatch.setattr(hieralm.problem, "_dense_certificate", None)
+        line = _left_null_line(caplog, p.A1, p.A2)
+        assert line.startswith("left_null: gram route, k = 1;"), line
+        assert line.endswith("ten-band certificate holds"), line
+        # one call per window of two adjacent blocks, in each factorization
+        assert len(shapes) == 2 * len(sizes)
+        assert max(shapes) <= max(map(sum, zip(sizes, sizes[1:])))
+
+    def test_a_spread_null_vector_near_ten_bands_takes_the_dense_certificate(
+        self, caplog, monkeypatch
+    ):
+        # G = diag(1) beside t^2 / 2 [[1, -1], [-1, 1]], with t^2 at 12 bands:
+        # its null vector (0, 1, 1) / sqrt(2) is spread over two rows, so
+        # dropping one leaves G_RR = diag(1, t^2 / 2), 6 bands, and the
+        # level-block certificate fails; G + c N N' - tau I keeps t^2 and holds
+        n, bands = 40, 12
+        t = np.sqrt(bands * n * EPS / (1.0 - bands * n * EPS))
+        A = np.zeros((3, n))
+        A[0, 0], A[1, 1], A[2, 1] = 1.0, t / np.sqrt(2.0), -t / np.sqrt(2.0)
+        dense = []
+        certificate = hieralm.problem._dense_certificate
+        monkeypatch.setattr(
+            hieralm.problem, "_dense_certificate",
+            lambda *args: dense.append(certificate(*args)) or dense[-1],
+        )
+        line = _left_null_line(caplog, A[:1], A[1:])
+        assert line.startswith("left_null: gram route, k = 1;"), line
+        assert line.endswith("ten-band certificate holds") and dense == [True], line
+        # the same spectrum with its null vector on one row needs no fallback
+        dense.clear()
+        A1 = np.zeros((2, n))
+        A1[0, 0], A1[1, 1] = 1.0, t
+        line = _left_null_line(caplog, A1, np.zeros((1, n)))
+        assert line.endswith("ten-band certificate holds") and dense == [], line
+
+
 class TestSparseA:
     """A sparse A handed in as triplets is kept as them, and built dense only when read."""
 
