@@ -175,11 +175,20 @@ def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
 
 
+def _exp(x: float) -> float:
+    """math.exp, inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _power(base: float, scale: float, k: int) -> float:
+    """scale * base**k; in log space where base**k alone overflows."""
     try:
         return scale * base**k
     except OverflowError:
-        return math.inf
+        return _exp(math.log(scale) + k * math.log(base))
 
 
 def _scaled_weights(schedule: SigmaSchedule, k: int) -> tuple[float, float]:
@@ -194,9 +203,7 @@ def _scaled_weights(schedule: SigmaSchedule, k: int) -> tuple[float, float]:
         + k * math.log(schedule.sigma1_factor)
         - math.log(_SIGMA1_CAP)
     )
-    sigma2 = math.exp(
-        math.log(schedule.sigma2_0) + k * math.log(schedule.sigma2_factor) - excess
-    )
+    sigma2 = _exp(math.log(schedule.sigma2_0) + k * math.log(schedule.sigma2_factor) - excess)
     return _SIGMA1_CAP, sigma2
 
 

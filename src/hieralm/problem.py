@@ -172,28 +172,20 @@ class _Triplets(NamedTuple):
         ).reshape(m, m)
 
     def t_times(self, N: np.ndarray) -> np.ndarray:
-        """N'A, k x n, for an m x k N."""
-        return self._sums(self.cols, self.shape[1], N, self.rows)
-
-    def times(self, Y: np.ndarray) -> np.ndarray:
-        """A Y, m x k, for an n x k Y."""
-        return self._sums(self.rows, self.shape[0], Y, self.cols).T
-
-    def _sums(self, into: np.ndarray, size: int, X: np.ndarray, source: np.ndarray) -> np.ndarray:
-        """S, k x size, with S[c, t] the sum of values[e] X[source[e], c] over
-        the entries e with into[e] = t: one np.bincount over the products of a
-        block of X's k columns, blocks of at most m n / (4 nnz) columns, so that
+        """N'A, k x n, for an m x k N: one np.bincount over the products of a
+        block of N's k columns, blocks of at most m n / (4 nnz) columns, so that
         the four transients of nnz entries per column fit in the m n doubles of
         the dense A. Each sum adds its entries in their order, whatever the blocks."""
-        k = X.shape[1]
-        step = max(1, self.shape[0] * self.shape[1] // (4 * max(into.size, 1)))
+        m, n = self.shape
+        k = N.shape[1]
+        step = max(1, m * n // (4 * max(self.cols.size, 1)))
         blocks = []
         for s in range(0, max(k, 1), step):  # k = 0 makes one empty block
             b = min(step, k - s)
-            at = into + size * np.arange(b)[:, None]
-            weights = self.values * X[source, s : s + b].T
-            sums = np.bincount(at.ravel(), weights=weights.ravel(), minlength=b * size)
-            blocks.append(sums.reshape(b, size))
+            at = self.cols + n * np.arange(b)[:, None]
+            weights = self.values * N[self.rows, s : s + b].T
+            sums = np.bincount(at.ravel(), weights=weights.ravel(), minlength=b * n)
+            blocks.append(sums.reshape(b, n))
         return np.concatenate(blocks)
 
 
@@ -269,10 +261,11 @@ class ProblemData:
     An instance is its own identity: it hashes and compares by ``id``, so two
     instances with equal arrays are different keys. Work derived from the data
     is cached against the instance until it is garbage collected: ``left_null``
-    (m k doubles; building it forms a transient m x m Gram A A', 1.3 MB at the
-    20x20 grid and 50 MB at 50x50, from the triplets for a sparse A whose
+    (m k doubles; building it forms a transient m x m Gram G = A A', 1.3 MB at
+    the 20x20 grid and 50 MB at 50x50, from the triplets for a sparse A whose
     pairs fit, with at most m n doubles of transients, and the Cholesky
-    factors of windows of its level blocks, 0.45 MB and 3.4 MB; a G of one
+    factors of windows of its level blocks, of G + band I for the candidate
+    and of G_RR - tau I for its certificate, 0.45 MB and 3.4 MB; a G of one
     block, as a dense one is, has an m x m factor), ``q_diagonal``, ``a_csr``
     (for a sparse A, CSR copies of A and A', 24 nnz(A) + 4 (m + n + 2) bytes:
     81 KB at the 20x20 grid) and, for a sparse A given dense, its triplets
@@ -388,16 +381,16 @@ class ProblemData:
 
         Rows split like the blocks: N[:m1] belongs to A1, N[m1:] to A2. The rank
         follows lstsq's rule, singular values above max(m, n) * eps * s_max
-        (``_rank_cutoff``). N is first read from two Cholesky factorizations of
-        shifts of the m x m Gram G = A A', with no eigendecomposition, and
-        kept only if that candidate is certified (``_gram_left_null``). Both
-        run by windows of two adjacent level blocks of G's graph, in which G
-        is block-tridiagonal: G is transient, 1.3 MB at the 20x20 grid and
-        50 MB at 50x50, and so are its pattern, m^2 bytes, and the windows'
-        factors, 0.45 MB and 3.4 MB. A dense G is one block, whose factor is
-        m x m, and where the windowed certificate fails near its bound the
-        dense one runs, with an m x m factor. A sparse A forms G and ||A'N||
-        from its triplets and builds no m x n array, as long as the pairs of
+        (``_rank_cutoff``). N is first read from a Cholesky factorization of
+        G + band I, G = A A' the m x m Gram, with no eigendecomposition, and
+        kept only if it is certified (``_gram_left_null``): G_RR - tau I, G
+        less k rows of N, factors, and ||A'N|| is at most a tenth of the
+        cutoff. Both factorizations run by windows of two adjacent level
+        blocks of G's graph, in which G is block-tridiagonal: G is transient,
+        1.3 MB at the 20x20 grid and 50 MB at 50x50, and so are its pattern,
+        m^2 bytes, and the windows' factors, 0.45 MB and 3.4 MB; a dense G is
+        one block, whose factor is m x m. A sparse A forms G and ||A'N|| from
+        its triplets and builds no m x n array, as long as the pairs of
         entries that share a column fit in the m n doubles of the dense A
         (``_Triplets.gram_fits``: a grid's 4 n do from 24 nodes up); any other
         A forms G as A @ A.T. Otherwise N comes from the SVD of the R factor of
@@ -544,8 +537,7 @@ def _gram_left_null(A: np.ndarray | _Triplets) -> tuple[np.ndarray | None, str]:
     Both factorizations run over the level blocks of G's graph
     (``_level_order``, computed once), in which G is block-tridiagonal: each
     factors windows of two adjacent blocks (``_level_cholesky``), so no m x m
-    factor is formed unless G is one block, as a dense G is, or the dense
-    certificate of check (a) runs.
+    factor is formed unless G is one block, as a dense G is.
 
     G has the squared singular values of A and null(G) = null(A'). Each of its
     eigenvalues is known to within the rounding band max(m, n) eps trace(G),
@@ -561,31 +553,24 @@ def _gram_left_null(A: np.ndarray | _Triplets) -> tuple[np.ndarray | None, str]:
         factorization too: every entry of its factor meets the Cholesky
         recurrence, its inner product split into the sum carried from the
         previous window and the one within the window, and the theorem
-        allows any order of evaluation. With k + 3 more for forming the
-        matrix, tau = 10 band + gamma_(m+k+4) (trace(G) + c k), for
-        c = trace(G) / m, covers both certificates:
-        - G_RR - tau I factors, with R the rows of G less k rows J of N,
-          picked by Gram-Schmidt with pivoting (``_pivot_rows``), so that
-          N_J is far from singular. Then lambda_min(G_RR) > 10 band, and
-          lambda_(k+1)(G) >= lambda_min(G_RR) by Cauchy interlacing, G_RR
-          being a principal submatrix of order m - k. This one runs over the
-          level blocks less J, and can fail near ten bands where the next
-          does not: lambda_min(G_RR) may lie below lambda_(k+1)(G) by a
-          factor of up to 1 + 1 / sigma_min(N_J)^2.
-        - Where it fails, G - tau I + c N N' factors, densely: G + c N N' is
-          then definite above ten bands, and by interlacing a rank-k update
-          lifts at most k eigenvalues. Both are sound, and every N that this
-          one certifies is certified;
+        allows any order of evaluation. So the check subtracts
+        tau = 10 band + gamma_(m+k+4) (trace(G) + c k), c = trace(G) / m,
+        which exceeds ten bands by more than that error: G_RR - tau I
+        factors over the level blocks less J, with R the rows of G less k
+        rows J of N, picked by Gram-Schmidt with pivoting (``_pivot_rows``),
+        so that N_J is far from singular. Then
+        lambda_min(G_RR) > 10 band, and lambda_(k+1)(G) >= lambda_min(G_RR)
+        by Cauchy interlacing, G_RR being a principal submatrix of order
+        m - k. The check can fail near ten bands, as lambda_min(G_RR) may lie
+        below lambda_(k+1)(G) by a factor of up to 1 + 1 / sigma_min(N_J)^2;
     (b) ||A'N||_F is at most a tenth of lstsq's cutoff (``_rank_cutoff``),
         taken at a lower bound on s_max: the Rayleigh quotient of G after
         _POWER_STEPS power steps from its largest column. By Courant-Fischer
         the k dropped singular values are then below the cutoff, and by the
         sin theta theorem N is within a tenth of the SVD route's Wedin bound.
 
-    Where ||A'N|| lands above that tenth but not above the cutoff, a third
-    pass corrects N by its residual (``_gram_correction``), and (b) is read
-    again. A third inverse-iteration pass would not do: its error comes from
-    forming G, not from the passes.
+    An N that fails either check is dropped, and ``ProblemData.left_null``
+    takes the SVD route.
 
     The band must be a normal number: an overflow in G makes it inf, and
     A = 0, m = 0 or a G lost whole to underflow make it 0 or subnormal; nothing
@@ -593,15 +578,14 @@ def _gram_left_null(A: np.ndarray | _Triplets) -> tuple[np.ndarray | None, str]:
     lies in [1/2, 1) and no solve overflows. The transients are G, its
     pattern (m^2 bytes) while the levels are found, and the windows, each a
     copy and its factor; so a G of one block has two m x m arrays beside it
-    in each factorization. The dense certificate, where it runs, makes G its
-    matrix in place and forms one m x m factor.
+    in each factorization.
     """
     m, n = A.shape
     with np.errstate(over="ignore"):  # an overflow shows in the band
         if isinstance(A, _Triplets):
-            G, t_times, times = A.gram(), A.t_times, A.times
+            G, t_times = A.gram(), A.t_times
         else:  # numpy computes a product with its own transpose as one syrk
-            G, t_times, times = A @ A.T, (lambda N: N.T @ A), (lambda Y: A @ Y)
+            G, t_times = A @ A.T, (lambda N: N.T @ A)
         trace = np.trace(G)
     band = max(m, n) * _EPS * trace
     if not np.finfo(float).tiny <= band < np.inf:
@@ -610,22 +594,16 @@ def _gram_left_null(A: np.ndarray | _Triplets) -> tuple[np.ndarray | None, str]:
     G *= scale
     band, trace = band * scale, trace * scale
     gram = _LevelGram(G, _level_order(G))
-    candidate = _gram_candidate(gram, band)
-    if candidate is None:
+    N = _gram_candidate(gram, band)
+    if N is None:
         return None, "G + band I does not factor"
-    N, solve = candidate
 
     x = G[np.argmax(G.diagonal())]
     for _ in range(_POWER_STEPS):
         u = x / np.linalg.norm(x)
         x = G @ u
     cutoff = _rank_cutoff(m, n, np.sqrt(u @ x / scale))
-    NtA = t_times(N)
-    residual = np.linalg.norm(NtA) / cutoff
-    if 0.1 < residual <= 1.0:
-        N = _gram_correction(G, band, N, scale * times(NtA.T), solve)
-        residual = np.linalg.norm(t_times(N)) / cutoff
-    del candidate, solve  # frees the candidate's factor before the certificate's
+    residual = np.linalg.norm(t_times(N)) / cutoff
     k = N.shape[1]
 
     c = trace / m
@@ -633,9 +611,7 @@ def _gram_left_null(A: np.ndarray | _Triplets) -> tuple[np.ndarray | None, str]:
     tau = 10.0 * band + gamma * (trace + c * k)
     keep = np.ones(m, dtype=bool)
     keep[_pivot_rows(N)] = False
-    certified = (
-        _level_cholesky(gram, -tau, keep) is not None or _dense_certificate(G, c, N, tau)
-    )
+    certified = _level_cholesky(gram, -tau, keep) is not None
     figures = (
         f"Gram candidate k = {k}, ||A'N|| / cutoff = {residual:.2e}, "
         f"ten-band certificate {'holds' if certified else 'fails'}"
@@ -731,19 +707,6 @@ def _pivot_rows(N: np.ndarray) -> list[int]:
     return picked
 
 
-def _dense_certificate(G: np.ndarray, c: float, N: np.ndarray, tau: float) -> bool:
-    """Whether G - tau I + c N N' factors; G becomes that matrix."""
-    m = G.shape[0]
-    if N.shape[1]:
-        G += (c * N) @ N.T
-    G.flat[:: m + 1] -= tau
-    try:
-        np.linalg.cholesky(G)
-    except LinAlgError:
-        return False
-    return True
-
-
 def _ritz(G: np.ndarray, X: np.ndarray, band: float) -> np.ndarray:
     """The Ritz vectors of G on span(X) whose values lie within the band, orthonormal."""
     X = np.linalg.qr(X)[0]
@@ -751,9 +714,8 @@ def _ritz(G: np.ndarray, X: np.ndarray, band: float) -> np.ndarray:
     return X @ W[:, : np.count_nonzero(ritz <= band)]
 
 
-def _gram_candidate(gram: _LevelGram, band: float):
-    """(N, solve): N, orthonormal, from G + band I = L L', and solve, B ->
-    (L L')^-1 B; None if that does not factor.
+def _gram_candidate(gram: _LevelGram, band: float) -> np.ndarray | None:
+    """N, orthonormal, from G + band I = L L'; None if that does not factor.
 
     L is ``_level_cholesky``'s factor. A pivot L_jj^2 that fell a tenth of
     the way or more, on a log scale, from its row's diagonal G_jj + band
@@ -776,27 +738,12 @@ def _gram_candidate(gram: _LevelGram, band: float):
         for rows, L, _ in factor
     ])
     lower, upper = _level_solves(factor)
-
-    def solve(B):
-        return upper(lower(B))
-
     X = np.zeros((gram.G.shape[0], small.size))
     X[small, np.arange(small.size)] = 1.0
     X = upper(X)
     for _ in range(_PASSES):
-        X = solve(X / np.linalg.norm(X, axis=0))
-    return _ritz(gram.G, X, band), solve
-
-
-def _gram_correction(G: np.ndarray, band: float, N: np.ndarray, AAtN: np.ndarray, solve):
-    """N less (G + band I)^-1 A A'N, with the candidate's ``solve``, then the
-    Rayleigh-Ritz step of ``_gram_candidate``.
-
-    A A'N is formed from A, not from G, so it carries no error of forming G:
-    the step removes N's part in range(A) up to G's relative error on those
-    eigenvalues, as iterative refinement does.
-    """
-    return _ritz(G, N - solve(AAtN), band)
+        X = upper(lower(X / np.linalg.norm(X, axis=0)))
+    return _ritz(gram.G, X, band)
 
 
 def _level_solves(factor):

@@ -250,6 +250,16 @@ class TestConfigFile:
         assert (code, out) == (1, "")
         assert err == "hieralm: error: eta_cap must be finite and >= 1, got inf\n"
 
+    def test_weights_beyond_the_double_range_rejected(self, tmp_path, capsys):
+        # the sweep reaches k = 309, where sigma2 = 9.99**309 leaves the double range
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"sigma1_0": 2.2250738585072014e-308, "sigma2_factor": 9.99}')
+        code, out, err = run_cli(
+            capsys, "shift-sweep", "--grid", "3x3", "--config", str(cfg_path), "--count", "320"
+        )
+        assert (code, out) == (1, "")
+        assert err == "hieralm: error: sigma2 must be positive and finite, got inf\n"
+
     def test_starting_ratio_below_the_normal_range_rejected(self, tmp_path, capsys):
         # rejected with the config, before the instance is built or solved
         cfg_path = tmp_path / "cfg.json"

@@ -189,6 +189,21 @@ class TestSigmaAt:
     def test_huge_index_does_not_overflow(self):
         assert sigma_at(SigmaSchedule(), 5000) == SigmaPair(1e12, 1.0)
 
+    def test_a_power_that_overflows_alone_is_taken_in_log_space(self):
+        # 10.0**309 overflows, 1e-300 * 10**309 does not: sigma1 keeps growing
+        # tenfold through k = 309 and 310, not jumping to inf and the scale cap
+        sched = SigmaSchedule(sigma1_0=1e-300)
+        pairs = [sigma_at(sched, k) for k in (308, 309, 310)]
+        for pair, want in zip(pairs, (1e8, 1e9, 1e10)):
+            assert pair.sigma1 == pytest.approx(want, rel=1e-12)
+        assert pairs[0].sigma2 <= pairs[1].sigma2 <= pairs[2].sigma2
+        # past the scale cap, a sigma2 beyond the double range is inf, which
+        # SigmaPair rejects with its message, not an OverflowError
+        sched = SigmaSchedule(sigma1_0=2.2250738585072014e-308, sigma2_factor=9.99)
+        with pytest.raises(ValueError) as exc:
+            sigma_at(sched, 309)
+        assert str(exc.value) == "sigma2 must be positive and finite, got inf"
+
     def test_joint_downscale_preserves_ratio(self):
         sched = SigmaSchedule(sigma1_0=2.0)
         pair = sigma_at(sched, 12)  # raw sigma1 would be 2e12
