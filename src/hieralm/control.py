@@ -50,6 +50,7 @@ _SIGMA1_CAP = 1e12
 _NULL_TOL = math.sqrt(np.finfo(float).eps)
 
 _TINY = float(np.finfo(float).tiny)  # the least normal double
+_HUGE = float(np.finfo(float).max)  # the largest double; Python compares it with an int exactly
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,10 @@ def _power(base: float, scale: float, k: int) -> float:
 
 def _scaled_weights(schedule: SigmaSchedule, k: int) -> tuple[float, float]:
     """Weights at k after the scale cap, before the ratio cap."""
+    if k > _HUGE:
+        # no double holds k: sigma1 is past the scale cap, and sigma2 / sigma1,
+        # which falls as (sigma2_factor / sigma1_factor)^k, is below every double
+        return _SIGMA1_CAP, 0.0
     sigma1 = _power(schedule.sigma1_factor, schedule.sigma1_0, k)
     if sigma1 <= _SIGMA1_CAP:
         return sigma1, _power(schedule.sigma2_factor, schedule.sigma2_0, k)

@@ -25,9 +25,9 @@ asymmetric or indefinite Q and warns for a singular one.
 
 A sparse constraint matrix, one with at most a quarter of its cells nonzero
 (the COO rule of the file format), is kept as its COO triplets when it comes
-as COO, from a file or a grid: the CSR copies, the file writer and, where its
-columns are short enough, the left null basis read them, and the dense A is
-built only if something reads it.
+as COO, from a file or a grid: the CSR copies, the file writer and, where A
+is a node-arc incidence matrix or its columns are short enough, the left null
+basis read them, and the dense A is built only if something reads it.
 
 This module runs on numpy alone, except in two places that import SciPy on
 first use: validate_problem's Cholesky test of a Q that is not diagonal, and
@@ -239,9 +239,10 @@ class ProblemData:
     4.9 MB at the 20x20 grid and 196 MB at 50x50) and kept, so ``p.A is p.A``
     and the blocks are views of it. ``a_csr``, ``m``, the file writer and the
     solver's eigenbasis route never read it, nor does ``left_null`` on its
-    Gram route where the pairs of entries that share a column fit in m n
-    doubles (``_Triplets.gram_fits``, as on every grid of 24 nodes or more),
-    so the oracle, the shift sweep and a grid solve build no m x n array.
+    incidence route, which every grid takes, or on its Gram route where the
+    pairs of entries that share a column fit in m n doubles
+    (``_Triplets.gram_fits``), so the oracle, the shift sweep and a grid
+    solve build no m x n array.
     Where the OS does not report its memory, loading a COO block allocates
     its dense form once and drops it, so that a block that cannot be
     allocated is refused at load, as it was when it was filled densely. A
@@ -261,12 +262,13 @@ class ProblemData:
     An instance is its own identity: it hashes and compares by ``id``, so two
     instances with equal arrays are different keys. Work derived from the data
     is cached against the instance until it is garbage collected: ``left_null``
-    (m k doubles; building it forms a transient m x m Gram G = A A', 1.3 MB at
-    the 20x20 grid and 50 MB at 50x50, from the triplets for a sparse A whose
-    pairs fit, with at most m n doubles of transients, and the Cholesky
-    factors of windows of its level blocks, of G + band I for the candidate
-    and of G_RR - tau I for its certificate, 0.45 MB and 3.4 MB; a G of one
-    block, as a dense one is, has an m x m factor), ``q_diagonal``, ``a_csr``
+    (m k doubles; on the incidence route, which every grid takes, building it
+    takes O(nnz + m k) transients, 0.1 MB at the 20x20 grid; elsewhere it
+    forms a transient m x m Gram G = A A', from the triplets for a sparse A
+    whose pairs fit, with at most m n doubles of transients, and the
+    Cholesky factors of windows of its level blocks, of G + band I for the
+    candidate and of G_RR - tau I for its certificate; a G of one block, as
+    a dense one is, has an m x m factor), ``q_diagonal``, ``a_csr``
     (for a sparse A, CSR copies of A and A', 24 nnz(A) + 4 (m + n + 2) bytes:
     81 KB at the 20x20 grid) and, for a sparse A given dense, its triplets
     here; in :mod:`hieralm.control` the shifts'
@@ -381,30 +383,41 @@ class ProblemData:
 
         Rows split like the blocks: N[:m1] belongs to A1, N[m1:] to A2. The rank
         follows lstsq's rule, singular values above max(m, n) * eps * s_max
-        (``_rank_cutoff``). N is first read from a Cholesky factorization of
+        (``_rank_cutoff``). A sparse A that is a node-arc incidence matrix, +-1
+        entries with one of each sign per nonempty column, as every grid's is,
+        takes the incidence route (``_incidence_left_null``): N is the
+        normalized indicators of its row graph's components, in O(nnz + m k)
+        work and memory, with no Gram and no factorization, and A'N is exactly
+        zero. Any other A, or one whose size lets its least nonzero singular
+        value near the cutoff (past millions of rows on a grid), takes the
+        Gram route. There N is read from a Cholesky factorization of
         G + band I, G = A A' the m x m Gram, with no eigendecomposition, and
         kept only if it is certified (``_gram_left_null``): G_RR - tau I, G
         less k rows of N, factors, and ||A'N|| is at most a tenth of the
         cutoff. Both factorizations run by windows of two adjacent level
         blocks of G's graph, in which G is block-tridiagonal: G is transient,
-        1.3 MB at the 20x20 grid and 50 MB at 50x50, and so are its pattern,
-        m^2 bytes, and the windows' factors, 0.45 MB and 3.4 MB; a dense G is
-        one block, whose factor is m x m. A sparse A forms G and ||A'N|| from
-        its triplets and builds no m x n array, as long as the pairs of
-        entries that share a column fit in the m n doubles of the dense A
-        (``_Triplets.gram_fits``: a grid's 4 n do from 24 nodes up); any other
-        A forms G as A @ A.T. Otherwise N comes from the SVD of the R factor of
+        m^2 doubles, and so are its pattern, m^2 bytes, and the windows'
+        factors; a dense G is one block, whose factor is m x m. A sparse A
+        forms G and ||A'N|| from its triplets and builds no m x n array, as
+        long as the pairs of entries that share a column fit in the m n
+        doubles of the dense A (``_Triplets.gram_fits``); any other A forms G
+        as A @ A.T. Otherwise N comes from the SVD of the R factor of
         the dense A' (``_svd_left_null``), which also resolves the singular
         values that G's squared condition number cannot, as when no gap
         separates A's spectrum from the cutoff. Each build logs its route at
         DEBUG. N is then rotated by the right singular vectors of N2 (an SVD
         of m2 x k; its U and the unrotated N, at most m k doubles each, are
-        transient), so that N1 and N2 each have orthogonal columns.
+        transient), so that N1 and N2 each have orthogonal columns; the rows
+        of a component are rotated alike, so the incidence route's A'N stays
+        exactly zero.
         The cache cannot go stale because the arrays are read-only.
         """
         A = self._a_triplets
-        N, figures = _gram_left_null(A if A is not None and A.gram_fits() else self.A)
-        route = "gram"
+        N, figures = _incidence_left_null(A) if A is not None else (None, "")
+        route = "incidence"
+        if N is None:
+            N, figures = _gram_left_null(A if A is not None and A.gram_fits() else self.A)
+            route = "gram"
         if N is None:
             N, route = _svd_left_null(self.A), "qr-svd"
         logger.debug("left_null: %s route, k = %d; %s", route, N.shape[1], figures)
@@ -500,6 +513,60 @@ def _rank_cutoff(m: int, n: int, s_max: float) -> float:
     """lstsq's rank rule for an m x n matrix whose largest singular value is s_max:
     singular values at or below max(m, n) * eps * s_max are round-off."""
     return max(m, n) * _EPS * s_max
+
+
+def _incidence_left_null(A: _Triplets) -> tuple[np.ndarray | None, str]:
+    """(N, figures): N from the connected components of A's row graph if A is
+    a node-arc incidence matrix whose rank lstsq's rule cannot misjudge, else
+    (None, ""); figures words the bound.
+
+    A qualifies when m > 0, every stored value is exactly +1.0 or -1.0, and
+    every column holds no entry or one +1 and one -1, an arc between two rows.
+    A A' is then the graph Laplacian L, and null(A') is exactly the span of
+    the indicators of the graph's components, isolated rows among them. The
+    least nonzero eigenvalue of a component's L, of c rows and diameter D,
+    is at least 4 / (c D) (Mohar, Graphs and Combinatorics 7, 1991), so every
+    nonzero singular value of A is above 1/m; by Gershgorin s_max^2 is at
+    most twice the most entries in a row. So where 1/m exceeds lstsq's
+    cutoff at that bound on s_max (``_rank_cutoff``), as it does on grids of
+    millions of nodes, the rank is m less the number of components, and N is
+    their normalized indicators. Each of A's columns then adds x - x of one
+    value x, so A'N is exactly zero; N V, for a k x k V, is so too, as its
+    rows within a component are the same products of the same values.
+
+    The components come from min-label propagation with pointer jumping.
+    Every row is labelled by a root, a row of its component that is its own
+    label. Each round hooks every root that meets a smaller one across an arc
+    onto the least such root, then points every row at its root, until no
+    arc joins two roots; each row is then labelled by its component's least
+    row, and N's columns follow those least rows. A root that no other
+    hooks onto, its neighbors hooked onto smaller roots, hooks in the next
+    round, so a component's trees halve at least every two rounds.
+    """
+    m, n = A.shape
+    per_column = np.bincount(A.cols, minlength=n)
+    if not (
+        m > 0
+        and (np.abs(A.values) == 1.0).all()
+        and np.isin(per_column, (0, 2)).all()
+        # two entries of one sign sum to +-2
+        and not np.bincount(A.cols, weights=A.values, minlength=n).any()
+    ):
+        return None, ""
+    bound = 1.0 / m
+    cutoff = _rank_cutoff(m, n, np.sqrt(2.0 * np.bincount(A.rows, minlength=m).max()))
+    if not bound > cutoff:
+        return None, ""
+    i, j = A.rows[np.argsort(A.cols, kind="stable")].reshape(-1, 2).T  # each arc's two rows
+    label = np.arange(m)
+    while not np.array_equal(root_i := label[i], root_j := label[j]):
+        np.minimum.at(label, np.maximum(root_i, root_j), np.minimum(root_i, root_j))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    roots, component = np.unique(label, return_inverse=True)
+    N = np.zeros((m, roots.size))
+    N[np.arange(m), component] = 1.0 / np.sqrt(np.bincount(component))[component]
+    return N, f"s_min bound {bound:.2e} > cutoff {cutoff:.2e}"
 
 
 def _svd_left_null(A: np.ndarray) -> np.ndarray:

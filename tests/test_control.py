@@ -189,6 +189,12 @@ class TestSigmaAt:
     def test_huge_index_does_not_overflow(self):
         assert sigma_at(SigmaSchedule(), 5000) == SigmaPair(1e12, 1.0)
 
+    @pytest.mark.parametrize(
+        "k", [10**308, int(np.finfo(float).max) + 1, 10**400], ids=["1e308", "max+1", "1e400"]
+    )
+    def test_an_index_beyond_the_double_range_gets_the_capped_pair(self, k):
+        assert sigma_at(SigmaSchedule(), k) == SigmaPair(1e12, 1.0)
+
     def test_a_power_that_overflows_alone_is_taken_in_log_space(self):
         # 10.0**309 overflows, 1e-300 * 10**309 does not: sigma1 keeps growing
         # tenfold through k = 309 and 310, not jumping to inf and the scale cap

@@ -57,9 +57,18 @@ def _near_dependent_rows(ratio: float):
     return A[:3], A[3:]
 
 
+def _path(nodes: int) -> np.ndarray:
+    """The incidence of a path: arc j runs from node j to node j + 1."""
+    A = np.zeros((nodes, nodes - 1))
+    A[np.arange(nodes - 1), np.arange(nodes - 1)] = 1.0
+    A[np.arange(1, nodes), np.arange(nodes - 1)] = -1.0
+    return A
+
+
 def _left_null_cases() -> dict:
     """(A1, A2) pairs covering each shape of R = qr(A')'s R and each rank regime,
-    one whose A A' overflows, and two graph incidences that the Gram route certifies."""
+    one whose A A' overflows, three graph incidences that take the incidence
+    route, and two of them doubled, which the Gram route certifies."""
     rng = np.random.default_rng(5)
     tall = rng.uniform(-2.0, 2.0, (4, 2))  # m > n: R is 2 x 4, trapezoidal
     wide = rng.uniform(-2.0, 2.0, (3, 5))  # m < n: full row rank, k = 0
@@ -69,6 +78,8 @@ def _left_null_cases() -> dict:
     grid = build_instance(GridSpec(3, 3))[0]  # connected: k = 1
     # a 3x3 grid beside a 2x4 grid: two components, a repeated zero eigenvalue
     two = block_diag(grid_incidence(3, 3)[0], grid_incidence(2, 4)[0])
+    # a 2x3 grid and a 3-node path among 3 zero rows, shuffled: five components
+    lone = block_diag(grid_incidence(2, 3)[0], _path(3), np.zeros((3, 1)))[rng.permutation(12)]
     return {
         "tall": (tall[:3], tall[3:]),
         "wide": (wide[:2], wide[2:]),
@@ -84,6 +95,10 @@ def _left_null_cases() -> dict:
         "near-dependent-below": _near_dependent_rows(0.01),
         "grid-3x3": (grid.A1, grid.A2),
         "two-grids": (two[:12], two[12:]),
+        "isolated-rows": (lone[:4], lone[4:]),
+        # doubled, they are no incidence matrices and take the Gram route
+        "grid-3x3-doubled": (2 * grid.A1, 2 * grid.A2),
+        "two-grids-doubled": (2 * two[:12], 2 * two[12:]),
     }
 
 
@@ -344,11 +359,15 @@ assert not loaded, loaded
             return line
 
         p, _ = build_instance(GridSpec(20, 20, kappa=0.5))
-        assert route(p.A1, p.A2).startswith("left_null: gram route, k = 1;")
+        assert route(p.A1, p.A2).startswith("left_null: incidence route, k = 1;")
+        # a graph's values doubled make no incidence matrix: the Gram route
+        assert route(2 * p.A1, 2 * p.A2).startswith("left_null: gram route, k = 1;")
         cases = _left_null_cases()
-        # the 50-digit test above covers the Gram route through these two
-        assert route(*cases["grid-3x3"]).startswith("left_null: gram route, k = 1;")
-        assert route(*cases["two-grids"]).startswith("left_null: gram route, k = 2;")
+        # the 50-digit test above covers both routes through these
+        assert route(*cases["grid-3x3"]).startswith("left_null: incidence route, k = 1;")
+        assert route(*cases["two-grids"]).startswith("left_null: incidence route, k = 2;")
+        assert route(*cases["grid-3x3-doubled"]).startswith("left_null: gram route, k = 1;")
+        assert route(*cases["two-grids-doubled"]).startswith("left_null: gram route, k = 2;")
         # the near-dependent pair sits 100x above the cutoff, which G cannot resolve:
         # its candidate keeps that pair's direction and fails ||A'N|| <= cutoff / 10
         line = route(*cases["near-dependent-above"])
@@ -397,17 +416,19 @@ assert not loaded, loaded
     @pytest.mark.parametrize("size", [10, 20, 30])
     @pytest.mark.parametrize("kappa", [0.0, 0.5])
     def test_grids_take_the_gram_route(self, caplog, size, kappa):
+        # a grid's values doubled, so that it is no incidence matrix
         p, _ = build_instance(GridSpec(size, size, kappa=kappa))
-        line = _left_null_line(caplog, p.A1, p.A2)
+        line = _left_null_line(caplog, 2 * p.A1, 2 * p.A2)
         assert line.startswith("left_null: gram route, k = 1; Gram candidate k = 1,"), line
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_permuted_grid_takes_the_gram_route(self, caplog, seed):
-        # the benchmark's seeds 1-3: rows permuted within each block, columns at random
+        # the benchmark's seeds 1-3: rows permuted within each block, columns
+        # at random, and the values doubled, so that it is no incidence matrix
         p, _ = build_instance(GridSpec(20, 20, kappa=0.5))
         rng = np.random.default_rng(seed)
         r1, r2, col = rng.permutation(p.m1), rng.permutation(p.m2), rng.permutation(p.n)
-        line = _left_null_line(caplog, p.A1[np.ix_(r1, col)], p.A2[np.ix_(r2, col)])
+        line = _left_null_line(caplog, 2 * p.A1[np.ix_(r1, col)], 2 * p.A2[np.ix_(r2, col)])
         assert line.startswith("left_null: gram route, k = 1; Gram candidate k = 1,"), line
 
     def test_a_candidate_that_misses_a_null_direction_fails_the_factorization(
@@ -415,8 +436,9 @@ assert not loaded, loaded
     ):
         # two grids have two null directions; a candidate holding one of them
         # meets ||A'N|| <= cutoff / 10 exactly, so only G_RR - tau I, which
-        # keeps the other grid's rows and their null direction, can reject it
-        A1, A2 = _left_null_cases()["two-grids"]
+        # keeps the other grid's rows and their null direction, can reject it;
+        # doubled, so that the Gram route is taken
+        A1, A2 = _left_null_cases()["two-grids-doubled"]
         first = np.zeros(len(A1) + len(A2))
         first[:9] = 1.0 / 3.0  # the 3x3 grid's nodes come first
         monkeypatch.setattr(hieralm.problem, "_gram_candidate", lambda G, band: first[:, None])
@@ -462,11 +484,9 @@ assert not loaded, loaded
 
     def test_one_inverse_iteration_pass_is_not_enough_on_a_long_path(self, caplog):
         # a 600-node path's second eigenvalue sits 1.7e5 bands above zero, as the
-        # 50x50 grid's does; after one pass ||A'N|| would be at the cutoff
-        m = 600
-        A = np.zeros((m, m - 1))
-        A[np.arange(m - 1), np.arange(m - 1)] = 1.0
-        A[np.arange(1, m), np.arange(m - 1)] = -1.0
+        # 50x50 grid's does; after one pass ||A'N|| would be at the cutoff.
+        # Doubled, so that the Gram route is taken
+        A = 2 * _path(600)
         line = _left_null_line(caplog, A[:-1], A[-1:])
         assert line.startswith("left_null: gram route, k = 1; Gram candidate k = 1,"), line
         assert _residual(line) <= 0.05, line
@@ -510,10 +530,13 @@ assert not loaded, loaded
         N, M = sparse.left_null, dense.left_null
         assert N.tobytes() == M.tobytes() and N.shape == M.shape
         built = "A" in vars(sparse)
+        # an A with no entry, which a draw of no cells gives, is an incidence
+        # matrix with no arc: N = I, and no dense A
+        incidence, _ = hieralm.problem._incidence_left_null(sparse._a_triplets)
         fits = sparse._a_triplets.gram_fits()
         gram, _ = hieralm.problem._gram_left_null(sparse._a_triplets if fits else sparse.A)
         # the dense A is read only where gram's pairs do not fit, or by the qr-svd fallback
-        assert built == (not fits or gram is None)
+        assert built == (incidence is None and (not fits or gram is None))
         # against the route from A @ A.T: the two G differ in their last bits,
         # which can move ||A'N|| across a tenth of the cutoff, so each route
         # may certify where the other falls back; the null space is the same
@@ -561,12 +584,7 @@ def _components(seed: int) -> np.ndarray:
     (isolated nodes), 160 rows shuffled: several level blocks, one null
     direction per component."""
     rng = np.random.default_rng(seed)
-    parts = []
-    for size in (40, 25, 17, 10, 38):
-        path = np.zeros((size, size - 1))
-        path[np.arange(size - 1), np.arange(size - 1)] = 1.0
-        path[np.arange(1, size), np.arange(size - 1)] = -1.0
-        parts.append(path)
+    parts = [_path(size) for size in (40, 25, 17, 10, 38)]
     parts += [grid_incidence(4, 5)[0], np.zeros((5, 1))]
     A = block_diag(*parts)
     return A[rng.permutation(len(A))]
@@ -668,8 +686,9 @@ class TestLevelBlocks:
         # five paths, a grid and five zero rows, shuffled: eleven null
         # directions, each started from a small pivot of its component (a
         # long path has more than one), at that pivot's own row; a start
-        # vector put at another row's can miss a component
-        A = _components(seed)
+        # vector put at another row's can miss a component. Doubled, so that
+        # the Gram route is taken
+        A = 2 * _components(seed)
         starts = []
         ritz = hieralm.problem._ritz
         monkeypatch.setattr(
@@ -682,9 +701,9 @@ class TestLevelBlocks:
 
     @pytest.mark.parametrize("case", ["30x30", 1, 2, 3])
     def test_no_factor_of_the_whole_gram_on_grids(self, caplog, monkeypatch, case):
-        # the 30x30 grid and the permuted 20x20 seeds: every Cholesky call of
-        # left_null is a window of level blocks, and the level-block
-        # certificate holds
+        # the 30x30 grid and the permuted 20x20 seeds, their triplets handed
+        # to the Gram route: every Cholesky call is a window of level blocks,
+        # and the level-block certificate holds
         p = _grid(30) if case == "30x30" else _grid(20, case)
         shapes = []
         cholesky = np.linalg.cholesky
@@ -696,9 +715,10 @@ class TestLevelBlocks:
 
         sizes = [b.size for b in hieralm.problem._level_order(p._a_triplets.gram())]
         monkeypatch.setattr(np.linalg, "cholesky", windows_only)
-        line = _left_null_line(caplog, p.A1, p.A2)
-        assert line.startswith("left_null: gram route, k = 1;"), line
-        assert line.endswith("ten-band certificate holds"), line
+        N, figures = hieralm.problem._gram_left_null(p._a_triplets)
+        assert N is not None and N.shape == (p.m, 1), figures
+        assert figures.startswith("Gram candidate k = 1,"), figures
+        assert figures.endswith("ten-band certificate holds"), figures
         # one call per window of two adjacent blocks, in each factorization
         assert len(shapes) == 2 * len(sizes)
         assert max(shapes) <= max(map(sum, zip(sizes, sizes[1:])))
@@ -728,6 +748,124 @@ class TestLevelBlocks:
         line = _left_null_line(caplog, A1, np.zeros((1, n)))
         assert line.startswith("left_null: gram route, k = 1;"), line
         assert line.endswith("ten-band certificate holds"), line
+
+
+def _spoiled_grid(fault: str) -> np.ndarray:
+    """The 3x3 grid's incidence beside an empty column, with one fault that
+    makes it no incidence matrix."""
+    A = np.hstack((grid_incidence(3, 3)[0], np.zeros((9, 1))))
+    head, tail = np.flatnonzero(A[:, 0] == 1.0)[0], np.flatnonzero(A[:, 0] == -1.0)[0]
+    free = [i for i in range(9) if i not in (head, tail)]
+    if fault == "value 2.0":
+        A[:, 0] *= 2.0  # still one entry of each sign, summing to zero
+    elif fault == "stored -0.0":
+        A[0, -1] = -0.0
+    elif fault == "two +1 entries":
+        A[tail, 0] = 1.0
+    elif fault == "one entry":
+        A[0, -1] = 1.0
+    elif fault == "three entries":
+        A[free[0], 0] = 1.0
+    elif fault == "two arcs in one column":  # four entries, summing to zero
+        A[free[:2], 0] = 1.0, -1.0
+    return A
+
+
+class TestIncidenceRoute:
+    """A node-arc incidence matrix kept as triplets takes the incidence route:
+    N is its row graph's normalized component indicators, with A'N = 0 exactly."""
+
+    @staticmethod
+    def _checked_line(caplog, p: ProblemData, k: int) -> str:
+        """The line that building p's left_null logs, which names the incidence
+        route and k; A'N is exactly zero, N is orthonormal, and its projector
+        is the qr-svd route's."""
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="hieralm.problem"):
+            N = p.left_null
+        (line,) = [r.getMessage() for r in caplog.records if "left_null" in r.getMessage()]
+        assert line.startswith(f"left_null: incidence route, k = {k}; s_min bound "), line
+        assert N.shape == (p.m, k)
+        assert not (N.T @ p.A).any()
+        assert np.abs(N.T @ N - np.eye(k)).max() <= 1e-14
+        reference = hieralm.problem._svd_left_null(p.A)
+        assert np.abs(N @ N.T - reference @ reference.T).max() <= 1e-14
+        return line
+
+    @pytest.mark.parametrize(
+        "size, seed", [(3, 0), (10, 0), (20, 0), (30, 0), (20, 1), (20, 2), (20, 3), (30, 1)]
+    )
+    def test_grids_take_the_incidence_route(self, caplog, size, seed):
+        # kept as triplets, or given dense with rows and columns permuted as
+        # the benchmark's seeds 1-3 do
+        p = _grid(size, seed)
+        line = self._checked_line(caplog, p, 1)
+        # 1/m, and lstsq's cutoff at s_max <= sqrt(2 8): at most 8 arcs meet a node
+        bound, cutoff = (float(word) for word in line.split()[-4::3])
+        assert bound == pytest.approx(1.0 / p.m, rel=5e-3)
+        assert cutoff == pytest.approx(p.n * EPS * 4.0, rel=5e-3)
+
+    @pytest.mark.parametrize("case, k", [("two-grids", 2), ("isolated-rows", 5)])
+    def test_components_and_isolated_rows(self, caplog, case, k):
+        A1, A2 = _left_null_cases()[case]
+        n = A1.shape[1]
+        p = make_problem(
+            Q=np.ones(n), c=np.zeros(n), A1=A1, b1=np.zeros(len(A1)), A2=A2, b2=np.zeros(len(A2))
+        )
+        self._checked_line(caplog, p, k)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_graphs_match_the_svd_route(self, seed):
+        # multigraphs with isolated nodes and many components, rows shuffled:
+        # one indicator per component, in the order of their least rows
+        rng = np.random.default_rng(seed)
+        nodes = int(rng.integers(2, 151))
+        A = np.zeros((nodes, int(rng.integers(1, 2 * nodes))))
+        for j in range(A.shape[1]):
+            A[rng.choice(nodes, 2, replace=False), j] = 1.0, -1.0
+        A = A[rng.permutation(nodes)]
+        N, _ = hieralm.problem._incidence_left_null(hieralm.problem._scanned(A))
+        assert not (N.T @ A).any()
+        assert np.abs(N.T @ N - np.eye(N.shape[1])).max() <= 1e-14
+        least = [int(np.flatnonzero(column)[0]) for column in N.T]
+        assert least == sorted(least)
+        reference = hieralm.problem._svd_left_null(A)
+        assert np.abs(N @ N.T - reference @ reference.T).max(initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "value 2.0",
+            "stored -0.0",
+            "two +1 entries",
+            "one entry",
+            "three entries",
+            "two arcs in one column",
+        ],
+    )
+    def test_any_other_matrix_falls_through_to_the_gram_route(self, caplog, fault):
+        A = _spoiled_grid(fault)
+        assert hieralm.problem._incidence_left_null(hieralm.problem._scanned(A))[0] is None
+        line = _left_null_line(caplog, A[:8], A[8:])
+        assert line.startswith("left_null: gram route,"), line
+
+    def test_no_rows_fall_through(self, caplog):
+        # m = 0 divides by nothing, and the qr-svd route gives the empty basis
+        empty = hieralm.problem._scanned(np.zeros((0, 3)))
+        assert hieralm.problem._incidence_left_null(empty)[0] is None
+        line = _left_null_line(caplog, np.zeros((0, 3)), np.zeros((0, 3)))
+        assert line.startswith("left_null: qr-svd route, k = 0;"), line
+
+    def test_a_cutoff_above_the_bound_falls_through(self, monkeypatch):
+        # the 3x3 grid's bound 1/9 against a cutoff of 24 eps' sqrt(2 8), its
+        # center meeting 8 arcs: met at eps' = 1e-3, and not at 1e-2
+        A = hieralm.problem._scanned(grid_incidence(3, 3)[0])
+        monkeypatch.setattr(hieralm.problem, "_EPS", 1e-3)
+        N, figures = hieralm.problem._incidence_left_null(A)
+        assert N.shape == (9, 1) and figures == "s_min bound 1.11e-01 > cutoff 9.60e-02"
+        monkeypatch.setattr(hieralm.problem, "_EPS", 1e-2)
+        assert hieralm.problem._incidence_left_null(A)[0] is None
 
 
 class TestSparseA:
