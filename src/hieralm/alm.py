@@ -443,12 +443,12 @@ class _Eigenbasis:
 
     Only the eigenpairs above K's rounding band are kept: the others span
     null(A'), which D^-1 A' maps to zero. K = B B' with B = A D^-1/2, and they
-    are kept only if they certify B's rank (``_certified_gram``, whose two
-    checks ``left_null`` makes too); ``U`` is then m x r with r = rank(A),
-    else None and the rung is ``unfit``. The quotient is divided through by
-    k = max(rho, 1), so that rho lam cannot overflow; with the rho-sized w = v,
-    the rho-sized parts of its numerator cancel as rho grows, as Tikhonov's
-    filter factors do.
+    are kept only if they certify B's rank (``_certified_gram``: ten bands
+    of gap, and ||B'N|| at most a tenth of lstsq's cutoff); ``U`` is then
+    m x r with r = rank(A), else None and the rung is ``unfit``. The
+    quotient is divided through by k = max(rho, 1), so that rho lam cannot
+    overflow; with the rho-sized w = v, the rho-sized parts of its numerator
+    cancel as rho grows, as Tikhonov's filter factors do.
     The first pass's h is fixed once (``h_c``).
     """
 
@@ -586,9 +586,10 @@ def iterate(p: ProblemData, cfg: SolverConfig) -> Iterator[IterationState]:
     lo, hi = _stacked_box(cfg, p)
     exact = hierarchical_shift(p).shift
     s1_star, s2_star = exact.s1, exact.s2
-    # after the oracle, so the temporaries of its left null basis (an m x m Gram
-    # and its Cholesky factors, or an SVD on its fallback route) are freed before
-    # the ladder's first rung is built, not stacked on them
+    # after the oracle, so the temporaries of its left null basis (O(nnz + m k)
+    # on the incidence route, and on the qr-svd route the dense A', its R factor
+    # and R's m x m right singular vectors) are freed before the ladder's first
+    # rung is built, not stacked on them
     system = _setup(p)
 
     m1 = p.m1

@@ -208,8 +208,12 @@ def _scaled_weights(schedule: SigmaSchedule, k: int) -> tuple[float, float]:
         + k * math.log(schedule.sigma1_factor)
         - math.log(_SIGMA1_CAP)
     )
-    sigma2 = _exp(math.log(schedule.sigma2_0) + k * math.log(schedule.sigma2_factor) - excess)
-    return _SIGMA1_CAP, sigma2
+    exponent = math.log(schedule.sigma2_0) + k * math.log(schedule.sigma2_factor) - excess
+    if math.isnan(exponent):
+        # inf - inf: both powers are past the double range, and as sigma2_factor
+        # < sigma1_factor, sigma2 / sigma1 is below every double
+        return _SIGMA1_CAP, 0.0
+    return _SIGMA1_CAP, _exp(exponent)
 
 
 def _eta_cap_binds(schedule: SigmaSchedule, k: int) -> bool:

@@ -25,9 +25,9 @@ asymmetric or indefinite Q and warns for a singular one.
 
 A sparse constraint matrix, one with at most a quarter of its cells nonzero
 (the COO rule of the file format), is kept as its COO triplets when it comes
-as COO, from a file or a grid: the CSR copies, the file writer and, where A
-is a node-arc incidence matrix or its columns are short enough, the left null
-basis read them, and the dense A is built only if something reads it.
+as COO, from a file or a grid: the CSR copies, the file writer and the left
+null basis read them, and the dense A is built and kept only if something
+else reads it.
 
 This module runs on numpy alone, except in two places that import SciPy on
 first use: validate_problem's Cholesky test of a Q that is not diagonal, and
@@ -136,58 +136,6 @@ class _Triplets(NamedTuple):
             (hi - lo, self.shape[1]),
         )
 
-    def gram_fits(self) -> bool:
-        """Whether ``gram``'s transients fit in the m n doubles of the dense A.
-
-        ``gram`` forms a pair for every two entries that share a column:
-        sum_j p_j^2 pairs for p_j entries in column j, 4 per column on a grid,
-        but up to nnz m on long columns. It holds about five doubles per pair
-        at its peak. Where those do not fit, the dense A and its syrk take
-        less memory and time.
-        """
-        m, n = self.shape
-        return 6 * int((np.bincount(self.cols, minlength=n) ** 2).sum()) <= m * n
-
-    def gram(self) -> np.ndarray:
-        """The dense m x m product A A', in O(sum_j p_j^2 + m^2) work and memory
-        for p_j entries in column j (see ``gram_fits``).
-
-        Entry (i, j) sums the products of the pairs of entries in rows i and j
-        that share a column, one np.bincount over all such pairs: a column with
-        p entries gives p^2 pairs, 4 on a grid. Each sum runs in column order,
-        so G is symmetric bit for bit, and on +-1 entries, as in every grid's
-        incidence matrix, it holds small integers, the bits of a dense syrk.
-        """
-        m, n = self.shape
-        by_column = np.argsort(self.cols, kind="stable")
-        rows, values, cols = self.rows[by_column], self.values[by_column], self.cols[by_column]
-        count = np.bincount(cols, minlength=n)
-        per = count[cols]  # the entries in each entry's column
-        first = np.cumsum(count)[cols] - per  # where that column starts
-        left = np.repeat(np.arange(cols.size), per)
-        # each left entry's partners: its column's entries, in order
-        right = np.repeat(first - (np.cumsum(per) - per), per) + np.arange(left.size)
-        return np.bincount(
-            rows[left] * m + rows[right], weights=values[left] * values[right], minlength=m * m
-        ).reshape(m, m)
-
-    def t_times(self, N: np.ndarray) -> np.ndarray:
-        """N'A, k x n, for an m x k N: one np.bincount over the products of a
-        block of N's k columns, blocks of at most m n / (4 nnz) columns, so that
-        the four transients of nnz entries per column fit in the m n doubles of
-        the dense A. Each sum adds its entries in their order, whatever the blocks."""
-        m, n = self.shape
-        k = N.shape[1]
-        step = max(1, m * n // (4 * max(self.cols.size, 1)))
-        blocks = []
-        for s in range(0, max(k, 1), step):  # k = 0 makes one empty block
-            b = min(step, k - s)
-            at = self.cols + n * np.arange(b)[:, None]
-            weights = self.values * N[self.rows, s : s + b].T
-            sums = np.bincount(at.ravel(), weights=weights.ravel(), minlength=b * n)
-            blocks.append(sums.reshape(b, n))
-        return np.concatenate(blocks)
-
 
 def _scanned(a: np.ndarray) -> _Triplets:
     """The triplets of a dense matrix, made read-only."""
@@ -237,12 +185,10 @@ class ProblemData:
     included, in row-major order, 24 bytes each (73 KB at the 20x20 grid).
     ``A``, ``A1`` and ``A2`` are then built on their first read (m n doubles,
     4.9 MB at the 20x20 grid and 196 MB at 50x50) and kept, so ``p.A is p.A``
-    and the blocks are views of it. ``a_csr``, ``m``, the file writer and the
-    solver's eigenbasis route never read it, nor does ``left_null`` on its
-    incidence route, which every grid takes, or on its Gram route where the
-    pairs of entries that share a column fit in m n doubles
-    (``_Triplets.gram_fits``), so the oracle, the shift sweep and a grid
-    solve build no m x n array.
+    and the blocks are views of it. ``a_csr``, ``m``, the file writer, the
+    solver's eigenbasis route and ``left_null`` never read it, so the oracle,
+    the shift sweep and a grid solve keep no m x n array; ``left_null``
+    builds a transient one where A is no node-arc incidence matrix.
     Where the OS does not report its memory, loading a COO block allocates
     its dense form once and drops it, so that a block that cannot be
     allocated is refused at load, as it was when it was filled densely. A
@@ -263,12 +209,9 @@ class ProblemData:
     instances with equal arrays are different keys. Work derived from the data
     is cached against the instance until it is garbage collected: ``left_null``
     (m k doubles; on the incidence route, which every grid takes, building it
-    takes O(nnz + m k) transients, 0.1 MB at the 20x20 grid; elsewhere it
-    forms a transient m x m Gram G = A A', from the triplets for a sparse A
-    whose pairs fit, with at most m n doubles of transients, and the
-    Cholesky factors of windows of its level blocks, of G + band I for the
-    candidate and of G_RR - tau I for its certificate; a G of one block, as
-    a dense one is, has an m x m factor), ``q_diagonal``, ``a_csr``
+    takes O(nnz + m k) transients, 0.1 MB at the 20x20 grid; on the qr-svd
+    route it takes the dense A, transient for a sparse one, its copy in the
+    QR, and the R factor's m x m right singular vectors), ``q_diagonal``, ``a_csr``
     (for a sparse A, CSR copies of A and A', 24 nnz(A) + 4 (m + n + 2) bytes:
     81 KB at the 20x20 grid) and, for a sparse A given dense, its triplets
     here; in :mod:`hieralm.control` the shifts'
@@ -387,39 +330,26 @@ class ProblemData:
         entries with one of each sign per nonempty column, as every grid's is,
         takes the incidence route (``_incidence_left_null``): N is the
         normalized indicators of its row graph's components, in O(nnz + m k)
-        work and memory, with no Gram and no factorization, and A'N is exactly
-        zero. Any other A, or one whose size lets its least nonzero singular
-        value near the cutoff (past millions of rows on a grid), takes the
-        Gram route. There N is read from a Cholesky factorization of
-        G + band I, G = A A' the m x m Gram, with no eigendecomposition, and
-        kept only if it is certified (``_gram_left_null``): G_RR - tau I, G
-        less k rows of N, factors, and ||A'N|| is at most a tenth of the
-        cutoff. Both factorizations run by windows of two adjacent level
-        blocks of G's graph, in which G is block-tridiagonal: G is transient,
-        m^2 doubles, and so are its pattern, m^2 bytes, and the windows'
-        factors; a dense G is one block, whose factor is m x m. A sparse A
-        forms G and ||A'N|| from its triplets and builds no m x n array, as
-        long as the pairs of entries that share a column fit in the m n
-        doubles of the dense A (``_Triplets.gram_fits``); any other A forms G
-        as A @ A.T. Otherwise N comes from the SVD of the R factor of
-        the dense A' (``_svd_left_null``), which also resolves the singular
-        values that G's squared condition number cannot, as when no gap
-        separates A's spectrum from the cutoff. Each build logs its route at
-        DEBUG. N is then rotated by the right singular vectors of N2 (an SVD
-        of m2 x k; its U and the unrotated N, at most m k doubles each, are
-        transient), so that N1 and N2 each have orthogonal columns; the rows
-        of a component are rotated alike, so the incidence route's A'N stays
-        exactly zero.
+        work and memory, with no factorization, and A'N is exactly zero. Any
+        other A, or one whose size lets its least nonzero singular value near
+        the cutoff (past millions of rows on a grid), takes the qr-svd route
+        (``_svd_left_null``): N comes from the SVD of the R factor of the dense
+        A', which a sparse A builds for it alone, so that ``A`` is still built
+        only on its first read. Each build logs its route at DEBUG, with the
+        figures of its rank decision. N is then rotated by the right singular
+        vectors of N2 (an SVD of m2 x k; its U and the unrotated N, at most
+        m k doubles each, are transient), so that N1 and N2 each have
+        orthogonal columns; the rows of a component are rotated alike, so the
+        incidence route's A'N stays exactly zero.
         The cache cannot go stale because the arrays are read-only.
         """
         A = self._a_triplets
         N, figures = _incidence_left_null(A) if A is not None else (None, "")
         route = "incidence"
         if N is None:
-            N, figures = _gram_left_null(A if A is not None and A.gram_fits() else self.A)
-            route = "gram"
-        if N is None:
-            N, route = _svd_left_null(self.A), "qr-svd"
+            # A kept as triplets alone is made dense for the SVD, and not kept
+            N, figures = _svd_left_null(self.A if "A" in vars(self) else A.dense())
+            route = "qr-svd"
         logger.debug("left_null: %s route, k = %d; %s", route, N.shape[1], figures)
         N = N @ np.linalg.svd(N[self.m1 :], full_matrices=self.m2 < N.shape[1])[2].T
         N.flags.writeable = False
@@ -569,301 +499,22 @@ def _incidence_left_null(A: _Triplets) -> tuple[np.ndarray | None, str]:
     return N, f"s_min bound {bound:.2e} > cutoff {cutoff:.2e}"
 
 
-def _svd_left_null(A: np.ndarray) -> np.ndarray:
-    """N from the SVD of R, where A' = QR: the min(m, n) x m factor R has A's
-    singular values and null(R) = null(A'), so N is the right singular vectors
-    past the rank. Only R is formed, never Q or an m x n singular factor."""
+def _svd_left_null(A: np.ndarray) -> tuple[np.ndarray, str]:
+    """(N, figures): N from the SVD of R, where A' = QR: the min(m, n) x m
+    factor R has A's singular values and null(R) = null(A'), so N is the right
+    singular vectors past the rank. Only R is formed, never Q or an m x n
+    singular factor. figures word how close the rank decision was: the
+    cutoff, and the least kept singular value's ratio to it."""
     m, n = A.shape
     _, s, Vt = np.linalg.svd(np.linalg.qr(A.T, mode="r"))
     tol = _rank_cutoff(m, n, s[0] if s.size else 0.0)
-    return Vt[int(np.count_nonzero(s > tol)):].T.copy()
-
-
-# the Gram route's inverse iteration: one pass leaves ||A'N|| at 0.7 of the
-# cutoff on the 50x50 grid, two at 2e-4
-_PASSES = 2
-_POWER_STEPS = 6  # towards s_max, from G's largest column
-_LEVEL_ROWS = 32  # least rows per level block
-# rows per diagonal piece of a substitution: one piece per level block on
-# grids up to 50x50, and no m x m inverse for a dense G
-_BLOCK = 64
-
-
-def _gram_left_null(A: np.ndarray | _Triplets) -> tuple[np.ndarray | None, str]:
-    """(N, figures): N from two Cholesky factorizations of shifts of the m x m
-    Gram G = A A' if certified, else None; figures words the candidate.
-
-    A dense A forms G as one syrk, A @ A.T. A sparse one, given as its
-    triplets, forms it from them (``_Triplets.gram``) in O(sum_j p_j^2 + m^2)
-    for p_j entries in column j, and A'N as a sparse product: on +-1 entries
-    G has the syrk's bits, and otherwise it differs from it by at most
-    2 gamma_q |A||A'|, q the most nonzeros in a row of A, far inside the band
-    below. ``ProblemData.left_null`` hands in triplets only where those pairs
-    fit (``_Triplets.gram_fits``).
-
-    Both factorizations run over the level blocks of G's graph
-    (``_level_order``, computed once), in which G is block-tridiagonal: each
-    factors windows of two adjacent blocks (``_level_cholesky``), so no m x m
-    factor is formed unless G is one block, as a dense G is.
-
-    G has the squared singular values of A and null(G) = null(A'). Each of its
-    eigenvalues is known to within the rounding band max(m, n) eps trace(G),
-    as in ``_certified_gram``, and ``_gram_candidate`` reads N off a
-    factorization of G + band I: a basis of the eigenvectors whose eigenvalues
-    lie within the band. N is certified, as eigh's candidate was, only when
-
-    (a) G has no eigenvalue beyond those k at or below ten bands, that is
-        lambda_(k+1)(G) > 10 band. A Cholesky factorization that completes is
-        exact for a matrix within gamma_(m+1) trace of the one factored
-        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-        Theorem 10.3, with ||R||_F^2 its trace). That holds for the window
-        factorization too: every entry of its factor meets the Cholesky
-        recurrence, its inner product split into the sum carried from the
-        previous window and the one within the window, and the theorem
-        allows any order of evaluation. So the check subtracts
-        tau = 10 band + gamma_(m+k+4) (trace(G) + c k), c = trace(G) / m,
-        which exceeds ten bands by more than that error: G_RR - tau I
-        factors over the level blocks less J, with R the rows of G less k
-        rows J of N, picked by Gram-Schmidt with pivoting (``_pivot_rows``),
-        so that N_J is far from singular. Then
-        lambda_min(G_RR) > 10 band, and lambda_(k+1)(G) >= lambda_min(G_RR)
-        by Cauchy interlacing, G_RR being a principal submatrix of order
-        m - k. The check can fail near ten bands, as lambda_min(G_RR) may lie
-        below lambda_(k+1)(G) by a factor of up to 1 + 1 / sigma_min(N_J)^2;
-    (b) ||A'N||_F is at most a tenth of lstsq's cutoff (``_rank_cutoff``),
-        taken at a lower bound on s_max: the Rayleigh quotient of G after
-        _POWER_STEPS power steps from its largest column. By Courant-Fischer
-        the k dropped singular values are then below the cutoff, and by the
-        sin theta theorem N is within a tenth of the SVD route's Wedin bound.
-
-    An N that fails either check is dropped, and ``ProblemData.left_null``
-    takes the SVD route.
-
-    The band must be a normal number: an overflow in G makes it inf, and
-    A = 0, m = 0 or a G lost whole to underflow make it 0 or subnormal; nothing
-    is factored then. G is scaled by a power of two, exactly, so that trace(G)
-    lies in [1/2, 1) and no solve overflows. The transients are G, its
-    pattern (m^2 bytes) while the levels are found, and the windows, each a
-    copy and its factor; so a G of one block has two m x m arrays beside it
-    in each factorization.
-    """
-    m, n = A.shape
-    with np.errstate(over="ignore"):  # an overflow shows in the band
-        if isinstance(A, _Triplets):
-            G, t_times = A.gram(), A.t_times
-        else:  # numpy computes a product with its own transpose as one syrk
-            G, t_times = A @ A.T, (lambda N: N.T @ A)
-        trace = np.trace(G)
-    band = max(m, n) * _EPS * trace
-    if not np.finfo(float).tiny <= band < np.inf:
-        return None, f"Gram rounding band {band:.2e} is not a normal number"
-    scale = np.ldexp(1.0, -int(np.frexp(trace)[1]))
-    G *= scale
-    band, trace = band * scale, trace * scale
-    gram = _LevelGram(G, _level_order(G))
-    N = _gram_candidate(gram, band)
-    if N is None:
-        return None, "G + band I does not factor"
-
-    x = G[np.argmax(G.diagonal())]
-    for _ in range(_POWER_STEPS):
-        u = x / np.linalg.norm(x)
-        x = G @ u
-    cutoff = _rank_cutoff(m, n, np.sqrt(u @ x / scale))
-    residual = np.linalg.norm(t_times(N)) / cutoff
-    k = N.shape[1]
-
-    c = trace / m
-    gamma = (m + k + 4) * _EPS / (1.0 - (m + k + 4) * _EPS)
-    tau = 10.0 * band + gamma * (trace + c * k)
-    keep = np.ones(m, dtype=bool)
-    keep[_pivot_rows(N)] = False
-    certified = _level_cholesky(gram, -tau, keep) is not None
-    figures = (
-        f"Gram candidate k = {k}, ||A'N|| / cutoff = {residual:.2e}, "
-        f"ten-band certificate {'holds' if certified else 'fails'}"
-    )
-    return (N if certified and residual <= 0.1 else None), figures
-
-
-class _LevelGram(NamedTuple):
-    """The scaled Gram G and its level blocks (``_level_order``)."""
-
-    G: np.ndarray
-    blocks: list[np.ndarray]
-
-
-def _level_order(G: np.ndarray) -> list[np.ndarray]:
-    """G's rows in blocks of consecutive BFS levels of its graph, each block's
-    rows ascending; in the order of the blocks G is block-tridiagonal.
-
-    G_ij != 0 joins rows i and j. A breadth-first search from a least-degree
-    row of each component puts every row's neighbors in the level before its
-    own, its own or the next, so in level order only adjacent blocks meet.
-    Consecutive levels, across components too, are merged into blocks of at
-    least _LEVEL_ROWS rows, so that the windows of ``_level_cholesky`` are
-    few enough for numpy's per-call cost not to dominate: the 20x20 grid
-    gives 11 blocks of 21 to 45 rows. A dense G is one level beside its start
-    row, so one block: the rows in their order.
-    """
-    linked = G != 0
-    np.fill_diagonal(linked, False)
-    seen = np.zeros(G.shape[0], dtype=bool)
-    blocks, levels, size = [], [], 0
-    # each component is met first at a least-degree row
-    for start in np.argsort(np.count_nonzero(linked, axis=1), kind="stable"):
-        if seen[start]:
-            continue
-        frontier = np.array([start])
-        while frontier.size:
-            seen[frontier] = True
-            levels.append(frontier)
-            size += frontier.size
-            if size >= _LEVEL_ROWS:
-                blocks.append(np.sort(np.concatenate(levels)))
-                levels, size = [], 0
-            frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~seen)
-    if levels:
-        blocks.append(np.sort(np.concatenate(levels)))
-    return blocks
-
-
-def _level_cholesky(gram: _LevelGram, shift: float, keep: np.ndarray | None = None):
-    """The Cholesky factor of G_KK + shift I, K the rows where ``keep`` is true
-    (all by default), as a list of (rows, L_bb, L_(b+1)b) by level block;
-    None if it does not factor.
-
-    The factor is block-bidiagonal, as G is block-tridiagonal. Each window
-    of two adjacent blocks is factored with np.linalg.cholesky, less C C' on
-    its first block, C the L_(b)(b-1) carried from the previous window; it
-    gives the first block's L_bb and the L_(b+1)b below it, and its second
-    block is factored again in the next window. No triangular solve is
-    needed, and every entry meets the Cholesky recurrence (see check (a) of
-    ``_gram_left_null``).
-    """
-    blocks = gram.blocks if keep is None else [rows[keep[rows]] for rows in gram.blocks]
-    blocks = [rows for rows in blocks if rows.size]
-    factor, carried = [], None
-    for b, rows in enumerate(blocks):
-        window = np.concatenate((rows, *blocks[b + 1 : b + 2]))
-        W = gram.G[window][:, window]
-        W.flat[:: window.size + 1] += shift
-        s = rows.size
-        if carried is not None:
-            W[:s, :s] -= carried @ carried.T
-        try:
-            L = np.linalg.cholesky(W)
-        except LinAlgError:
-            return None
-        carried = L[s:, :s]
-        factor.append((rows, L[:s, :s], carried))
-    return factor
-
-
-def _pivot_rows(N: np.ndarray) -> list[int]:
-    """k rows J of an m x k N by Gram-Schmidt with pivoting on its rows: each
-    the row of largest norm after its part along the ones before is removed,
-    so that N_J is as far from singular as k such steps find."""
-    R = N.copy()
-    picked = []
-    for _ in range(N.shape[1]):
-        j = int(np.argmax(np.einsum("ij,ij->i", R, R)))
-        picked.append(j)
-        q = R[j] / np.linalg.norm(R[j])
-        R -= np.outer(R @ q, q)
-    return picked
-
-
-def _ritz(G: np.ndarray, X: np.ndarray, band: float) -> np.ndarray:
-    """The Ritz vectors of G on span(X) whose values lie within the band, orthonormal."""
-    X = np.linalg.qr(X)[0]
-    ritz, W = np.linalg.eigh(X.T @ (G @ X))
-    return X @ W[:, : np.count_nonzero(ritz <= band)]
-
-
-def _gram_candidate(gram: _LevelGram, band: float) -> np.ndarray | None:
-    """N, orthonormal, from G + band I = L L'; None if that does not factor.
-
-    L is ``_level_cholesky``'s factor. A pivot L_jj^2 that fell a tenth of
-    the way or more, on a log scale, from its row's diagonal G_jj + band
-    towards the band ends a row that (nearly) depends on the rows before it
-    in the level order. Starting from L'^-1 e_j at those rows, _PASSES
-    inverse-iteration passes with L L' turn the block towards the
-    eigenvectors of G's least eigenvalues, and a Rayleigh-Ritz step on G
-    keeps the Ritz vectors whose values lie within the band. A null
-    direction that no such pivot starts is left out, and check (a) of
-    ``_gram_left_null`` then fails.
-    """
-    factor = _level_cholesky(gram, band)
-    if factor is None:
-        return None
-    diag = gram.G.diagonal()
-    # within a factor 2, so that a zero row, whose pivot is the band, counts;
-    # a block's pivots are those of its rows, which index G's rows
-    small = np.concatenate([
-        rows[L.diagonal() ** 2 <= 2.0 * band**0.1 * (diag[rows] + band) ** 0.9]
-        for rows, L, _ in factor
-    ])
-    lower, upper = _level_solves(factor)
-    X = np.zeros((gram.G.shape[0], small.size))
-    X[small, np.arange(small.size)] = 1.0
-    X = upper(X)
-    for _ in range(_PASSES):
-        X = upper(lower(X / np.linalg.norm(X, axis=0)))
-    return _ritz(gram.G, X, band)
-
-
-def _level_solves(factor):
-    """(lower, upper): B -> L^-1 B and B -> L'^-1 B for ``_level_cholesky``'s
-    factor L of all of G's rows, B's rows in G's order: block by block, each
-    diagonal block L_bb by ``_triangular_solves``, and the product with the
-    block solved before it subtracted first."""
-    solves = [_triangular_solves(L) for _, L, _ in factor]
-
-    def lower(B):
-        X, above = np.empty_like(B), None
-        for b, ((rows, _, _), (block_lower, _)) in enumerate(zip(factor, solves)):
-            part = B[rows]
-            if b:
-                part -= factor[b - 1][2] @ above  # L_b(b-1) times the block solved before
-            X[rows] = above = block_lower(part)
-        return X
-
-    def upper(B):
-        X, after = np.empty_like(B), None
-        for (rows, _, below), (_, block_upper) in zip(reversed(factor), reversed(solves)):
-            part = B[rows]
-            if after is not None:
-                part -= below.T @ after
-            X[rows] = after = block_upper(part)
-        return X
-
-    return lower, upper
-
-
-def _triangular_solves(L: np.ndarray):
-    """(lower, upper): B -> L^-1 B and B -> L'^-1 B for a lower triangular L.
-
-    numpy has no triangular solve, so both substitute by pieces of _BLOCK rows:
-    each diagonal piece is inverted once, and the rest of a piece's row is one
-    product with the rows already solved."""
-    m = L.shape[0]
-    spans = [(s, min(s + _BLOCK, m)) for s in range(0, m, _BLOCK)]
-    inverses = [np.linalg.inv(L[s:e, s:e]) for s, e in spans]
-
-    def lower(B):
-        X = np.empty_like(B)
-        for (s, e), inverse in zip(spans, inverses):
-            X[s:e] = inverse @ (B[s:e] - L[s:e, :s] @ X[:s])
-        return X
-
-    def upper(B):
-        X = np.empty_like(B)
-        for (s, e), inverse in zip(reversed(spans), reversed(inverses)):
-            X[s:e] = inverse.T @ (B[s:e] - L[e:, s:e].T @ X[e:])
-        return X
-
-    return lower, upper
+    rank = int(np.count_nonzero(s > tol))
+    figures = f"cutoff {tol:.2e}, no singular value kept"
+    if rank:
+        with np.errstate(divide="ignore"):  # a cutoff that underflows to zero
+            margin = s[rank - 1] / tol
+        figures = f"cutoff {tol:.2e}, least kept singular value / cutoff = {margin:.2e}"
+    return Vt[rank:].T.copy(), figures
 
 
 def _certified_gram(G: np.ndarray, n: int, dropped_norm, eigh):
@@ -889,10 +540,11 @@ def _certified_gram(G: np.ndarray, n: int, dropped_norm, eigh):
 
     The band must be a normal number: an overflow in G makes it inf, and B = 0,
     m = 0 or a G lost whole to underflow make it 0 or subnormal; eigh is then
-    not called. The solver's setup for a diagonal Q = D, which needs the whole
-    spectrum, keeps the other columns with B = A D^-1/2.
-    :attr:`ProblemData.left_null` needs N alone and certifies it by the same
-    two checks without eigh (``_gram_left_null``).
+    not called. The solver's setup for a diagonal Q = D, with B = A D^-1/2, is
+    the only caller: it needs the whole spectrum, and keeps the other columns.
+    :attr:`ProblemData.left_null` needs N alone, and takes it from the SVD of
+    A's R factor (``_svd_left_null``) where A is no incidence matrix, with no
+    Gram and no certificate.
     """
     m = G.shape[0]
     band = max(m, n) * _EPS * np.trace(G)

@@ -194,6 +194,10 @@ class TestSigmaAt:
     )
     def test_an_index_beyond_the_double_range_gets_the_capped_pair(self, k):
         assert sigma_at(SigmaSchedule(), k) == SigmaPair(1e12, 1.0)
+        # both powers overflow in log space, so the joint downscale would
+        # form inf - inf; sigma2 / sigma1 is below every double there too
+        sched = SigmaSchedule(sigma1_0=2.2250738585072014e-308, sigma2_factor=9.99)
+        assert sigma_at(sched, k) == SigmaPair(1e12, 1.0)
 
     def test_a_power_that_overflows_alone_is_taken_in_log_space(self):
         # 10.0**309 overflows, 1e-300 * 10**309 does not: sigma1 keeps growing

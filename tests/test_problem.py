@@ -9,7 +9,6 @@ import logging
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -68,7 +67,7 @@ def _path(nodes: int) -> np.ndarray:
 def _left_null_cases() -> dict:
     """(A1, A2) pairs covering each shape of R = qr(A')'s R and each rank regime,
     one whose A A' overflows, three graph incidences that take the incidence
-    route, and two of them doubled, which the Gram route certifies."""
+    route, and two of them doubled, which take the qr-svd route."""
     rng = np.random.default_rng(5)
     tall = rng.uniform(-2.0, 2.0, (4, 2))  # m > n: R is 2 x 4, trapezoidal
     wide = rng.uniform(-2.0, 2.0, (3, 5))  # m < n: full row rank, k = 0
@@ -96,7 +95,7 @@ def _left_null_cases() -> dict:
         "grid-3x3": (grid.A1, grid.A2),
         "two-grids": (two[:12], two[12:]),
         "isolated-rows": (lone[:4], lone[4:]),
-        # doubled, they are no incidence matrices and take the Gram route
+        # doubled, they are no incidence matrices and take the qr-svd route
         "grid-3x3-doubled": (2 * grid.A1, 2 * grid.A2),
         "two-grids-doubled": (2 * two[:12], 2 * two[12:]),
     }
@@ -129,9 +128,9 @@ def _left_null_line(caplog, A1: np.ndarray, A2: np.ndarray) -> str:
     return line
 
 
-def _residual(line: str) -> float:
-    """||A'N|| / cutoff, as a left_null line words it."""
-    return float(line.split("||A'N|| / cutoff = ")[1].split(",")[0])
+def _kept_margin(line: str) -> float:
+    """The least kept singular value / cutoff, as a qr-svd line words it."""
+    return float(line.split("least kept singular value / cutoff = ")[1])
 
 
 def _grid(size: int, seed: int = 0) -> ProblemData:
@@ -167,9 +166,10 @@ def _with_triplets(p: ProblemData) -> ProblemData:
     )
 
 
-def _with_dense_gram(p: ProblemData) -> ProblemData:
-    """``p``'s data given dense, in an instance that never reads A's triplets:
-    its left null basis forms G = A @ A.T and the writer encodes dense blocks."""
+def _without_triplets(p: ProblemData) -> ProblemData:
+    """``p``'s data given dense, in an instance that withholds A's triplets:
+    its left null basis takes the qr-svd route and the writer encodes dense
+    blocks."""
     q = ProblemData(Q=p.Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
     vars(q)["_a_triplets"] = None  # fills the cached_property before its first read
     return q
@@ -246,10 +246,21 @@ class TestProblemData:
     def test_files_oracle_and_sweep_do_not_load_scipy(self, tmp_path):
         # importing hieralm, writing and reading a grid file, and running the
         # oracle and the shift sweep on it take numpy alone: a fresh interpreter
-        # that does all of them must not load any SciPy module
+        # that does all of them must not load any SciPy module. The grid takes
+        # the incidence route; the same grid with its values doubled, saved as
+        # COO, takes the qr-svd route
         src = str(Path(hieralm.problem.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        path = str(tmp_path / "grid.json")
+        env = {
+            **os.environ, "HIERALM_LOG": "debug",
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        path, doubled = str(tmp_path / "grid.json"), str(tmp_path / "doubled.json")
+        p, _ = build_instance(GridSpec(4, 4, kappa=0.5))
+        doc = problem_document(p)
+        for name, (lo, hi) in (("A1", (0, p.m1)), ("A2", (p.m1, p.m))):
+            block = p._a_triplets.block(lo, hi)
+            doc[name] = hieralm.problem._encode_coo(block.rows, block.cols, 2.0 * block.values)
+        Path(doubled).write_text(json.dumps(doc))
         code = f"""
 import contextlib, io, sys
 import hieralm.cli
@@ -257,6 +268,8 @@ commands = (
     ["gen-grid", "--rows", "4", "--cols", "4", "--kappa", "0.5", "--out", {path!r}],
     ["oracle", "--problem", {path!r}],
     ["shift-sweep", "--problem", {path!r}],
+    ["oracle", "--problem", {doubled!r}],
+    ["shift-sweep", "--problem", {doubled!r}],
 )
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -264,7 +277,14 @@ for argv in commands:
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded
 """
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, timeout=60, capture_output=True,
+            text=True,
+        )
+        routes = [line.split(",")[0] for line in run.stderr.splitlines() if "left_null:" in line]
+        assert routes == 2 * ["DEBUG hieralm.problem: left_null: incidence route"] + 2 * [
+            "DEBUG hieralm.problem: left_null: qr-svd route"
+        ], run.stderr
 
     def test_repr_does_not_build_a_stored_diagonal(self):
         # a stored diagonal shows as the 1-D Q it is built from; the generated
@@ -360,26 +380,38 @@ assert not loaded, loaded
 
         p, _ = build_instance(GridSpec(20, 20, kappa=0.5))
         assert route(p.A1, p.A2).startswith("left_null: incidence route, k = 1;")
-        # a graph's values doubled make no incidence matrix: the Gram route
-        assert route(2 * p.A1, 2 * p.A2).startswith("left_null: gram route, k = 1;")
+        # a graph's values doubled make no incidence matrix: the qr-svd route
+        assert route(2 * p.A1, 2 * p.A2).startswith("left_null: qr-svd route, k = 1; cutoff ")
         cases = _left_null_cases()
         # the 50-digit test above covers both routes through these
         assert route(*cases["grid-3x3"]).startswith("left_null: incidence route, k = 1;")
         assert route(*cases["two-grids"]).startswith("left_null: incidence route, k = 2;")
-        assert route(*cases["grid-3x3-doubled"]).startswith("left_null: gram route, k = 1;")
-        assert route(*cases["two-grids-doubled"]).startswith("left_null: gram route, k = 2;")
-        # the near-dependent pair sits 100x above the cutoff, which G cannot resolve:
-        # its candidate keeps that pair's direction and fails ||A'N|| <= cutoff / 10
+        assert route(*cases["grid-3x3-doubled"]).startswith("left_null: qr-svd route, k = 1;")
+        assert route(*cases["two-grids-doubled"]).startswith("left_null: qr-svd route, k = 2;")
+        # the qr-svd line gives the cutoff, and how far above it the least kept
+        # singular value lies: the near-dependent pair's, 100 times
         line = route(*cases["near-dependent-above"])
-        assert line.startswith("left_null: qr-svd route, k = 1; Gram candidate k = 2,"), line
-        # a singular value whose square sits 3 bands above zero, with the band
-        # 2 eps ||A||_F^2: kept on both routes, but within ten bands of G's round-off
-        t = np.sqrt(3 * 2 * EPS)
-        line = route(np.array([[1.0, 0.0]]), np.array([[0.0, t]]))
-        assert line.startswith("left_null: qr-svd route, k = 0; Gram candidate k = 0,"), line
-        # so does a Gram that overflows, with no floating-point warning
+        assert line.startswith("left_null: qr-svd route, k = 1; cutoff "), line
+        assert _kept_margin(line) == pytest.approx(100.0, rel=1e-2), line
+        # the pair 100 times below the cutoff is dropped, and the least kept
+        # value is the next one, far above it
+        A = np.vstack(cases["near-dependent-below"])
+        s = np.linalg.svd(A, compute_uv=False)
+        line = route(*cases["near-dependent-below"])
+        assert line.startswith(f"left_null: qr-svd route, k = 2; cutoff {6 * EPS * s[0]:.2e}, ")
+        assert _kept_margin(line) == pytest.approx(s[2] / (6 * EPS * s[0]), rel=1e-2), line
+        # an A whose A A' would overflow, with no floating-point warning
         line = route(*cases["scaled-1e200"])
-        assert line == "left_null: qr-svd route, k = 2; Gram rounding band inf is not a normal number"
+        assert line.startswith("left_null: qr-svd route, k = 2; cutoff "), line
+        # no rows: no singular value, and a cutoff of zero
+        line = route(np.zeros((0, 2)), np.zeros((0, 2)))
+        assert line == "left_null: qr-svd route, k = 0; cutoff 0.00e+00, no singular value kept"
+        # a subnormal s_max whose cutoff underflows to zero, with no warning
+        line = route(np.array([[1e-310]]), np.zeros((0, 1)))
+        assert line == (
+            "left_null: qr-svd route, k = 0; cutoff 0.00e+00, "
+            "least kept singular value / cutoff = inf"
+        )
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -388,8 +420,10 @@ assert not loaded, loaded
         scale=st.sampled_from([1e-8, 1.0, 1e8]),
     )
     def test_certified_gram_basis_matches_the_svd_route(self, seed, graph, scale):
-        # a random graph's incidence, or dense rows with exact duplicates; rows
-        # permuted, the whole scaled
+        # the solver's eigenbasis setup keeps eigh's split of a Gram only where
+        # _certified_gram certifies it; its null vectors are then those of the
+        # qr-svd route. A random graph's incidence, or dense rows with exact
+        # duplicates; rows permuted, the whole scaled
         rng = np.random.default_rng(seed)
         if graph:
             nodes, edges = int(rng.integers(2, 13)), int(rng.integers(1, 41))
@@ -402,116 +436,20 @@ assert not loaded, loaded
             base = rng.standard_normal((int(rng.integers(1, min(n, 12) + 1)), n))
             A = np.vstack((base, base[rng.integers(0, len(base), int(rng.integers(1, 9)))]))
         A = scale * A[rng.permutation(len(A))]
-        N, _ = hieralm.problem._gram_left_null(A)
-        if N is None:
+        spectrum, _ = hieralm.problem._certified_gram(
+            A @ A.T, A.shape[1], lambda N: np.linalg.norm(A.T @ N), np.linalg.eigh
+        )
+        if spectrum is None:
             return
-        ref = hieralm.problem._svd_left_null(A)
+        _, V, k = spectrum
+        N = V[:, :k]
+        ref, _ = hieralm.problem._svd_left_null(A)
         assert N.shape == ref.shape
         m, n = A.shape
         s = np.linalg.svd(A, compute_uv=False)
         rank = m - ref.shape[1]
         err = np.abs(N @ N.T - ref @ ref.T).max()
         assert err <= 8 * max(m, n) * EPS * s[0] / s[rank - 1], err
-
-    @pytest.mark.parametrize("size", [10, 20, 30])
-    @pytest.mark.parametrize("kappa", [0.0, 0.5])
-    def test_grids_take_the_gram_route(self, caplog, size, kappa):
-        # a grid's values doubled, so that it is no incidence matrix
-        p, _ = build_instance(GridSpec(size, size, kappa=kappa))
-        line = _left_null_line(caplog, 2 * p.A1, 2 * p.A2)
-        assert line.startswith("left_null: gram route, k = 1; Gram candidate k = 1,"), line
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_permuted_grid_takes_the_gram_route(self, caplog, seed):
-        # the benchmark's seeds 1-3: rows permuted within each block, columns
-        # at random, and the values doubled, so that it is no incidence matrix
-        p, _ = build_instance(GridSpec(20, 20, kappa=0.5))
-        rng = np.random.default_rng(seed)
-        r1, r2, col = rng.permutation(p.m1), rng.permutation(p.m2), rng.permutation(p.n)
-        line = _left_null_line(caplog, 2 * p.A1[np.ix_(r1, col)], 2 * p.A2[np.ix_(r2, col)])
-        assert line.startswith("left_null: gram route, k = 1; Gram candidate k = 1,"), line
-
-    def test_a_candidate_that_misses_a_null_direction_fails_the_factorization(
-        self, caplog, monkeypatch
-    ):
-        # two grids have two null directions; a candidate holding one of them
-        # meets ||A'N|| <= cutoff / 10 exactly, so only G_RR - tau I, which
-        # keeps the other grid's rows and their null direction, can reject it;
-        # doubled, so that the Gram route is taken
-        A1, A2 = _left_null_cases()["two-grids-doubled"]
-        first = np.zeros(len(A1) + len(A2))
-        first[:9] = 1.0 / 3.0  # the 3x3 grid's nodes come first
-        monkeypatch.setattr(hieralm.problem, "_gram_candidate", lambda G, band: first[:, None])
-        line = _left_null_line(caplog, A1, A2)
-        assert line.startswith("left_null: qr-svd route, k = 2; Gram candidate k = 1,"), line
-        assert _residual(line) <= 0.1 and line.endswith("ten-band certificate fails"), line
-
-    def test_a_candidate_that_keeps_a_kept_direction_fails_the_residual(self, caplog):
-        # 254 orthonormal rows beside the pair (e0, e0 + eps e255) / 2, whose
-        # least singular value sits 1.3 times above lstsq's cutoff at s_max = 1:
-        # its square lies deep inside G's band, so the candidate keeps it, and
-        # only ||A'N|| <= cutoff / 10 rejects it. An s_max read off trace(G) in
-        # place of lambda_max would put the cutoff 16 times higher and pass it.
-        m = 256
-        A = np.eye(m)
-        A[0, 0] = 0.5
-        A[-1, [0, -1]] = 0.5, 0.5 * 2.0 * np.sqrt(2.0) * 1.3 * m * EPS
-        assert np.linalg.svd(A, compute_uv=False)[-1] / (m * EPS) == pytest.approx(1.3)
-        line = _left_null_line(caplog, A[:-1], A[-1:])
-        assert line.startswith("left_null: qr-svd route, k = 0; Gram candidate k = 1,"), line
-        assert 1.0 < _residual(line) < 2.0 and line.endswith("certificate holds"), line
-        # the near-dependent pair 100x above the cutoff, likewise
-        line = _left_null_line(caplog, *_left_null_cases()["near-dependent-above"])
-        assert line.startswith("left_null: qr-svd route, k = 1; Gram candidate k = 2,"), line
-        assert _residual(line) > 0.1 and line.endswith("certificate holds"), line
-
-    @pytest.mark.parametrize("bands, route", [(3, "qr-svd"), (9, "qr-svd"), (12, "gram")])
-    def test_an_eigenvalue_within_ten_bands_fails_the_factorization(self, caplog, bands, route):
-        # G = diag(1, t^2, 0) with t^2 at 3, 9 and 12 rounding bands: the
-        # candidate is the exact null vector, so ||A'N|| = 0, and only the
-        # factorization can tell the first two from the third. n = 40 keeps the
-        # factorization's own error term at a quarter of a band
-        n = 40
-        t = np.sqrt(bands * n * EPS / (1.0 - bands * n * EPS))  # t^2 = bands * n eps (1 + t^2)
-        A1 = np.zeros((2, n))
-        A1[0, 0], A1[1, 1] = 1.0, t
-        line = _left_null_line(caplog, A1, np.zeros((1, n)))
-        verdict = "holds" if route == "gram" else "fails"
-        assert line == (
-            f"left_null: {route} route, k = 1; Gram candidate k = 1, "
-            f"||A'N|| / cutoff = 0.00e+00, ten-band certificate {verdict}"
-        )
-
-    def test_one_inverse_iteration_pass_is_not_enough_on_a_long_path(self, caplog):
-        # a 600-node path's second eigenvalue sits 1.7e5 bands above zero, as the
-        # 50x50 grid's does; after one pass ||A'N|| would be at the cutoff.
-        # Doubled, so that the Gram route is taken
-        A = 2 * _path(600)
-        line = _left_null_line(caplog, A[:-1], A[-1:])
-        assert line.startswith("left_null: gram route, k = 1; Gram candidate k = 1,"), line
-        assert _residual(line) <= 0.05, line
-
-    @pytest.mark.parametrize("size, seed", [(10, 0), (20, 0), (30, 0), (20, 1), (20, 2), (20, 3)])
-    def test_triplet_gram_has_the_dense_products_bits_on_grids(self, size, seed):
-        # +-1 entries: every product and sum is exact, in any order
-        p = _grid(size, seed)
-        G = p._a_triplets.gram()
-        assert G.tobytes() == (p.A @ p.A.T).tobytes()
-        N = p.left_null
-        assert p._a_triplets.t_times(N).tobytes() == (N.T @ p.A).tobytes()
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-8, 1.0, 1e8]))
-    def test_triplet_gram_is_within_the_summation_bound(self, seed, scale):
-        # both sums add the same q nonzero products, q at most the nonzeros of
-        # a row of A, in their own orders: each is within gamma_q |A||A'| of
-        # the exact G (Higham, 2nd ed., 3.1), so they are within twice that
-        A = _sparse_matrix(seed, scale)
-        G = hieralm.problem._scanned(A).gram()
-        q = max(int(np.count_nonzero(A, axis=1).max()), 1)
-        gamma = q * EPS / (1.0 - q * EPS)
-        assert (np.abs(G - A @ A.T) <= 2.0 * gamma * (np.abs(A) @ np.abs(A).T)).all()
-        assert G.tobytes() == G.T.copy().tobytes()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-8, 1.0, 1e8]))
@@ -529,18 +467,11 @@ assert not loaded, loaded
         assert "A" not in vars(sparse)
         N, M = sparse.left_null, dense.left_null
         assert N.tobytes() == M.tobytes() and N.shape == M.shape
-        built = "A" in vars(sparse)
-        # an A with no entry, which a draw of no cells gives, is an incidence
-        # matrix with no arc: N = I, and no dense A
-        incidence, _ = hieralm.problem._incidence_left_null(sparse._a_triplets)
-        fits = sparse._a_triplets.gram_fits()
-        gram, _ = hieralm.problem._gram_left_null(sparse._a_triplets if fits else sparse.A)
-        # the dense A is read only where gram's pairs do not fit, or by the qr-svd fallback
-        assert built == (incidence is None and (not fits or gram is None))
-        # against the route from A @ A.T: the two G differ in their last bits,
-        # which can move ||A'N|| across a tenth of the cutoff, so each route
-        # may certify where the other falls back; the null space is the same
-        reference = _with_dense_gram(dense).left_null
+        # on either route: the qr-svd route makes a dense A for its SVD alone
+        assert "A" not in vars(sparse)
+        # against the qr-svd route on the dense A, which an A with no entry (a
+        # draw of no cells, an incidence matrix with no arc) does not take
+        reference = _without_triplets(dense).left_null
         s = np.linalg.svd(A, compute_uv=False)
         rank = len(A) - N.shape[1]
         assert reference.shape == N.shape
@@ -581,173 +512,12 @@ assert not loaded, loaded
 
 def _components(seed: int) -> np.ndarray:
     """The incidence of paths of 10 to 40 nodes, a 4x5 grid and 5 zero rows
-    (isolated nodes), 160 rows shuffled: several level blocks, one null
-    direction per component."""
+    (isolated nodes), 160 rows shuffled: one null direction per component."""
     rng = np.random.default_rng(seed)
     parts = [_path(size) for size in (40, 25, 17, 10, 38)]
     parts += [grid_incidence(4, 5)[0], np.zeros((5, 1))]
     A = block_diag(*parts)
     return A[rng.permutation(len(A))]
-
-
-def _scaled_gram(A: np.ndarray):
-    """G = A A' scaled as ``_gram_left_null`` scales it, and its band."""
-    G = A @ A.T
-    trace = np.trace(G)
-    scale = np.ldexp(1.0, -int(np.frexp(trace)[1]))
-    return G * scale, max(A.shape) * EPS * trace * scale
-
-
-def _assembled(factor, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows in level order, and the factor as one dense lower triangular matrix."""
-    order = np.concatenate([rows for rows, _, _ in factor])
-    L = np.zeros((m, m))
-    at = 0
-    for rows, diagonal, below in factor:
-        s = rows.size
-        L[at : at + s, at : at + s] = diagonal
-        L[at + s : at + s + below.shape[0], at : at + s] = below
-        at += s
-    return order, L
-
-
-class TestLevelBlocks:
-    """left_null's two factorizations run by windows of G's level blocks."""
-
-    def test_the_20x20_grid_gives_eleven_blocks(self):
-        G = _grid(20)._a_triplets.gram()
-        blocks = hieralm.problem._level_order(G)
-        assert [b.size for b in blocks] == [36, 42, 42, 33, 37, 39, 35, 45, 36, 34, 21]
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), shift=st.sampled_from([0.0, 1e-3, -1e-3]))
-    def test_the_window_factor_meets_the_cholesky_bound(self, seed, shift):
-        # blocks partition the rows, ascending, and only adjacent ones meet; the
-        # assembled factor of G_KK + shift I, some rows dropped, is within
-        # gamma_(m+1) |L||L'| of it entry by entry (Higham, 2nd ed., Theorem
-        # 10.3), and forming L L' here adds at most as much again
-        rng = np.random.default_rng(seed)
-        nodes = int(rng.integers(2, 150))
-        A = np.zeros((nodes, int(rng.integers(1, 3 * nodes))))
-        for j in range(A.shape[1]):
-            A[rng.choice(nodes, 2, replace=False), j] = 1.0, -1.0
-        A *= 10.0 ** rng.uniform(-2, 2, (nodes, 1))
-        G, _ = _scaled_gram(A)
-        G += 0.01 * np.eye(nodes)  # definite, so that every shift factors
-        blocks = hieralm.problem._level_order(G)
-        order = np.concatenate(blocks)
-        assert np.array_equal(np.sort(order), np.arange(nodes))
-        assert all(np.all(np.diff(b) > 0) for b in blocks)
-        assert all(b.size >= 32 for b in blocks[:-1])
-        for i, j in zip(*np.triu_indices(len(blocks), 2)):
-            assert not G[np.ix_(blocks[i], blocks[j])].any()
-        keep = rng.random(nodes) < 0.9
-        gram = hieralm.problem._LevelGram(G, blocks)
-        factor = hieralm.problem._level_cholesky(gram, shift, keep)
-        order, L = _assembled(factor, int(keep.sum()))
-        assert np.array_equal(np.sort(order), np.flatnonzero(keep))
-        M = G[np.ix_(order, order)]
-        M.flat[:: order.size + 1] += shift
-        gamma = (order.size + 1) * EPS / (1.0 - (order.size + 1) * EPS)
-        assert (np.abs(L @ L.T - M) <= 2.0 * gamma * (np.abs(L) @ np.abs(L).T)).all()
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_a_dense_gram_is_one_block_factored_and_substituted_whole(self, seed):
-        # a dense G is one block, its rows in their order: its factor is that of
-        # one np.linalg.cholesky of G + band I, and up to 64 rows, one piece of
-        # the substitution, N is the one that factor and its inverse give, bit
-        # for bit
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(2, 61))
-        base = rng.standard_normal((m - int(rng.integers(1, 3)), m + 5))
-        A = np.vstack((base, base[: m - len(base)]))[rng.permutation(m)]
-        G, band = _scaled_gram(A)
-        (block,) = hieralm.problem._level_order(G)
-        assert np.array_equal(block, np.arange(m))
-        gram = hieralm.problem._LevelGram(G, [block])
-        N = hieralm.problem._gram_candidate(gram, band)
-        L = np.linalg.cholesky(G + band * np.eye(m))
-        ((_, diagonal, _),) = hieralm.problem._level_cholesky(gram, band)
-        assert diagonal.tobytes() == L.tobytes()
-        small = np.flatnonzero(L.diagonal() ** 2 <= 2.0 * band**0.1 * (G.diagonal() + band) ** 0.9)
-        inverse = np.linalg.inv(L)
-        X = np.zeros((m, small.size))
-        X[small, np.arange(small.size)] = 1.0
-        X = inverse.T @ X
-        for _ in range(hieralm.problem._PASSES):
-            X = inverse.T @ (inverse @ (X / np.linalg.norm(X, axis=0)))
-        want = hieralm.problem._ritz(G, X, band)
-        assert N.shape == want.shape == (m, m - len(base)) and N.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_each_component_and_isolated_row_gives_a_start_vector(
-        self, caplog, monkeypatch, seed
-    ):
-        # five paths, a grid and five zero rows, shuffled: eleven null
-        # directions, each started from a small pivot of its component (a
-        # long path has more than one), at that pivot's own row; a start
-        # vector put at another row's can miss a component. Doubled, so that
-        # the Gram route is taken
-        A = 2 * _components(seed)
-        starts = []
-        ritz = hieralm.problem._ritz
-        monkeypatch.setattr(
-            hieralm.problem, "_ritz", lambda G, X, band: starts.append(X.shape[1]) or ritz(G, X, band)
-        )
-        line = _left_null_line(caplog, A[:100], A[100:])
-        assert line.startswith("left_null: gram route, k = 11; Gram candidate k = 11,"), line
-        assert len(starts) == 1 and starts[0] >= 11
-        assert len(hieralm.problem._level_order(A @ A.T)) > 3
-
-    @pytest.mark.parametrize("case", ["30x30", 1, 2, 3])
-    def test_no_factor_of_the_whole_gram_on_grids(self, caplog, monkeypatch, case):
-        # the 30x30 grid and the permuted 20x20 seeds, their triplets handed
-        # to the Gram route: every Cholesky call is a window of level blocks,
-        # and the level-block certificate holds
-        p = _grid(30) if case == "30x30" else _grid(20, case)
-        shapes = []
-        cholesky = np.linalg.cholesky
-
-        def windows_only(a):
-            assert a.shape != (p.m, p.m), "an m x m Cholesky factorization"
-            shapes.append(a.shape[0])
-            return cholesky(a)
-
-        sizes = [b.size for b in hieralm.problem._level_order(p._a_triplets.gram())]
-        monkeypatch.setattr(np.linalg, "cholesky", windows_only)
-        N, figures = hieralm.problem._gram_left_null(p._a_triplets)
-        assert N is not None and N.shape == (p.m, 1), figures
-        assert figures.startswith("Gram candidate k = 1,"), figures
-        assert figures.endswith("ten-band certificate holds"), figures
-        # one call per window of two adjacent blocks, in each factorization
-        assert len(shapes) == 2 * len(sizes)
-        assert max(shapes) <= max(map(sum, zip(sizes, sizes[1:])))
-
-    def test_a_spread_null_vector_near_ten_bands_takes_the_svd_route(self, caplog):
-        # G = diag(1) beside t^2 / 2 [[1, -1], [-1, 1]], with t^2 at 12 bands:
-        # its null vector (0, 1, 1) / sqrt(2) is spread over two rows, so
-        # dropping one leaves G_RR = diag(1, t^2 / 2), 6 bands, the level-block
-        # certificate fails, and N comes from the SVD route
-        n, bands = 40, 12
-        t = np.sqrt(bands * n * EPS / (1.0 - bands * n * EPS))
-        A = np.zeros((3, n))
-        A[0, 0], A[1, 1], A[2, 1] = 1.0, t / np.sqrt(2.0), -t / np.sqrt(2.0)
-        line = _left_null_line(caplog, A[:1], A[1:])
-        assert line.startswith("left_null: qr-svd route, k = 1;"), line
-        assert line.endswith("ten-band certificate fails"), line
-        p = make_problem(
-            Q=np.ones(n), c=np.zeros(n), A1=A[:1], b1=np.zeros(1), A2=A[1:], b2=np.zeros(2)
-        )
-        null = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
-        # the Wedin bound of test_left_null_basis, with s_max = 1 and s_r = t
-        err = np.abs(p.left_null @ p.left_null.T - np.outer(null, null)).max()
-        assert err <= 8 * n * EPS / t, err
-        # the same spectrum with its null vector on one row is certified
-        A1 = np.zeros((2, n))
-        A1[0, 0], A1[1, 1] = 1.0, t
-        line = _left_null_line(caplog, A1, np.zeros((1, n)))
-        assert line.startswith("left_null: gram route, k = 1;"), line
-        assert line.endswith("ten-band certificate holds"), line
 
 
 def _spoiled_grid(fault: str) -> np.ndarray:
@@ -788,7 +558,7 @@ class TestIncidenceRoute:
         assert N.shape == (p.m, k)
         assert not (N.T @ p.A).any()
         assert np.abs(N.T @ N - np.eye(k)).max() <= 1e-14
-        reference = hieralm.problem._svd_left_null(p.A)
+        reference, _ = hieralm.problem._svd_left_null(p.A)
         assert np.abs(N @ N.T - reference @ reference.T).max() <= 1e-14
         return line
 
@@ -830,7 +600,7 @@ class TestIncidenceRoute:
         assert np.abs(N.T @ N - np.eye(N.shape[1])).max() <= 1e-14
         least = [int(np.flatnonzero(column)[0]) for column in N.T]
         assert least == sorted(least)
-        reference = hieralm.problem._svd_left_null(A)
+        reference, _ = hieralm.problem._svd_left_null(A)
         assert np.abs(N @ N.T - reference @ reference.T).max(initial=0.0) <= 1e-14
 
     @pytest.mark.parametrize(
@@ -844,11 +614,11 @@ class TestIncidenceRoute:
             "two arcs in one column",
         ],
     )
-    def test_any_other_matrix_falls_through_to_the_gram_route(self, caplog, fault):
+    def test_any_other_matrix_falls_through_to_the_qr_svd_route(self, caplog, fault):
         A = _spoiled_grid(fault)
         assert hieralm.problem._incidence_left_null(hieralm.problem._scanned(A))[0] is None
         line = _left_null_line(caplog, A[:8], A[8:])
-        assert line.startswith("left_null: gram route,"), line
+        assert line.startswith("left_null: qr-svd route,"), line
 
     def test_no_rows_fall_through(self, caplog):
         # m = 0 divides by nothing, and the qr-svd route gives the empty basis
@@ -866,6 +636,43 @@ class TestIncidenceRoute:
         assert N.shape == (9, 1) and figures == "s_min bound 1.11e-01 > cutoff 9.60e-02"
         monkeypatch.setattr(hieralm.problem, "_EPS", 1e-2)
         assert hieralm.problem._incidence_left_null(A)[0] is None
+
+
+class TestSvdRoute:
+    """Any other A takes the qr-svd route: N is the right singular vectors of
+    the R factor of A', past lstsq's rank."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_component_and_isolated_row_gives_a_null_direction(self, caplog, seed):
+        # five paths, a grid and five zero rows, shuffled, and doubled so that
+        # A is no incidence matrix: eleven null directions, whose span is that
+        # of the undoubled A's component indicators, within the Wedin bound of
+        # test_left_null_basis
+        A = _components(seed)
+        line = _left_null_line(caplog, 2 * A[:100], 2 * A[100:])
+        assert line.startswith("left_null: qr-svd route, k = 11; cutoff "), line
+        N, _ = hieralm.problem._svd_left_null(2 * A)
+        indicators, _ = hieralm.problem._incidence_left_null(hieralm.problem._scanned(A))
+        s = np.linalg.svd(2 * A, compute_uv=False)
+        err = np.abs(N @ N.T - indicators @ indicators.T).max()
+        assert err <= 8 * max(A.shape) * EPS * s[0] / s[len(A) - 12], err
+
+    def test_a_spread_null_vector_meets_the_wedin_bound(self, caplog):
+        # singular values 1 and t, t^2 at 12 rounding bands of the Gram A A',
+        # and the null vector (0, 1, 1) / sqrt(2) spread over two rows
+        n, bands = 40, 12
+        t = np.sqrt(bands * n * EPS / (1.0 - bands * n * EPS))
+        A = np.zeros((3, n))
+        A[0, 0], A[1, 1], A[2, 1] = 1.0, t / np.sqrt(2.0), -t / np.sqrt(2.0)
+        line = _left_null_line(caplog, A[:1], A[1:])
+        assert line.startswith("left_null: qr-svd route, k = 1;"), line
+        p = make_problem(
+            Q=np.ones(n), c=np.zeros(n), A1=A[:1], b1=np.zeros(1), A2=A[1:], b2=np.zeros(2)
+        )
+        null = np.array([0.0, 1.0, 1.0]) / np.sqrt(2.0)
+        # the Wedin bound of test_left_null_basis, with s_max = 1 and s_r = t
+        err = np.abs(p.left_null @ p.left_null.T - np.outer(null, null)).max()
+        assert err <= 8 * n * EPS / t, err
 
 
 class TestSparseA:
@@ -956,58 +763,6 @@ class TestSparseA:
             "more than this machine's 1048576 bytes of memory"
         )
 
-    def test_long_columns_keep_the_transients_within_the_dense_a(self):
-        # 28 entries in each column of a 120 x 480 A, under a quarter of its
-        # cells: the triplet Gram would pair about 380,000 entries, some 15 MB
-        # against the 0.46 MB of the dense A, so left_null forms G from the
-        # dense A, with its bits
-        rng = np.random.default_rng(0)
-        m, n = 120, 480
-        A = np.zeros((m, n))
-        for j in range(n):
-            A[rng.choice(m, 28, replace=False), j] = rng.standard_normal(28)
-        A[5] = A[1] - A[2]  # k = 1
-        dense = make_problem(
-            Q=np.ones(n), c=np.zeros(n), A1=A[:100], b1=np.zeros(100), A2=A[100:],
-            b2=np.zeros(m - 100),
-        )
-        sparse = _with_triplets(dense)
-        assert not sparse._a_triplets.gram_fits()
-        tracemalloc.start()
-        try:
-            N = sparse.left_null
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert N.shape == (m, 1) and N.tobytes() == dense.left_null.tobytes()
-        # the dense A, kept, and a few m x m arrays: G, a factor, a working copy
-        assert peak <= 8 * (2 * m * n + 8 * m * m), peak
-
-    def test_products_with_many_columns_go_by_blocks(self):
-        # at a quarter of the cells, a block is one column of N: the four
-        # transients of nnz entries each stay within the m n doubles of the
-        # dense A, and each sum keeps its order, so the bits are those of
-        # one column at a time
-        rng = np.random.default_rng(1)
-        m, n, k = 40, 80, 40
-        A = np.where(rng.random((m, n)) < 0.25, rng.standard_normal((m, n)), 0.0)
-        T = hieralm.problem._scanned(A)
-        N = rng.standard_normal((m, k))
-        assert T.values.size * 4 > m * n // 2  # so blocks of one column
-        tracemalloc.start()
-        try:
-            T.t_times(N)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the k n result, twice while its blocks are joined, and one block's
-        # transients: in one block, they would take 33 m n doubles
-        assert peak <= 8 * (2 * k * n + m * n), peak
-        by_column = np.vstack([T.t_times(N[:, [c]]) for c in range(k)])
-        assert T.t_times(N).tobytes() == by_column.tobytes()
-        assert np.allclose(T.t_times(N), N.T @ A)
-        assert T.t_times(N[:, :0]).shape == (0, 80)
-
     def test_a_coo_block_that_cannot_be_allocated_is_refused_at_load(
         self, tmp_path, monkeypatch
     ):
@@ -1071,13 +826,13 @@ class TestSparseA:
                 Q=np.ones(n), c=np.zeros(n), A1=A[:m1], b1=np.zeros(m1), A2=A[m1:],
                 b2=np.zeros(m2),
             )
-            want = hieralm.problem._problem_text(_with_dense_gram(p))
+            want = hieralm.problem._problem_text(_without_triplets(p))
             assert hieralm.problem._problem_text(p) == want
             assert hieralm.problem._problem_text(_with_triplets(p)) == want
 
     def test_repr_keeps_its_text(self):
         p = _grid(4)
-        dense = _with_dense_gram(p)
+        dense = _without_triplets(p)
         assert repr(p) == repr(dense)
         assert repr(p) == (
             f"ProblemData(Q={p.q_diagonal!r}, c={p.c!r}, A1={p.A1!r}, b1={p.b1!r}, "
