@@ -60,11 +60,11 @@ from .control import (
     approximate_shift, hierarchical_shift, sigma_at,
 )
 from .problem import (
+    _EPS,
     HierarchicalShift,
     ProblemData,
     _a_operators,
     _add_q,
-    _certified_gram,
     _definite_diagonal,
     _q_times,
     _rank_cutoff,
@@ -442,14 +442,33 @@ class _Eigenbasis:
         x = g / d + D^-1 A' U [(U'w - rho h) / (1 + rho lam)],  h = U'A (g / d).
 
     Only the eigenpairs above K's rounding band are kept: the others span
-    null(A'), which D^-1 A' maps to zero. K = B B' with B = A D^-1/2, and they
-    are kept only if they certify B's rank (``_certified_gram``: ten bands
-    of gap, and ||B'N|| at most a tenth of lstsq's cutoff); ``U`` is then
-    m x r with r = rank(A), else None and the rung is ``unfit``. The
-    quotient is divided through by k = max(rho, 1), so that rho lam cannot
-    overflow; with the rho-sized w = v, the rho-sized parts of its numerator
-    cancel as rho grows, as Tikhonov's filter factors do.
-    The first pass's h is fixed once (``h_c``).
+    null(A'), which D^-1 A' maps to zero. K = B B' with B = A D^-1/2 is the
+    m x m Gram matrix of B: it has the squared singular values of B, and
+    null(K) = null(B'). ``eigh`` (numpy's, LAPACK syevd) gives
+    K = V diag(w) V' with w ascending. Each computed eigenvalue errs by at
+    most about the band max(m, n) eps ||B||_F^2 (the rounding of B B' is
+    bounded by n eps |B||B'|, whose norm is at most ||B||_F^2 = trace(K) >=
+    lambda_max), so the k eigenvalues inside it are taken as zero and their
+    eigenvectors N as a basis of null(B'). Squaring cannot resolve a singular
+    value near lstsq's cutoff (``_rank_cutoff``), so the split is certified,
+    and the others kept, only when
+
+    (a) the least kept eigenvalue exceeds ten bands: every kept singular value
+        is then at least sqrt(9 band), far above the cutoff; and
+    (b) ||B'N||_F is at most a tenth of the cutoff: by Courant-Fischer the k
+        dropped singular values are then below it, and by the sin theta theorem
+        N is within ||B'N|| / s_r of null(B'), a tenth of the Wedin bound
+        max(m, n) eps s_max / s_r that the qr-svd route of
+        ``ProblemData.left_null`` meets.
+
+    The band must be a normal number: an overflow in K makes it inf, and
+    B = 0, m = 0 or a K lost whole to underflow make it 0 or subnormal; eigh
+    is then not called. ``U`` is m x r with r = rank(A) when the split is
+    certified, else None and the rung is ``unfit``. The setup logs its route
+    at DEBUG with the certificate's figures. The quotient is divided through
+    by k = max(rho, 1), so that rho lam cannot overflow; with the rho-sized
+    w = v, the rho-sized parts of its numerator cancel as rho grows, as
+    Tikhonov's filter factors do. The first pass's h is fixed once (``h_c``).
     """
 
     name = "the eigenbasis"
@@ -463,12 +482,24 @@ class _Eigenbasis:
             K = Bt.T @ Bt
         if p.a_csr is not None:
             K = K.toarray()
-        spectrum, figures = _certified_gram(K, p.n, lambda N: np.linalg.norm(Bt @ N), eigh)
-        if spectrum is None:
+        m = p.m
+        band = max(m, p.n) * _EPS * np.trace(K)
+        if np.finfo(float).tiny <= band < np.inf:
+            w, V = eigh(K)
+            k = int(np.count_nonzero(w <= band))
+            residual = np.linalg.norm(Bt @ V[:, :k]) / _rank_cutoff(m, p.n, np.sqrt(w[-1]))
+            gap = w[k] / band if k < m else np.inf
+            figures = (
+                f"Gram candidate k = {k}, ||B'N|| / cutoff = {residual:.2e}, "
+                f"least kept eigenvalue / band = {gap:.2e}"
+            )
+            certified = gap > 10.0 and residual <= 0.1
+        else:
+            figures, certified = f"Gram rounding band {band:.2e} is not a normal number", False
+        if not certified:
             logger.debug("subproblem setup: base-D SVD route; %s", figures)
             self.unfit = "K's spectrum does not certify"
             return
-        w, V, k = spectrum
         self.U, self.lam = V[:, k:].copy(), w[k:].copy()  # V and w go with K
         logger.debug("subproblem setup: eigenbasis route, r = %d; %s", self.lam.size, figures)
         self.x_c = -p.c / d

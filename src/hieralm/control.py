@@ -74,26 +74,17 @@ class OracleResult:
 @dataclass(frozen=True)
 class SigmaPair:
     """Positive weights for the two priority blocks. Their ratio eta must be a
-    normal number, so that neither eta nor 1/eta overflows in a shift."""
+    normal number, so that neither eta nor 1/eta overflows in a shift.
+
+    A weight of exact type float, such as every weight that :func:`sigma_at`
+    computes, is kept as it is, with no type check (see :func:`_require_real`);
+    every weight gets the value checks."""
 
     sigma1: float
     sigma2: float
 
     def __post_init__(self) -> None:
         _require_real(self, ("sigma1", "sigma2"))
-        self._check_values()
-
-    @classmethod
-    def _of_floats(cls, sigma1: float, sigma2: float) -> SigmaPair:
-        """SigmaPair(sigma1, sigma2) for two Python floats, such as sigma_at
-        computes: the value checks, without the type checks."""
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "sigma1", sigma1)
-        object.__setattr__(pair, "sigma2", sigma2)
-        pair._check_values()
-        return pair
-
-    def _check_values(self) -> None:
         for name, v in (("sigma1", self.sigma1), ("sigma2", self.sigma2)):
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
@@ -147,9 +138,14 @@ class SigmaSchedule:
 def _require_real(obj, names: tuple[str, ...]) -> None:
     """Each named field must be a real number (see :func:`_is_real`); it is
     stored as a Python float, so that no numpy scalar's promotion rules reach
-    the arithmetic. An integer beyond the double range is stored as +-inf."""
+    the arithmetic. An integer beyond the double range is stored as +-inf. A
+    value whose type is exactly float is already that, and is skipped: the
+    fast path of every SigmaPair that sigma_at builds, and of any field given
+    a Python float."""
     for name in names:
-        if not _is_real(v := getattr(obj, name)):
+        if type(v := getattr(obj, name)) is float:
+            continue
+        if not _is_real(v):
             raise ValueError(f"{name} must be a real number, got {v!r}")
         try:
             x = float(v)
@@ -240,7 +236,7 @@ def sigma_at(schedule: SigmaSchedule, k: int) -> SigmaPair:
                 sigma2,
             )
         sigma2 = sigma1 / schedule.eta_cap
-    return SigmaPair._of_floats(sigma1, sigma2)
+    return SigmaPair(sigma1, sigma2)
 
 
 # one entry per live instance, read-only; a weak key drops the entry with the

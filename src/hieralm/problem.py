@@ -24,10 +24,10 @@ alone loads as. :func:`validate_problem` checks Q itself: it raises for an
 asymmetric or indefinite Q and warns for a singular one.
 
 A sparse constraint matrix, one with at most a quarter of its cells nonzero
-(the COO rule of the file format), is kept as its COO triplets when it comes
-as COO, from a file or a grid: the CSR copies, the file writer and the left
-null basis read them, and the dense A is built and kept only if something
-else reads it.
+(the COO rule of the file format), is kept as its COO triplets however it
+comes, as COO from a file or a grid or as dense blocks: the CSR copies, the
+file writer and the left null basis read them, and the dense A is built and
+kept only if something else reads it.
 
 This module runs on numpy alone, except in two places that import SciPy on
 first use: validate_problem's Cholesky test of a Q that is not diagonal, and
@@ -160,11 +160,14 @@ def _stacked_triplets(top, bottom) -> _Triplets:
     )
 
 
-def _is_sparse(a) -> bool:
-    """nnz(a) <= _COO_DENSITY m n, for a dense matrix or triplets: the rule by
-    which instance files store a matrix as COO; a -0.0 does not count."""
-    m, n = a.shape
-    return np.count_nonzero(a.values if isinstance(a, _Triplets) else a) <= _COO_DENSITY * m * n
+def _is_sparse(blocks) -> bool:
+    """nnz(A) <= _COO_DENSITY m n for the A stacked from ``blocks``, each dense
+    or triplets: the rule by which instance files store a matrix as COO; a -0.0
+    does not count. Each block's entries are counted as it comes, with nothing
+    scanned or stacked."""
+    m, n = sum(a.shape[0] for a in blocks), blocks[0].shape[1]
+    nnz = sum(np.count_nonzero(a.values if isinstance(a, _Triplets) else a) for a in blocks)
+    return nnz <= _COO_DENSITY * m * n
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,11 +180,16 @@ class ProblemData:
     ``b`` (m,), built straight from the inputs, and ``A1``, ``A2``, ``b1`` and
     ``b2`` are read-only row views of them.
 
-    A is sparse when nnz(A) <= _COO_DENSITY m n (``_is_sparse``), the rule by
-    which instance files store a matrix as COO; a -0.0 does not count. A sparse
-    A whose blocks come as triplets (``_Triplets``, the private path by which
-    load_problem hands in a COO block and build_instance a grid) is stored as
-    one stacked set of read-only triplets alone: every stored entry, -0.0
+    A's storage is decided once, at construction, by one rule over the
+    stacked blocks in whatever form they come: A is sparse when
+    nnz(A) <= _COO_DENSITY m n (``_is_sparse``), the rule by which instance
+    files store a matrix as COO; a -0.0 does not count. The entries are
+    counted in each block as it comes, before anything is scanned. A dense A
+    is stored as one array, a triplet block made dense for it, and never
+    turned into triplets. A sparse A is stored as one stacked set of read-only
+    triplets alone, whether its blocks come as triplets (``_Triplets``, the
+    private path by which load_problem hands in a COO block and build_instance
+    a grid) or dense, which are scanned once for it: every stored entry, -0.0
     included, in row-major order, 24 bytes each (73 KB at the 20x20 grid).
     ``A``, ``A1`` and ``A2`` are then built on their first read (m n doubles,
     4.9 MB at the 20x20 grid and 196 MB at 50x50) and kept, so ``p.A is p.A``
@@ -191,9 +199,7 @@ class ProblemData:
     builds a transient one where A is no node-arc incidence matrix.
     Where the OS does not report its memory, loading a COO block allocates
     its dense form once and drops it, so that a block that cannot be
-    allocated is refused at load, as it was when it was filled densely. A
-    sparse A given dense is kept dense, and scanned once for its triplets on
-    their first use, which are then cached like ``a_csr``.
+    allocated is refused at load, as it was when it was filled densely.
 
     A diagonal Q is stored as its diagonal d, a contiguous read-only (n,)
     array: a 1-D ``Q`` is taken as d, and so is a 2-D n x n ``Q`` whose every
@@ -213,8 +219,7 @@ class ProblemData:
     route it takes the dense A, transient for a sparse one, its copy in the
     QR, and the R factor's m x m right singular vectors), ``q_diagonal``, ``a_csr``
     (for a sparse A, CSR copies of A and A', 24 nnz(A) + 4 (m + n + 2) bytes:
-    81 KB at the 20x20 grid) and, for a sparse A given dense, its triplets
-    here; in :mod:`hieralm.control` the shifts'
+    81 KB at the 20x20 grid) here; in :mod:`hieralm.control` the shifts'
     coordinates on N (views of it and 3k doubles, and a copy of N where a
     column lies in null(A1')); and in :mod:`hieralm.alm` the check of Q and the
     solver's factors: for a definite diagonal Q, about m r + n doubles with
@@ -242,6 +247,7 @@ class ProblemData:
     A: np.ndarray = field(init=False, repr=False)
     b: np.ndarray = field(init=False, repr=False)
     _d: np.ndarray | None = field(init=False, repr=False)  # Q stored as its diagonal, or None
+    _a_triplets: _Triplets | None = field(init=False, repr=False)  # A's, if sparse, or None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "c", _frozen_copy(self.c, 1, "c"))
@@ -285,15 +291,17 @@ class ProblemData:
         m1 = arrays["b1"].shape[0]
         stacked = {"b": np.concatenate((arrays["b1"], arrays["b2"]))}
         blocks = (arrays["A1"], arrays["A2"])
-        if _Triplets not in map(type, blocks):
-            stacked["A"] = np.concatenate(blocks)
-        elif _is_sparse(A := _stacked_triplets(*blocks)):
+        triplets = None
+        if _is_sparse(blocks):
             # kept as its triplets alone; A, A1 and A2 are built on first read
-            object.__setattr__(self, "_a_triplets", A)
+            triplets = _stacked_triplets(*blocks)
             object.__delattr__(self, "A1")
             object.__delattr__(self, "A2")
         else:
-            stacked["A"] = A.dense()
+            stacked["A"] = np.concatenate(
+                [a.dense() if isinstance(a, _Triplets) else a for a in blocks]
+            )
+        object.__setattr__(self, "_a_triplets", triplets)
         for whole, array in stacked.items():
             self._keep_stacked(whole, array, m1)
 
@@ -364,7 +372,7 @@ class ProblemData:
             Q.flags.writeable = False
             object.__setattr__(self, "Q", Q)
             return Q
-        if name in ("A", "A1", "A2") and "_a_triplets" in vars(self):
+        if name in ("A", "A1", "A2") and self._a_triplets is not None:
             self._keep_stacked("A", self._a_triplets.dense(), self.m1)
             return getattr(self, name)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -392,17 +400,6 @@ class ProblemData:
         d = self.Q.diagonal()
         # count_nonzero counts a -0.0 off-diagonal cell as zero
         return _frozen_copy(d, 1, "Q") if np.count_nonzero(self.Q) == np.count_nonzero(d) else None
-
-    @cached_property
-    def _a_triplets(self) -> _Triplets | None:
-        """A's triplets if A is sparse (``_is_sparse``), else None.
-
-        An A given as triplets stores them here at construction; one given
-        dense is scanned on the first read.
-        """
-        if not _is_sparse(self.A):
-            return None
-        return _scanned(self.A)
 
     @cached_property
     def a_csr(self) -> tuple | None:
@@ -515,50 +512,6 @@ def _svd_left_null(A: np.ndarray) -> tuple[np.ndarray, str]:
             margin = s[rank - 1] / tol
         figures = f"cutoff {tol:.2e}, least kept singular value / cutoff = {margin:.2e}"
     return Vt[rank:].T.copy(), figures
-
-
-def _certified_gram(G: np.ndarray, n: int, dropped_norm, eigh):
-    """((w, V, k), figures) from eigh(G) if it certifies the rank of B, else (None, figures).
-
-    G = B B' is the m x m Gram matrix of an m x n matrix B; it has the squared
-    singular values of B and null(G) = null(B'). ``eigh`` (numpy's, LAPACK
-    syevd) gives G = V diag(w) V' with w ascending, and ``dropped_norm(N)`` is
-    ||B'N||_F for N, the first k columns of V. Each computed eigenvalue of G errs
-    by at most about the band max(m, n) * eps * ||B||_F^2 (the rounding of B B'
-    is bounded by n eps |B||B'|, whose norm is at most ||B||_F^2 = trace(G) >=
-    lambda_max), so the k eigenvalues inside it are taken as zero and their
-    eigenvectors N as a basis of null(B'). Squaring cannot resolve a singular
-    value near lstsq's cutoff (``_rank_cutoff``), so the split is certified
-    only when
-
-    (a) the least kept eigenvalue exceeds ten bands: every kept singular value
-        is then at least sqrt(9 band), far above the cutoff; and
-    (b) ||B'N||_F is at most a tenth of the cutoff: by Courant-Fischer the k
-        dropped singular values are then below it, and by the sin theta theorem
-        N is within ||B'N|| / s_r of null(B'), a tenth of the Wedin bound
-        max(m, n) eps s_max / s_r that the SVD route meets.
-
-    The band must be a normal number: an overflow in G makes it inf, and B = 0,
-    m = 0 or a G lost whole to underflow make it 0 or subnormal; eigh is then
-    not called. The solver's setup for a diagonal Q = D, with B = A D^-1/2, is
-    the only caller: it needs the whole spectrum, and keeps the other columns.
-    :attr:`ProblemData.left_null` needs N alone, and takes it from the SVD of
-    A's R factor (``_svd_left_null``) where A is no incidence matrix, with no
-    Gram and no certificate.
-    """
-    m = G.shape[0]
-    band = max(m, n) * _EPS * np.trace(G)
-    if not np.finfo(float).tiny <= band < np.inf:
-        return None, f"Gram rounding band {band:.2e} is not a normal number"
-    w, V = eigh(G)
-    k = int(np.count_nonzero(w <= band))
-    residual = dropped_norm(V[:, :k]) / _rank_cutoff(m, n, np.sqrt(w[-1]))
-    gap = w[k] / band if k < m else np.inf
-    figures = (
-        f"Gram candidate k = {k}, ||B'N|| / cutoff = {residual:.2e}, "
-        f"least kept eigenvalue / band = {gap:.2e}"
-    )
-    return ((w, V, k) if gap > 10.0 and residual <= 0.1 else None), figures
 
 
 def _float_array(a, ndim: int, name: str) -> np.ndarray:

@@ -164,21 +164,14 @@ class TestSigmaAt:
             approximate_shift_sequence(p, SigmaSchedule(), 26)
         assert ["eta cap" in rec.message for rec in caplog.records] == [True]
 
-    def test_weights_skip_the_type_checks_but_keep_the_value_checks(self, monkeypatch):
-        # sigma_at computes its weights as Python floats, so it does not check
-        # their type again; the pair is the one SigmaPair builds
-        called = []
-        real = hieralm.control._require_real
-        monkeypatch.setattr(
-            hieralm.control, "_require_real", lambda obj, names: called.append(names) or real(obj, names)
-        )
+    def test_weights_skip_the_type_checks_but_keep_the_value_checks(self):
+        # sigma_at computes its weights as Python floats, whose type SigmaPair
+        # does not check again; the pair is the one SigmaPair builds
         sched = SigmaSchedule()
         for k in (0, 5, 12, 13, 400):
             pair = sigma_at(sched, k)
             assert (type(pair.sigma1), type(pair.sigma2)) == (float, float)
             assert pair == SigmaPair(pair.sigma1, pair.sigma2)
-        # the five SigmaPair calls above, none in sigma_at
-        assert called[1:] == [("sigma1", "sigma2")] * 5
         # a sigma2 that overflows to inf before the ratio cap: SigmaPair's message
         sched = SigmaSchedule(sigma1_0=1e-290, sigma2_0=1e17, sigma2_factor=9.99)
         assert sigma_at(sched, 290).sigma2 == pytest.approx(7.48155e306, rel=1e-6)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+import hieralm.alm
 import hieralm.problem
 from conftest import boxed_oracle_problem, make_problem, random_problem
 from hieralm import (
@@ -164,15 +165,6 @@ def _with_triplets(p: ProblemData) -> ProblemData:
     return ProblemData(
         Q=p.Q, c=p.c, A1=scanned(p.A1), b1=p.b1, A2=scanned(p.A2), b2=p.b2
     )
-
-
-def _without_triplets(p: ProblemData) -> ProblemData:
-    """``p``'s data given dense, in an instance that withholds A's triplets:
-    its left null basis takes the qr-svd route and the writer encodes dense
-    blocks."""
-    q = ProblemData(Q=p.Q, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
-    vars(q)["_a_triplets"] = None  # fills the cached_property before its first read
-    return q
 
 
 class TestProblemData:
@@ -420,10 +412,11 @@ assert not loaded, loaded
         scale=st.sampled_from([1e-8, 1.0, 1e8]),
     )
     def test_certified_gram_basis_matches_the_svd_route(self, seed, graph, scale):
-        # the solver's eigenbasis setup keeps eigh's split of a Gram only where
-        # _certified_gram certifies it; its null vectors are then those of the
-        # qr-svd route. A random graph's incidence, or dense rows with exact
-        # duplicates; rows permuted, the whole scaled
+        # the solver's eigenbasis setup keeps eigh's split of K = A D^-1 A' only
+        # where its certificate holds; with D = I, the null space it drops,
+        # I - U U', is then that of the qr-svd route. A random graph's
+        # incidence, or dense rows with exact duplicates; rows permuted, the
+        # whole scaled
         rng = np.random.default_rng(seed)
         if graph:
             nodes, edges = int(rng.integers(2, 13)), int(rng.integers(1, 41))
@@ -436,26 +429,24 @@ assert not loaded, loaded
             base = rng.standard_normal((int(rng.integers(1, min(n, 12) + 1)), n))
             A = np.vstack((base, base[rng.integers(0, len(base), int(rng.integers(1, 9)))]))
         A = scale * A[rng.permutation(len(A))]
-        spectrum, _ = hieralm.problem._certified_gram(
-            A @ A.T, A.shape[1], lambda N: np.linalg.norm(A.T @ N), np.linalg.eigh
-        )
-        if spectrum is None:
-            return
-        _, V, k = spectrum
-        N = V[:, :k]
-        ref, _ = hieralm.problem._svd_left_null(A)
-        assert N.shape == ref.shape
         m, n = A.shape
+        p = make_problem(Q=np.ones(n), c=np.zeros(n), A1=A, b1=np.zeros(m))
+        rung = hieralm.alm._Eigenbasis(p, np.ones(n))
+        if rung.unfit is not None:
+            return
+        ref, _ = hieralm.problem._svd_left_null(A)
         s = np.linalg.svd(A, compute_uv=False)
         rank = m - ref.shape[1]
-        err = np.abs(N @ N.T - ref @ ref.T).max()
+        assert rung.U.shape == (m, rank)
+        err = np.abs(np.eye(m) - rung.U @ rung.U.T - ref @ ref.T).max()
         assert err <= 8 * max(m, n) * EPS * s[0] / s[rank - 1], err
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-8, 1.0, 1e8]))
     def test_triplet_route_matches_the_dense_input(self, seed, scale):
-        # an instance given A's blocks dense scans them once, into the triplets
-        # that an instance given them as triplets keeps: the same route, k and N
+        # an instance given A's blocks dense scans them at construction, into
+        # the triplets that an instance given them as triplets keeps: the same
+        # route, k and N
         A = _sparse_matrix(seed, scale)
         m1 = int(np.random.default_rng(seed).integers(0, A.shape[0] + 1))
         n = A.shape[1]
@@ -471,7 +462,7 @@ assert not loaded, loaded
         assert "A" not in vars(sparse)
         # against the qr-svd route on the dense A, which an A with no entry (a
         # draw of no cells, an incidence matrix with no arc) does not take
-        reference = _without_triplets(dense).left_null
+        reference, _ = hieralm.problem._svd_left_null(A)
         s = np.linalg.svd(A, compute_uv=False)
         rank = len(A) - N.shape[1]
         assert reference.shape == N.shape
@@ -676,7 +667,7 @@ class TestSvdRoute:
 
 
 class TestSparseA:
-    """A sparse A handed in as triplets is kept as them, and built dense only when read."""
+    """A sparse A is kept as triplets however it is handed in, and built dense only when read."""
 
     def test_grid_is_kept_as_triplets_and_built_once_on_first_read(self):
         p = _grid(20)
@@ -695,6 +686,56 @@ class TestSparseA:
         # A2 first: any of the three builds all of them
         q = _grid(20)
         assert q.A2.base is q.A and q.A1.base is q.A
+
+    def test_a_sparse_a_given_dense_is_kept_as_triplets(self):
+        # dense blocks are scanned at construction into the triplets, and the
+        # CSR copies, that the same A given as triplets keeps; none of A, A1
+        # and A2 is kept. A grid's triplets come straight from build_instance
+        def triplet_bytes(p):
+            A = p._a_triplets
+            return A.shape, [getattr(A, name).tobytes() for name in ("rows", "cols", "values")]
+
+        def csr_bytes(p):
+            return [(getattr(csr, name).dtype, getattr(csr, name).tobytes())
+                    for csr in p.a_csr for name in ("data", "indices", "indptr")]
+
+        read = _grid(20)
+        pairs = [(_grid(20), (read.A1, read.A2))]
+        pairs += [(_with_triplets(p), (p.A1, p.A2)) for p in _sparse_a_problems()]
+        for i, (given, (A1, A2)) in enumerate(pairs):
+            p = ProblemData(
+                Q=given.q_diagonal if given.q_diagonal is not None else given.Q, c=given.c,
+                A1=A1, b1=given.b1, A2=A2, b2=given.b2,
+            )
+            assert not {"A", "A1", "A2"} & set(vars(p)), i
+            assert triplet_bytes(p) == triplet_bytes(given), i
+            assert csr_bytes(p) == csr_bytes(given), i
+            assert p.A.tobytes() == np.vstack((A1, A2)).tobytes(), i
+
+    def test_a_dense_a_is_stored_as_given_and_never_scanned(self, monkeypatch):
+        # above the COO rule, dense blocks, or a triplet block beside a dense
+        # one, are stacked into one array, and no path turns it into triplets
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((7, 12))
+        A[0, :6] = 0.0
+        A[1, 3] = -0.0
+        A1 = hieralm.problem._scanned(A[:2])  # before the patch below
+
+        def no_scan(a):
+            raise AssertionError("a dense A was scanned")
+
+        monkeypatch.setattr(hieralm.problem, "_scanned", no_scan)
+        for blocks in ((A[:2], A[2:]), (A1, A[2:])):
+            p = ProblemData(
+                Q=np.ones(12), c=np.zeros(12), A1=blocks[0], b1=np.zeros(2), A2=blocks[1],
+                b2=np.zeros(5),
+            )
+            assert "A" in vars(p) and p._a_triplets is None and p.a_csr is None
+            assert p.A.tobytes() == A.tobytes()
+            assert p.A1.base is p.A and p.A2.base is p.A
+            assert p.left_null.shape == (7, 0)
+            want = json.loads(hieralm.problem._problem_text(p))
+            assert want["A1"] == A[:2].tolist() and want["A2"] == A[2:].tolist()
 
     def test_loaded_coo_blocks_stay_triplets(self, tmp_path):
         p, meta = build_instance(GridSpec(5, 6, kappa=0.5))
@@ -826,13 +867,15 @@ class TestSparseA:
                 Q=np.ones(n), c=np.zeros(n), A1=A[:m1], b1=np.zeros(m1), A2=A[m1:],
                 b2=np.zeros(m2),
             )
-            want = hieralm.problem._problem_text(_without_triplets(p))
+            doc = problem_document(p)
+            doc["A1"], doc["A2"] = map(hieralm.problem._encode_matrix, (A[:m1], A[m1:]))
+            want = json.dumps(doc, allow_nan=False) + "\n"
             assert hieralm.problem._problem_text(p) == want
             assert hieralm.problem._problem_text(_with_triplets(p)) == want
 
     def test_repr_keeps_its_text(self):
         p = _grid(4)
-        dense = _without_triplets(p)
+        dense = ProblemData(Q=p.q_diagonal, c=p.c, A1=p.A1, b1=p.b1, A2=p.A2, b2=p.b2)
         assert repr(p) == repr(dense)
         assert repr(p) == (
             f"ProblemData(Q={p.q_diagonal!r}, c={p.c!r}, A1={p.A1!r}, b1={p.b1!r}, "
